@@ -110,6 +110,9 @@ def build_forcing(cfg: dict, grid) -> ForcingSpec:
 
 
 def build_solver_config(cfg: dict, grid, seed_override=None) -> SolverConfig:
+    dealias = _get(cfg, "solver.dealias", default=True)
+    if not isinstance(dealias, bool):
+        raise ConfigError(f"solver.dealias: expected a boolean, got {dealias!r}")
     try:
         return SolverConfig(
             nu=_typed(cfg, "solver.nu", float, default=1.0),
@@ -121,7 +124,7 @@ def build_solver_config(cfg: dict, grid, seed_override=None) -> SolverConfig:
             picard_tol=_typed(cfg, "solver.picard_tol", float, default=1e-10),
             picard_max_iters=_typed(cfg, "solver.picard_max_iters", int, default=50),
             forcing=build_forcing(cfg, grid),
-            dealias=bool(_get(cfg, "solver.dealias", default=True)),
+            dealias=dealias,
             snapshot_every=_typed(cfg, "run.snapshot_every", int, default=1),
         )
     except ValueError as exc:

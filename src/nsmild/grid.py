@@ -114,8 +114,24 @@ def _fft(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.fftn(values, axes=grid.spatial_axes) / grid.n_points
 
 
+def _half(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The modes with last-axis wavenumber 0..n/2, which fix a Hermitian spectrum."""
+    return coeffs[..., : grid.n_modes // 2 + 1]
+
+
+def _rfft(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Real samples -> half spectrum, normalized like `_fft`."""
+    return np.fft.rfftn(values, axes=grid.spatial_axes, norm="forward")
+
+
+def _irfft(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Half spectrum -> real samples of the Hermitian field it determines."""
+    return np.fft.irfftn(half, s=grid.shape, axes=grid.spatial_axes, norm="forward")
+
+
 def _ifft(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return np.real(np.fft.ifftn(coeffs, axes=grid.spatial_axes)) * grid.n_points
+    """Full Hermitian spectrum -> real samples, by a real transform of its half."""
+    return _irfft(_half(coeffs, grid), grid)
 
 
 def _conj_reflect(coeffs: np.ndarray, axes: tuple) -> np.ndarray:
@@ -124,6 +140,16 @@ def _conj_reflect(coeffs: np.ndarray, axes: tuple) -> np.ndarray:
     for ax in axes:
         out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
     return out
+
+
+def _full_spectrum(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Rebuild the full lattice from a half spectrum: uhat(-k) = conj(uhat(k))."""
+    n = grid.n_modes
+    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., : n // 2 + 1] = half
+    # last-axis wavenumbers n/2+1..n-1 are the conjugates of n/2-1..1 at -k
+    full[..., n // 2 + 1 :] = _conj_reflect(half[..., n // 2 - 1 : 0 : -1], grid.spatial_axes[:-1])
+    return full
 
 
 @dataclass(frozen=True)
@@ -293,9 +319,14 @@ def lattice_part(u: PhysicalVectorField, which: str) -> PhysicalVectorField:
 
 
 def leray_symbol_apply(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Apply the Fourier projection symbol I - k k^T / |k|^2; mode 0 unchanged."""
-    k_dot = np.einsum("i...,i...->...", grid.k, coeffs)
-    return coeffs - grid.k * (k_dot * grid.inv_k_sq)
+    """Apply the Fourier projection symbol I - k k^T / |k|^2; mode 0 unchanged.
+
+    Accepts the full lattice or its half (`_half`) along the last axis.
+    """
+    width = coeffs.shape[-1]
+    k = grid.k[..., :width]
+    k_dot = np.einsum("i...,i...->...", k, coeffs)
+    return coeffs - k * (k_dot * grid.inv_k_sq[..., :width])
 
 
 def _unit_phase_coeffs(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
@@ -404,10 +435,15 @@ class ForcingSpec:
             if np.max(np.abs(self.base_field.mean_mode())) > 1e-12 * scale:
                 raise ValueError("forcing base field must be mean-zero")
 
-    def evaluate(self, t: float) -> SpectralVectorField | None:
-        """Forcing at time t; None means identically zero."""
+    def amplitude(self, t: float) -> float | None:
+        """Factor of the base field at time t; None means identically zero."""
         if self.kind == "zero" or self.base_field is None:
             return None
         if self.kind == "steady":
-            return self.base_field
-        return float(max(t, 0.0)) ** self.exponent * self.base_field
+            return 1.0
+        return float(max(t, 0.0)) ** self.exponent
+
+    def evaluate(self, t: float) -> SpectralVectorField | None:
+        """Forcing at time t; None means identically zero."""
+        amplitude = self.amplitude(t)
+        return None if amplitude is None else amplitude * self.base_field

@@ -6,6 +6,12 @@ the advection nonlinearity, and the L_p / fractional-power norms. Every
 linear operator here is a modewise multiplier, so algebraic identities
 (idempotence, resolvent identity, semigroup law, power composition) hold to
 roundoff and the tests assert them at 1e-12.
+
+The projected nonlinearity F(u) = -P (u . grad) u has two evaluations.
+`advect` is the advective reference form. With dealiasing on,
+`divergence_form_F` evaluates -P div(u (x) u) with real transforms of the
+half spectrum, which is exact for divergence-free u on the retained modes
+when 3 * cutoff < n; `nonlinear_F` checks its input and uses it there.
 """
 
 from __future__ import annotations
@@ -17,8 +23,12 @@ import numpy as np
 from .grid import (
     SpectralVectorField,
     _fft,
+    _full_spectrum,
+    _half,
     _ifft,
+    _irfft,
     _require_same_grid,
+    _rfft,
     dealias,
     inverse_transform,
     leray_symbol_apply,
@@ -162,20 +172,59 @@ def advect(
     return SpectralVectorField(grid, coeffs)
 
 
+def divergence_form_F(u: SpectralVectorField) -> SpectralVectorField:
+    """-P div(u (x) u) on the two-thirds-dealiased modes, without input checks.
+
+    For divergence-free u, (u . grad) u = div(u (x) u). When 3 * cutoff < n
+    the dealiased products are exact on the retained modes, so this equals
+    the advective form -P (u . grad) u of `advect` to roundoff. It takes d
+    real inverse and d(d+1)/2 real forward transforms of the half spectrum
+    and rebuilds the full Hermitian lattice at the end. The caller vouches
+    that u is divergence-free and mean-zero; `nonlinear_F` checks both.
+    """
+    grid = u.grid
+    mask = _half(grid.dealias_mask, grid)
+    k = _half(grid.k, grid)
+    u_phys = _irfft(_half(u.coeffs, grid) * mask, grid)
+    rows, cols = np.triu_indices(grid.dim)
+    products = _rfft(u_phys[rows] * u_phys[cols], grid)
+    div = np.zeros((grid.dim,) + products.shape[1:], dtype=np.complex128)
+    for pair, (i, j) in enumerate(zip(rows, cols)):
+        div[i] += k[j] * products[pair]
+        if i != j:
+            div[j] += k[i] * products[pair]
+    half = leray_symbol_apply(grid, div * mask) * -1j
+    half[(slice(None),) + (0,) * grid.dim] = 0.0
+    return SpectralVectorField(grid, _full_spectrum(half, grid), mean_zero=True, div_free=True)
+
+
+def _projected_nonlinearity(u: SpectralVectorField, apply_dealias: bool) -> SpectralVectorField:
+    """F(u) = -P (u . grad) u without input checks.
+
+    Uses `divergence_form_F` where it is exact (dealiased, 3 * cutoff < n)
+    and the advective form of `advect` otherwise. The zero mode of the
+    advection image integrates to zero for divergence-free inputs, so it is
+    pinned to exactly zero; the output is divergence-free by projection.
+    """
+    grid = u.grid
+    if apply_dealias and 3 * grid.dealias_cutoff < grid.n_modes:
+        return divergence_form_F(u)
+    w = advect(u, u, apply_dealias=apply_dealias)
+    coeffs = -leray_symbol_apply(grid, w.coeffs)
+    coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
+    return SpectralVectorField(grid, coeffs, mean_zero=True, div_free=True)
+
+
 def nonlinear_F(u: SpectralVectorField, apply_dealias: bool = True) -> SpectralVectorField:
     """Projected advection nonlinearity -P (u . grad) u for div-free mean-zero u.
 
-    The zero mode of the advection image integrates to zero for
-    divergence-free inputs, so it is pinned to exactly zero; the output is
-    divergence-free by projection.
+    Checks that u is mean-zero and divergence-free, then evaluates
+    `_projected_nonlinearity`.
     """
     _require_mean_zero(u, "nonlinear term")
     if u.divergence_defect() > 1e-10:
         raise ValueError("nonlinear term requires a divergence-free field")
-    w = advect(u, u, apply_dealias=apply_dealias)
-    coeffs = -leray_symbol_apply(u.grid, w.coeffs)
-    coeffs[(slice(None),) + (0,) * u.grid.dim] = 0.0
-    return SpectralVectorField(u.grid, coeffs, mean_zero=True, div_free=True)
+    return _projected_nonlinearity(u, apply_dealias)
 
 
 def lp_norm(u, p: float) -> float:

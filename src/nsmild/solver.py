@@ -9,6 +9,13 @@ are provided: a Picard fixed-point iteration on a window [t0, t0 + T] that
 mirrors the local-existence construction, and exponential-Euler marching,
 which is the one-node collapse of the integral. The heat factor is always
 applied exactly in Fourier space, so stiffness never limits the step.
+
+`march` evaluates F(u) = -P (u . grad) u once per state: the same array
+feeds the diagnostics of a snapshot and the step that leaves it. The heat
+and h phi1 symbols and the projected forcing base are built once per march
+(`StepMultipliers`). Inside the solvers F is evaluated without the input
+checks of `nonlinear_F`, because `prepare_initial` validates the initial
+field and projection keeps every later state divergence-free and mean-zero.
 """
 
 from __future__ import annotations
@@ -17,18 +24,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import ForcingSpec, SpectralVectorField
+from .grid import ForcingSpec, SpectralVectorField, TorusGrid, _require_same_grid
 from .operators import (
     FracNormParams,
+    _phi1_of,
+    _projected_nonlinearity,
     energy,
     enstrophy,
     frac_norm,
-    heat_semigroup,
     leray_project,
     lp_norm,
     max_pointwise_divergence,
     nonlinear_F,
-    phi1,
 )
 
 BLOWUP_NORM = 1e8
@@ -137,14 +144,22 @@ class Trajectory:
                 raise AssertionError(f"field at t={t} has a nonzero mean mode")
 
 
-def compute_diagnostics(u: SpectralVectorField, t: float, config: SolverConfig) -> DiagnosticsRow:
+def compute_diagnostics(
+    u: SpectralVectorField,
+    t: float,
+    config: SolverConfig,
+    F: SpectralVectorField | None = None,
+) -> DiagnosticsRow:
+    """One diagnostics row; F is F(u) when the caller has already evaluated it."""
+    if F is None:
+        F = nonlinear_F(u, apply_dealias=config.dealias)
     return DiagnosticsRow(
         time=float(t),
         energy=energy(u),
         enstrophy=enstrophy(u),
         max_div=max_pointwise_divergence(u),
         norm_x_half=frac_norm(u, config.x_half),
-        norm_f=lp_norm(nonlinear_F(u, apply_dealias=config.dealias), config.p),
+        norm_f=lp_norm(F, config.p),
     )
 
 
@@ -161,28 +176,65 @@ def prepare_initial(u0: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(u0.grid, coeffs, mean_zero=True, div_free=True)
 
 
-def _projected_forcing(config: SolverConfig, t: float) -> SpectralVectorField | None:
-    f = config.forcing.evaluate(t)
-    if f is None:
-        return None
-    return leray_project(f)
+class ProjectedForcing:
+    """P f(t) = amplitude(t) P f0 on `grid`, with the base P f0 projected once."""
+
+    def __init__(self, config: SolverConfig, grid: TorusGrid):
+        self.spec = config.forcing
+        base = self.spec.base_field
+        if base is not None:
+            _require_same_grid(base.grid, grid)
+        self.base = None if base is None else leray_project(base).coeffs
+
+    def at(self, t: float) -> np.ndarray | None:
+        """Coefficients of P f(t); None means identically zero."""
+        amplitude = self.spec.amplitude(t)
+        return None if amplitude is None else amplitude * self.base
+
+
+@dataclass(frozen=True)
+class StepMultipliers:
+    """The symbols of one exponential-Euler step on one grid.
+
+    heat = exp(-nu h |k|^2) and h_phi1 = h phi1(-nu h |k|^2), plus the
+    projected forcing; `march` builds them once instead of every step.
+    """
+
+    heat: np.ndarray
+    h_phi1: np.ndarray
+    forcing: ProjectedForcing
+
+    @classmethod
+    def build(cls, grid: TorusGrid, config: SolverConfig) -> "StepMultipliers":
+        z = -config.nu * config.dt * grid.k_sq
+        return cls(np.exp(z), config.dt * _phi1_of(z), ProjectedForcing(config, grid))
 
 
 def exp_euler_step(
-    u_m: SpectralVectorField, t_m: float, config: SolverConfig
+    u_m: SpectralVectorField,
+    t_m: float,
+    config: SolverConfig,
+    F_m: SpectralVectorField | None = None,
+    multipliers: StepMultipliers | None = None,
 ) -> SpectralVectorField:
     """One exponential-Euler step of size config.dt.
 
     u_{m+1} = exp(h nu Lap) u_m + h phi1(h nu Lap) [F(u_m) + P f(t_m)].
+    F_m is F(u_m) when the caller has it; without it u_m is checked and F
+    evaluated by `nonlinear_F`. `multipliers` are built when not given.
     Raises FieldBlowup when the result is not finite.
     """
-    h = config.dt
+    if multipliers is None:
+        multipliers = StepMultipliers.build(u_m.grid, config)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rhs = nonlinear_F(u_m, apply_dealias=config.dealias)
-        f = _projected_forcing(config, t_m)
+        if F_m is None:
+            F_m = nonlinear_F(u_m, apply_dealias=config.dealias)
+        rhs = F_m.coeffs
+        f = multipliers.forcing.at(t_m)
         if f is not None:
             rhs = rhs + f
-        u_next = heat_semigroup(h, config.nu, u_m) + h * phi1(h, config.nu, rhs)
+        coeffs = u_m.coeffs * multipliers.heat + rhs * multipliers.h_phi1
+    u_next = SpectralVectorField(u_m.grid, coeffs, mean_zero=u_m.mean_zero, div_free=u_m.div_free)
     if not u_next.is_finite():
         raise FieldBlowup(f"non-finite field after step at t={t_m}")
     return u_next
@@ -205,28 +257,29 @@ def march(
     if n_steps < 1:
         raise ValueError("t_end - t0 must cover at least one step")
 
+    multipliers = StepMultipliers.build(u.grid, config)
+    F = _projected_nonlinearity(u, config.dealias)
     times = [t0]
     fields = [u]
-    diags = [compute_diagnostics(u, t0, config)]
+    diags = [compute_diagnostics(u, t0, config, F=F)]
     blowup = False
     for m in range(n_steps):
         t_m = t0 + m * config.dt
         try:
-            u = exp_euler_step(u, t_m, config)
+            u = exp_euler_step(u, t_m, config, F_m=F, multipliers=multipliers)
         except FieldBlowup:
             blowup = True
             break
         t_next = t0 + (m + 1) * config.dt
-        if np.sqrt(energy(u)) > BLOWUP_NORM:
-            blowup = True
+        # F(u) of every new state: the next step needs it, or the final snapshot
+        F = _projected_nonlinearity(u, config.dealias)
+        blowup = bool(np.sqrt(energy(u)) > BLOWUP_NORM)
+        if blowup or (m + 1) % config.snapshot_every == 0 or m == n_steps - 1:
             times.append(t_next)
             fields.append(u)
-            diags.append(compute_diagnostics(u, t_next, config))
+            diags.append(compute_diagnostics(u, t_next, config, F=F))
+        if blowup:
             break
-        if (m + 1) % config.snapshot_every == 0 or m == n_steps - 1:
-            times.append(t_next)
-            fields.append(u)
-            diags.append(compute_diagnostics(u, t_next, config))
     return Trajectory(np.asarray(times), tuple(fields), tuple(diags), blowup=blowup)
 
 
@@ -260,10 +313,8 @@ def picard_solve(
 
     u0_hat = u0.coeffs
     heat_flow = [u0_hat * E[j] for j in range(n)]
-    forcing_hat = []
-    for t in times:
-        f = _projected_forcing(config, t)
-        forcing_hat.append(None if f is None else f.coeffs)
+    forcing = ProjectedForcing(config, grid)
+    forcing_hat = [forcing.at(t) for t in times]
 
     def wrap(c):
         return SpectralVectorField(grid, c, mean_zero=True, div_free=True)
@@ -276,7 +327,7 @@ def picard_solve(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             g = []
             for j in range(n):
-                g_j = nonlinear_F(wrap(current[j]), apply_dealias=config.dealias).coeffs
+                g_j = _projected_nonlinearity(wrap(current[j]), config.dealias).coeffs
                 if forcing_hat[j] is not None:
                     g_j = g_j + forcing_hat[j]
                 g.append(g_j)

@@ -126,6 +126,38 @@ class TestRun:
         assert (out / "diagnostics.csv").exists()
 
 
+    @pytest.mark.parametrize("value", ["false", 0])
+    def test_dealias_must_be_boolean(self, tmp_path, capsys, value):
+        config = write_config(
+            tmp_path / "dealias.json",
+            {
+                "grid": {"dim": 2, "n_modes": 16},
+                "solver": {"dealias": value},
+                "run": {"t_end": 0.01, "seed": 0},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 1
+        assert f"solver.dealias: expected a boolean, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dealias_false_turns_dealiasing_off(self, tmp_path):
+        norm_f = {}
+        for value in (True, False):
+            config = write_config(
+                tmp_path / f"dealias_{value}.json",
+                {
+                    "grid": {"dim": 2, "n_modes": 16},
+                    "solver": {"dealias": value},
+                    "run": {"t_end": 0.01, "seed": 0},
+                },
+            )
+            out = tmp_path / f"out_{value}"
+            assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 0
+            norm_f[value] = read_diagnostics(out / "diagnostics.csv")[0]["norm_F"]
+        assert norm_f[True] != norm_f[False]
+
+
 class TestDeterminismAndSnapshots:
     def test_identical_config_identical_bytes(self, tmp_path):
         config = write_config(

@@ -87,6 +87,17 @@ class TestTransforms:
             assert random_gradient_field(grid3, seed).hermitian_defect() < 1e-12
 
 
+    @pytest.mark.parametrize("dim,n", [(2, 32), (2, 256), (3, 16), (3, 32)])
+    def test_real_inverse_matches_complex_inverse(self, dim, n):
+        # the inverse transform reads only the half spectrum (irfftn)
+        grid = make_grid(dim, n)
+        for seed in range(3):
+            for u in (random_divfree_field(grid, seed), random_gradient_field(grid, seed)):
+                expected = np.real(np.fft.ifftn(u.coeffs, axes=grid.spatial_axes)) * grid.n_points
+                got = inverse_transform(u).values
+                assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 class TestDealias:
     def test_cutoff_rule(self):
         grid = make_grid(3, 16)  # cutoff floor(16/3) = 5

@@ -28,7 +28,7 @@ from nsmild import (
     spectral_l2_norm,
     zero_field,
 )
-from nsmild.operators import _phi1_of, apply_shifted_laplacian
+from nsmild.operators import _phi1_of, apply_shifted_laplacian, divergence_form_F
 from nsmild.verification import taylor_green
 
 
@@ -228,6 +228,40 @@ class TestNonlinearF:
         g = random_gradient_field(grid3, seed=3)
         with pytest.raises(ValueError):
             nonlinear_F(g)
+
+
+def advective_F(u, apply_dealias=True):
+    """The reference form -P (u . grad) u with the zero mode pinned."""
+    coeffs = -leray_project(advect(u, u, apply_dealias=apply_dealias)).coeffs
+    coeffs[(slice(None),) + (0,) * u.grid.dim] = 0.0
+    return coeffs
+
+
+class TestDivergenceFormF:
+    @pytest.mark.parametrize("dim,n", [(2, 64), (2, 256), (3, 32)])
+    def test_agrees_with_advective_form(self, dim, n):
+        grid = make_grid(dim, n)
+        for seed in range(3):
+            u = random_divfree_field(grid, seed)
+            expected = advective_F(u)
+            got = divergence_form_F(u).coeffs
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_nonlinear_F_uses_it(self, grid3_32):
+        u = random_divfree_field(grid3_32, seed=4)
+        np.testing.assert_array_equal(nonlinear_F(u).coeffs, divergence_form_F(u).coeffs)
+
+    def test_without_dealiasing_is_advective_form(self, grid2):
+        u = random_divfree_field(grid2, seed=5)
+        np.testing.assert_array_equal(
+            nonlinear_F(u, apply_dealias=False).coeffs, advective_F(u, apply_dealias=False)
+        )
+
+    def test_advective_form_when_n_divisible_by_3(self):
+        # n = 3 * cutoff: aliases land on retained modes, where the two forms differ
+        grid = make_grid(2, 48)
+        u = random_divfree_field(grid, seed=6)
+        np.testing.assert_array_equal(nonlinear_F(u).coeffs, advective_F(u))
 
 
 class TestNorms:

@@ -21,8 +21,9 @@ from nsmild import (
     spectral_l2_norm,
     zero_field,
 )
+from nsmild import operators
 from nsmild.grid import ForcingSpec
-from nsmild.solver import prepare_initial
+from nsmild.solver import compute_diagnostics, prepare_initial
 from nsmild.verification import taylor_green
 
 
@@ -130,6 +131,28 @@ class TestMarch:
         # F stays zero along single-mode states, so u(t) -> R(0+)f = f for |k|=1
         final = traj.final_field
         assert spectral_l2_norm(final - base) <= 1e-3 * spectral_l2_norm(base)
+
+    def test_nonlinearity_evaluated_once_per_state(self, grid2, monkeypatch):
+        calls = []
+        for name in ("divergence_form_F", "advect"):
+            original = getattr(operators, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(operators, name, counted)
+        base = random_divfree_field(grid2, seed=11)
+        config = SolverConfig(
+            nu=1.0, dt=1e-2, forcing=ForcingSpec(kind="steady", base_field=base),
+            snapshot_every=1,
+        )
+        n_steps = 7
+        traj = march(random_divfree_field(grid2, seed=10), config, n_steps * config.dt)
+        assert len(calls) == n_steps + 1
+        assert len(traj.diagnostics) == n_steps + 1
+        for u, t, row in zip(traj.fields, traj.times, traj.diagnostics):
+            assert row == compute_diagnostics(u, t, config)
 
 
 class TestPicard:
