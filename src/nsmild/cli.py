@@ -70,6 +70,26 @@ def _typed(cfg: dict, path: str, kind, default=None, required: bool = False):
         raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}") from exc
 
 
+def _block(cfg: dict, name: str) -> dict:
+    block = cfg.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name}: must be an object")
+    return block
+
+
+def _config_failure(message) -> int:
+    print(f"config error: {message}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
+def _check_t_end(path: str, t_end: float, dt: float) -> None:
+    """The march from t = 0 needs a finite t_end that rounds to at least one step."""
+    if not (np.isfinite(t_end) and t_end / dt > 0.5):
+        raise ConfigError(
+            f"{path}: must be finite and cover at least one step of dt = {dt}, got {t_end!r}"
+        )
+
+
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text()
@@ -167,9 +187,9 @@ def cmd_run(config_path, out_dir, seed=None, quiet=False) -> int:
         solver_cfg = build_solver_config(cfg, grid)
         u0 = build_initial(cfg, grid, run_seed)
         t_end = _typed(cfg, "run.t_end", float, required=True)
+        _check_t_end("run.t_end", t_end, solver_cfg.dt)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_failure(exc)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -205,9 +225,7 @@ def cmd_run(config_path, out_dir, seed=None, quiet=False) -> int:
 
 def _verify_settings(cfg: dict) -> VerifySettings:
     base = VerifySettings()
-    block = cfg.get("verify", {})
-    if not isinstance(block, dict):
-        raise ConfigError("verify: must be an object")
+    block = _block(cfg, "verify")
     known = {f for f in VerifySettings.__dataclass_fields__}
     overrides = {}
     for key, value in block.items():
@@ -231,8 +249,7 @@ def cmd_verify(config_path, out_dir, seed=None, quiet=False) -> int:
         if seed is not None:
             settings = replace(settings, seed=int(seed))
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_failure(exc)
 
     reports = run_verification_suite(settings)
     out = Path(out_dir)
@@ -261,7 +278,7 @@ def cmd_estimate(config_path, out_dir, seed=None, quiet=False) -> int:
     """Estimate the advection-bound and norm-equivalence constants."""
     try:
         cfg = load_config(config_path) if config_path else {}
-        block = cfg.get("estimate", {})
+        block = _block(cfg, "estimate")
         ens = EnsembleSpec(
             size=int(block.get("ensemble_size", 100)),
             seed=int(seed if seed is not None else block.get("seed", 7)),
@@ -272,9 +289,10 @@ def cmd_estimate(config_path, out_dir, seed=None, quiet=False) -> int:
         theta = float(block.get("theta", 0.75))
         omega = float(block.get("omega", 0.75))
         p = float(block.get("p", 2.0))
-    except (ConfigError, TypeError, ValueError) as exc:
-        print(f"config error: estimate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ConfigError as exc:
+        return _config_failure(exc)
+    except (TypeError, ValueError) as exc:
+        return _config_failure(f"estimate: {exc}")
 
     bilinear = estimate_bilinear_constant(ens, (0.0, theta, omega), p, resolutions)
     upper, lower = estimate_norm_equivalence(ens, p=p, resolutions=resolutions)
@@ -292,19 +310,21 @@ def cmd_oracle(config_path, out_dir, seed=None, quiet=False) -> int:
     """March the closed-form vortex and compare against its analytic decay."""
     try:
         cfg = load_config(config_path) if config_path else {}
-        block = cfg.get("oracle", {})
+        block = _block(cfg, "oracle")
         n_modes = int(block.get("n_modes", 64))
         nu = float(block.get("nu", 1.0))
         dt = float(block.get("dt", 1e-3))
         t_end = float(block.get("t_end", 1.0))
         snapshot_every = int(block.get("snapshot_every", 100))
         tolerance = float(block.get("tolerance", 1e-10))
+        grid = make_grid(2, n_modes)
+        config = SolverConfig(nu=nu, dt=dt, snapshot_every=snapshot_every)
+        _check_t_end("oracle.t_end", t_end, dt)
+    except ConfigError as exc:
+        return _config_failure(exc)
     except (TypeError, ValueError) as exc:
-        print(f"config error: oracle: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_failure(f"oracle: {exc}")
 
-    grid = make_grid(2, n_modes)
-    config = SolverConfig(nu=nu, dt=dt, snapshot_every=snapshot_every)
     traj = march(taylor_green(grid, nu, 0.0), config, t_end)
     errors = compare_oracle(traj, nu)
     residual = max(taylor_green_residual(grid, nu, t) for t in (0.0, t_end / 2, t_end))

@@ -9,7 +9,8 @@ so the coefficient of the zero mode equals the spatial mean. The integer
 wavenumber lattice per axis is {-n/2+1, ..., n/2}; the Nyquist slot carries
 the label +n/2. Generators never populate Nyquist planes, which keeps odd
 Fourier symbols (derivatives, the off-diagonal projection entries) compatible
-with Hermitian symmetry.
+with Hermitian symmetry. The two-thirds dealiasing cutoff is floor((n-1)/3),
+so 3 * cutoff < n and quadratic products are exact on the retained modes.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 # relative tolerances for the field invariants
-HERMITIAN_TOL = 1e-12
 DIVFREE_TOL = 1e-12
+MEAN_MODE_TOL = 1e-12
 
 
 def _integer_modes(n: int) -> np.ndarray:
@@ -65,7 +66,7 @@ class TorusGrid:
         nonzero = k_sq > 0
         inv_k_sq[nonzero] = 1.0 / k_sq[nonzero]
 
-        cutoff = n // 3
+        cutoff = (n - 1) // 3
         abs_int = np.abs(k_int)
         dealias_mask = np.all(abs_int <= cutoff, axis=0)
         nyquist_mask = np.any(abs_int == n // 2, axis=0)
@@ -156,16 +157,12 @@ def _full_spectrum(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
 class SpectralVectorField:
     """Velocity field as per-component complex Fourier coefficients.
 
-    Flags record invariants guaranteed by construction: ``mean_zero`` means
-    the zero mode is exactly zero, ``div_free`` means k . uhat(k) = 0 for
-    every mode (up to roundoff). Flag setters are the operations that can
-    guarantee the property; consumers that need certainty measure defects.
+    Invariants (mean-zero, divergence-free, Hermitian) are not recorded;
+    consumers that need them measure the defects.
     """
 
     grid: TorusGrid
     coeffs: np.ndarray
-    mean_zero: bool = False
-    div_free: bool = False
 
     def __post_init__(self) -> None:
         expected = (self.grid.dim,) + self.grid.shape
@@ -205,29 +202,14 @@ class SpectralVectorField:
 
     def __add__(self, other: "SpectralVectorField") -> "SpectralVectorField":
         _require_same_grid(self.grid, other.grid)
-        return SpectralVectorField(
-            self.grid,
-            self.coeffs + other.coeffs,
-            mean_zero=self.mean_zero and other.mean_zero,
-            div_free=self.div_free and other.div_free,
-        )
+        return SpectralVectorField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralVectorField") -> "SpectralVectorField":
         _require_same_grid(self.grid, other.grid)
-        return SpectralVectorField(
-            self.grid,
-            self.coeffs - other.coeffs,
-            mean_zero=self.mean_zero and other.mean_zero,
-            div_free=self.div_free and other.div_free,
-        )
+        return SpectralVectorField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: float) -> "SpectralVectorField":
-        return SpectralVectorField(
-            self.grid,
-            self.coeffs * scalar,
-            mean_zero=self.mean_zero,
-            div_free=self.div_free,
-        )
+        return SpectralVectorField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
@@ -257,6 +239,13 @@ def _require_same_grid(a: TorusGrid, b: TorusGrid) -> None:
         raise ValueError(f"grid mismatch: {a} vs {b}")
 
 
+def _require_mean_zero(u: SpectralVectorField, what: str) -> None:
+    """Raise unless the zero mode is within MEAN_MODE_TOL of max |uhat|."""
+    scale = u.max_abs()
+    if scale > 0.0 and np.max(np.abs(u.mean_mode())) > MEAN_MODE_TOL * scale:
+        raise ValueError(f"{what} requires a mean-zero field")
+
+
 def forward_transform(u: PhysicalVectorField) -> SpectralVectorField:
     """Collocation samples -> Fourier coefficients (zero mode = spatial mean)."""
     return SpectralVectorField(u.grid, _fft(u.values, u.grid))
@@ -282,24 +271,24 @@ def field_from_function(grid: TorusGrid, component_funcs) -> SpectralVectorField
 
 def zero_field(grid: TorusGrid) -> SpectralVectorField:
     coeffs = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
-    return SpectralVectorField(grid, coeffs, mean_zero=True, div_free=True)
+    return SpectralVectorField(grid, coeffs)
 
 
 def dealias(u: SpectralVectorField) -> SpectralVectorField:
-    """Two-thirds rule: zero every mode with any |k_i| > floor(n/3)."""
-    coeffs = u.coeffs * u.grid.dealias_mask
-    return SpectralVectorField(u.grid, coeffs, mean_zero=u.mean_zero, div_free=u.div_free)
+    """Two-thirds rule: zero every mode with any |k_i| > floor((n-1)/3).
+
+    The cutoff K satisfies 3K < n, so the product of two dealiased fields
+    has no alias on a retained mode.
+    """
+    return SpectralVectorField(u.grid, u.coeffs * u.grid.dealias_mask)
 
 
 def truncate(u: SpectralVectorField, m: int) -> SpectralVectorField:
-    """Zero every mode with any |k_i| > m; divergence acts modewise so the
-    div-free flag is preserved."""
+    """Zero every mode with any |k_i| > m."""
     if not 0 <= m <= u.grid.n_modes // 2:
         raise ValueError(f"truncation order {m} outside [0, {u.grid.n_modes // 2}]")
     mask = np.all(np.abs(u.grid.k_int) <= m, axis=0)
-    return SpectralVectorField(
-        u.grid, u.coeffs * mask, mean_zero=u.mean_zero, div_free=u.div_free
-    )
+    return SpectralVectorField(u.grid, u.coeffs * mask)
 
 
 def lattice_part(u: PhysicalVectorField, which: str) -> PhysicalVectorField:
@@ -366,8 +355,7 @@ def random_divfree_field(
     rng = np.random.default_rng(seed)
     env = _spectral_envelope(grid, spectrum_decay, amplitude)
     coeffs = np.stack([env * _unit_phase_coeffs(grid, rng) for _ in range(grid.dim)])
-    coeffs = leray_symbol_apply(grid, coeffs)
-    return SpectralVectorField(grid, coeffs, mean_zero=True, div_free=True)
+    return SpectralVectorField(grid, leray_symbol_apply(grid, coeffs))
 
 
 def random_gradient_field(
@@ -385,8 +373,7 @@ def random_gradient_field(
         raise ValueError(f"spectrum_decay must be positive, got {spectrum_decay}")
     rng = np.random.default_rng(seed)
     h_hat = _spectral_envelope(grid, spectrum_decay, amplitude) * _unit_phase_coeffs(grid, rng)
-    coeffs = 1j * grid.k * h_hat
-    return SpectralVectorField(grid, coeffs, mean_zero=True, div_free=False)
+    return SpectralVectorField(grid, 1j * grid.k * h_hat)
 
 
 def embed(u: SpectralVectorField, fine: TorusGrid) -> SpectralVectorField:
@@ -406,7 +393,7 @@ def embed(u: SpectralVectorField, fine: TorusGrid) -> SpectralVectorField:
     coeffs = np.zeros((fine.dim,) + fine.shape, dtype=np.complex128)
     for i in range(coarse.dim):
         coeffs[(i,) + np.ix_(*idx)] = u.coeffs[i]
-    return SpectralVectorField(fine, coeffs, mean_zero=u.mean_zero, div_free=u.div_free)
+    return SpectralVectorField(fine, coeffs)
 
 
 @dataclass(frozen=True)
@@ -431,9 +418,7 @@ class ForcingSpec:
                 raise ValueError(f"forcing kind {self.kind!r} requires a base field")
             if self.base_field.divergence_defect() > DIVFREE_TOL:
                 raise ValueError("forcing base field must be divergence-free")
-            scale = max(self.base_field.max_abs(), 1.0)
-            if np.max(np.abs(self.base_field.mean_mode())) > 1e-12 * scale:
-                raise ValueError("forcing base field must be mean-zero")
+            _require_mean_zero(self.base_field, "forcing base")
 
     def amplitude(self, t: float) -> float | None:
         """Factor of the base field at time t; None means identically zero."""

@@ -8,10 +8,11 @@ linear operator here is a modewise multiplier, so algebraic identities
 roundoff and the tests assert them at 1e-12.
 
 The projected nonlinearity F(u) = -P (u . grad) u has two evaluations.
-`advect` is the advective reference form. With dealiasing on,
-`divergence_form_F` evaluates -P div(u (x) u) with real transforms of the
-half spectrum, which is exact for divergence-free u on the retained modes
-when 3 * cutoff < n; `nonlinear_F` checks its input and uses it there.
+With dealiasing on, `divergence_form_F` evaluates -P div(u (x) u) with real
+transforms of the half spectrum; the grid's cutoff satisfies 3 * cutoff < n,
+so this is exact for divergence-free u on the retained modes. `advect` is
+the advective form, used without dealiasing and as the reference.
+Physical-space values come from the grid's real inverse transform `_ifft`.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from .grid import (
     _half,
     _ifft,
     _irfft,
+    _require_mean_zero,
     _require_same_grid,
     _rfft,
     dealias,
     inverse_transform,
     leray_symbol_apply,
 )
-
-MEAN_MODE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,26 +51,9 @@ class FracNormParams:
             raise ValueError(f"p must be >= 2, got {self.p}")
 
 
-def _apply_symbol(u: SpectralVectorField, symbol: np.ndarray, *, mean_zero=None, div_free=None):
-    """Multiply every component by a real modewise symbol.
-
-    Scalar symbols commute with k . uhat, so div-free status is inherited
-    unless overridden.
-    """
-    return SpectralVectorField(
-        u.grid,
-        u.coeffs * symbol,
-        mean_zero=u.mean_zero if mean_zero is None else mean_zero,
-        div_free=u.div_free if div_free is None else div_free,
-    )
-
-
-def _require_mean_zero(u: SpectralVectorField, what: str) -> None:
-    scale = u.max_abs()
-    if scale == 0.0:
-        return
-    if np.max(np.abs(u.mean_mode())) > MEAN_MODE_TOL * scale:
-        raise ValueError(f"{what} requires a mean-zero field")
+def _apply_symbol(u: SpectralVectorField, symbol: np.ndarray) -> SpectralVectorField:
+    """Multiply every component by a real modewise symbol."""
+    return SpectralVectorField(u.grid, u.coeffs * symbol)
 
 
 def leray_project(u: SpectralVectorField) -> SpectralVectorField:
@@ -78,12 +61,11 @@ def leray_project(u: SpectralVectorField) -> SpectralVectorField:
 
     Mode 0 is left unchanged; gradient fields are annihilated.
     """
-    coeffs = leray_symbol_apply(u.grid, u.coeffs)
-    return SpectralVectorField(u.grid, coeffs, mean_zero=u.mean_zero, div_free=True)
+    return SpectralVectorField(u.grid, leray_symbol_apply(u.grid, u.coeffs))
 
 
 def laplacian(u: SpectralVectorField) -> SpectralVectorField:
-    return _apply_symbol(u, -u.grid.k_sq, mean_zero=True)
+    return _apply_symbol(u, -u.grid.k_sq)
 
 
 def resolvent(lam: float, u: SpectralVectorField) -> SpectralVectorField:
@@ -120,7 +102,7 @@ def frac_power(alpha: float, u: SpectralVectorField) -> SpectralVectorField:
     symbol = np.zeros_like(grid.k_sq)
     nonzero = grid.k_sq > 0
     symbol[nonzero] = grid.k_sq[nonzero] ** alpha
-    return _apply_symbol(u, symbol, mean_zero=True)
+    return _apply_symbol(u, symbol)
 
 
 def _phi1_of(z: np.ndarray) -> np.ndarray:
@@ -154,7 +136,7 @@ def advect(
     Differentiates in Fourier space, multiplies on the collocation lattice,
     transforms back. With dealiasing on (the default), inputs and output are
     truncated by the two-thirds rule so the retained product modes are exact.
-    The result is generally not divergence-free and is not flagged as such.
+    The result is generally not divergence-free.
     """
     _require_same_grid(u.grid, v.grid)
     grid = u.grid
@@ -175,9 +157,9 @@ def advect(
 def divergence_form_F(u: SpectralVectorField) -> SpectralVectorField:
     """-P div(u (x) u) on the two-thirds-dealiased modes, without input checks.
 
-    For divergence-free u, (u . grad) u = div(u (x) u). When 3 * cutoff < n
-    the dealiased products are exact on the retained modes, so this equals
-    the advective form -P (u . grad) u of `advect` to roundoff. It takes d
+    For divergence-free u, (u . grad) u = div(u (x) u), and the dealiased
+    products are exact on the retained modes, so this equals the advective
+    form -P (u . grad) u of `advect` to roundoff. It takes d
     real inverse and d(d+1)/2 real forward transforms of the half spectrum
     and rebuilds the full Hermitian lattice at the end. The caller vouches
     that u is divergence-free and mean-zero; `nonlinear_F` checks both.
@@ -195,24 +177,22 @@ def divergence_form_F(u: SpectralVectorField) -> SpectralVectorField:
             div[j] += k[i] * products[pair]
     half = leray_symbol_apply(grid, div * mask) * -1j
     half[(slice(None),) + (0,) * grid.dim] = 0.0
-    return SpectralVectorField(grid, _full_spectrum(half, grid), mean_zero=True, div_free=True)
+    return SpectralVectorField(grid, _full_spectrum(half, grid))
 
 
 def _projected_nonlinearity(u: SpectralVectorField, apply_dealias: bool) -> SpectralVectorField:
     """F(u) = -P (u . grad) u without input checks.
 
-    Uses `divergence_form_F` where it is exact (dealiased, 3 * cutoff < n)
-    and the advective form of `advect` otherwise. The zero mode of the
-    advection image integrates to zero for divergence-free inputs, so it is
-    pinned to exactly zero; the output is divergence-free by projection.
+    Uses `divergence_form_F` when dealiasing and the undealiased advective
+    form of `advect` otherwise. The zero mode of the advection image
+    integrates to zero for divergence-free inputs, so it is pinned to exactly
+    zero; the output is divergence-free by projection.
     """
-    grid = u.grid
-    if apply_dealias and 3 * grid.dealias_cutoff < grid.n_modes:
+    if apply_dealias:
         return divergence_form_F(u)
-    w = advect(u, u, apply_dealias=apply_dealias)
-    coeffs = -leray_symbol_apply(grid, w.coeffs)
-    coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
-    return SpectralVectorField(grid, coeffs, mean_zero=True, div_free=True)
+    coeffs = -leray_symbol_apply(u.grid, advect(u, u, apply_dealias=False).coeffs)
+    coeffs[(slice(None),) + (0,) * u.grid.dim] = 0.0
+    return SpectralVectorField(u.grid, coeffs)
 
 
 def nonlinear_F(u: SpectralVectorField, apply_dealias: bool = True) -> SpectralVectorField:
@@ -272,15 +252,17 @@ def gradient_norm(u: SpectralVectorField, p: float, variant: str = "full") -> fl
     if variant not in ("full", "diagonal"):
         raise ValueError(f"variant must be full or diagonal, got {variant!r}")
     _require_mean_zero(u, "gradient norm")
-    grid = u.grid
-    total = 0.0
-    for i in range(grid.dim):
-        for j in range(grid.dim):
-            if variant == "diagonal" and i != j:
-                continue
-            entry = np.real(np.fft.ifftn(1j * grid.k[j] * u.coeffs[i])) * grid.n_points
-            total += float(np.sum(np.abs(entry) ** p))
-    return (grid.cell_volume * total) ** (1.0 / p)
+    dim = u.grid.dim
+    pairs = [(i, j) for i in range(dim) for j in range(dim) if variant == "full" or i == j]
+    total = sum(float(np.sum(np.abs(entry) ** p)) for entry in _jacobian_entries(u, pairs))
+    return (u.grid.cell_volume * total) ** (1.0 / p)
+
+
+def _jacobian_entries(u: SpectralVectorField, pairs):
+    """du_i/dx_j on the collocation lattice for each (i, j) in pairs, one at a time."""
+    k = u.grid.k
+    for i, j in pairs:
+        yield _ifft((1j * k[j] * u.coeffs[i])[np.newaxis], u.grid)[0]
 
 
 def energy(u: SpectralVectorField) -> float:
@@ -295,6 +277,4 @@ def enstrophy(u: SpectralVectorField) -> float:
 
 def max_pointwise_divergence(u: SpectralVectorField) -> float:
     """max_x |div u(x)| on the collocation lattice."""
-    div_hat = u.divergence_coeffs()
-    div_phys = np.real(np.fft.ifftn(div_hat)) * u.grid.n_points
-    return float(np.max(np.abs(div_phys)))
+    return float(np.max(np.abs(_ifft(u.divergence_coeffs()[np.newaxis], u.grid))))

@@ -26,6 +26,7 @@ from .grid import (
 )
 from .operators import (
     FracNormParams,
+    _jacobian_entries,
     advect,
     apply_shifted_laplacian,
     frac_norm,
@@ -33,6 +34,7 @@ from .operators import (
     gradient_norm,
     heat_semigroup,
     l2_inner,
+    laplacian,
     leray_project,
     lp_norm,
     nonlinear_F,
@@ -136,6 +138,11 @@ def _rel(defect: float, scale: float) -> float:
     return defect / scale if scale > 0 else 0.0
 
 
+def _rel_diff(a: SpectralVectorField, b: SpectralVectorField, scale: float) -> float:
+    """max_k |ahat(k) - bhat(k)| relative to scale (0 when scale is 0)."""
+    return _rel(float(np.max(np.abs(a.coeffs - b.coeffs))), scale)
+
+
 def check_operator_identities(
     fields: list,
     gradient_fields: list,
@@ -158,21 +165,17 @@ def check_operator_identities(
         pu = leray_project(u)
         scale = max(pu.max_abs(), u.max_abs())
         ppu = leray_project(pu)
-        proj_idem = max(proj_idem, _rel(float(np.max(np.abs(ppu.coeffs - pu.coeffs))), scale))
+        proj_idem = max(proj_idem, _rel_diff(ppu, pu, scale))
         proj_div = max(proj_div, pu.divergence_defect())
         for lam in lambdas:
             ru = resolvent(lam, u)
             back = apply_shifted_laplacian(lam, ru)
-            res_identity = max(
-                res_identity, _rel(float(np.max(np.abs(back.coeffs - u.coeffs))), u.max_abs())
-            )
+            res_identity = max(res_identity, _rel_diff(back, u, u.max_abs()))
         for s in times:
             for t in times:
                 two = heat_semigroup(s, nu, heat_semigroup(t, nu, u))
                 one = heat_semigroup(s + t, nu, u)
-                sg_law = max(
-                    sg_law, _rel(float(np.max(np.abs(two.coeffs - one.coeffs))), u.max_abs())
-                )
+                sg_law = max(sg_law, _rel_diff(two, one, u.max_abs()))
     for g in gradient_fields:
         pg = leray_project(g)
         proj_grad = max(proj_grad, _rel(pg.max_abs(), g.max_abs()))
@@ -224,14 +227,15 @@ def check_semigroup(
     p_values=(2.0, 4.0),
     tol: float = IDENTITY_TOL,
 ) -> CheckReport:
-    """Identity at t = 0, L_p contraction, and divergence-free invariance."""
+    """Identity at t = 0, L_p contraction, and divergence-free invariance.
+
+    The semigroup law is measured by `check_operator_identities`.
+    """
     ident = 0.0
     contraction_violation = 0.0
     invariance = 0.0
-    law = 0.0
     for u in fields:
-        at0 = heat_semigroup(0.0, nu, u)
-        ident = max(ident, _rel(float(np.max(np.abs(at0.coeffs - u.coeffs))), u.max_abs()))
+        ident = max(ident, _rel_diff(heat_semigroup(0.0, nu, u), u, u.max_abs()))
         for t in times:
             ut = heat_semigroup(t, nu, u)
             invariance = max(invariance, ut.divergence_defect())
@@ -241,19 +245,13 @@ def check_semigroup(
                 contraction_violation = max(
                     contraction_violation, _rel(after - before, before)
                 )
-        for s in times[:2]:
-            for t in times[:2]:
-                two = heat_semigroup(s, nu, heat_semigroup(t, nu, u))
-                one = heat_semigroup(s + t, nu, u)
-                law = max(law, _rel(float(np.max(np.abs(two.coeffs - one.coeffs))), u.max_abs()))
     measurements = {
         "identity_at_zero": ident,
-        "semigroup_law": law,
         "contraction_violation": contraction_violation,
         "divfree_invariance": invariance,
         "tolerance": tol,
     }
-    passed = ident <= tol and law <= tol and invariance <= tol and contraction_violation <= tol
+    passed = ident <= tol and invariance <= tol and contraction_violation <= tol
     return CheckReport("semigroup_contraction", passed, measurements)
 
 
@@ -265,7 +263,7 @@ def check_frac_power_composition(fields: list, tol: float = IDENTITY_TOL) -> Che
         for a, b in exponent_pairs:
             left = frac_power(a, frac_power(b, u))
             right = frac_power(a + b, u)
-            worst = max(worst, _rel(float(np.max(np.abs(left.coeffs - right.coeffs))), u.max_abs()))
+            worst = max(worst, _rel_diff(left, right, u.max_abs()))
     measurements = {"max_composition_defect": worst, "tolerance": tol}
     return CheckReport("frac_power_composition", worst <= tol, measurements)
 
@@ -335,6 +333,28 @@ def advection_ratio(
     return lp_norm(advect(u, v), p) / (du * dv)
 
 
+def _estimate_report(name: str, size: int, triple, rows) -> EstimateReport:
+    """Report per-resolution maxima with their verdict.
+
+    Bounded when the last maximum is within 10% of the first, growing
+    otherwise, and inconclusive over a single resolution.
+    """
+    first, last = rows[0][1], rows[-1][1]
+    if len(rows) == 1:
+        verdict = "inconclusive"
+    else:
+        verdict = "bounded" if last <= 1.10 * first else "growing"
+    return EstimateReport(
+        name=name,
+        ensemble_size=size,
+        exponent_triple=tuple(triple),
+        fitted_constant=last,
+        max_ratio=max(r for _, r in rows),
+        per_resolution=tuple(rows),
+        verdict=verdict,
+    )
+
+
 def estimate_bilinear_constant(
     ensemble: EnsembleSpec,
     exponents=(0.0, 0.75, 0.75),
@@ -352,15 +372,8 @@ def estimate_bilinear_constant(
     """
     resolutions = tuple(sorted(resolutions))
     base_grid = make_grid(ensemble.dim, resolutions[0], period)
-    pairs = [
-        (
-            random_divfree_field(base_grid, ensemble.seed + 2 * i,
-                                 ensemble.spectrum_decay, ensemble.amplitude),
-            random_divfree_field(base_grid, ensemble.seed + 2 * i + 1,
-                                 ensemble.spectrum_decay, ensemble.amplitude),
-        )
-        for i in range(ensemble.size)
-    ]
+    fields = ensemble.fields(base_grid, 2 * ensemble.size)
+    pairs = list(zip(fields[0::2], fields[1::2]))
     per_resolution = []
     for n in resolutions:
         grid = make_grid(ensemble.dim, n, period)
@@ -368,22 +381,8 @@ def estimate_bilinear_constant(
         for u, v in pairs:
             worst = max(worst, advection_ratio(embed(u, grid), embed(v, grid), exponents, p))
         per_resolution.append((n, worst))
-    first, last = per_resolution[0][1], per_resolution[-1][1]
-    if len(per_resolution) == 1:
-        verdict = "inconclusive"
-    elif last <= 1.10 * first:
-        verdict = "bounded"
-    else:
-        verdict = "growing"
-    return EstimateReport(
-        name=f"advection_bound_theta{exponents[1]}_omega{exponents[2]}",
-        ensemble_size=ensemble.size,
-        exponent_triple=tuple(exponents),
-        fitted_constant=last,
-        max_ratio=max(r for _, r in per_resolution),
-        per_resolution=tuple(per_resolution),
-        verdict=verdict,
-    )
+    name = f"advection_bound_theta{exponents[1]}_omega{exponents[2]}"
+    return _estimate_report(name, ensemble.size, exponents, per_resolution)
 
 
 def estimate_norm_equivalence(
@@ -417,26 +416,10 @@ def estimate_norm_equivalence(
             down = max(down, nh / ng)
         upper_rows.append((n, up))
         lower_rows.append((n, down))
-
-    def build(name, rows):
-        first, last = rows[0][1], rows[-1][1]
-        if len(rows) == 1:
-            verdict = "inconclusive"
-        else:
-            verdict = "bounded" if last <= 1.10 * first else "growing"
-        return EstimateReport(
-            name=name,
-            ensemble_size=ensemble.size,
-            exponent_triple=(0.0, gamma, 0.5),
-            fitted_constant=last,
-            max_ratio=max(r for _, r in rows),
-            per_resolution=tuple(rows),
-            verdict=verdict,
-        )
-
+    triple = (0.0, gamma, 0.5)
     return (
-        build(f"norm_gamma{gamma}_over_half", upper_rows),
-        build(f"norm_half_over_gamma{gamma}", lower_rows),
+        _estimate_report(f"norm_gamma{gamma}_over_half", ensemble.size, triple, upper_rows),
+        _estimate_report(f"norm_half_over_gamma{gamma}", ensemble.size, triple, lower_rows),
     )
 
 
@@ -472,14 +455,9 @@ def check_diagonal_dependence(u: SpectralVectorField) -> tuple:
     member of the diagonal class is the zero field, which the ensemble scan
     below confirms empirically.
     """
-    grid = u.grid
-    worst = 0.0
-    for i in range(grid.dim):
-        for j in range(grid.dim):
-            if i == j:
-                continue
-            entry = np.real(np.fft.ifftn(1j * grid.k[j] * u.coeffs[i])) * grid.n_points
-            worst = max(worst, float(np.max(np.abs(entry))))
+    dim = u.grid.dim
+    pairs = [(i, j) for i in range(dim) for j in range(dim) if i != j]
+    worst = max(float(np.max(np.abs(entry))) for entry in _jacobian_entries(u, pairs))
     threshold = 1e-10 * lp_norm(u, 2.0)
     return worst <= threshold, worst
 
@@ -616,7 +594,6 @@ def taylor_green(grid: TorusGrid, nu: float, t: float) -> SpectralVectorField:
     """
     if grid.dim != 2:
         raise ValueError("the closed-form vortex is two-dimensional")
-    amp = np.exp(-2.0 * nu * t)
     u = field_from_function(
         grid,
         (
@@ -624,7 +601,7 @@ def taylor_green(grid: TorusGrid, nu: float, t: float) -> SpectralVectorField:
             lambda x, y: -np.cos(x) * np.sin(y),
         ),
     )
-    return SpectralVectorField(grid, amp * u.coeffs, mean_zero=True, div_free=True)
+    return u * np.exp(-2.0 * nu * t)
 
 
 def taylor_green_residual(grid: TorusGrid, nu: float, t: float) -> float:
@@ -635,11 +612,8 @@ def taylor_green_residual(grid: TorusGrid, nu: float, t: float) -> float:
     """
     u = taylor_green(grid, nu, t)
     du_dt = (-2.0 * nu) * u
-    lap = SpectralVectorField(grid, -grid.k_sq * u.coeffs)
     nl = leray_project(advect(u, u))
-    residual = du_dt.coeffs - nu * lap.coeffs + nl.coeffs
-    scale = u.max_abs()
-    return float(np.max(np.abs(residual))) / scale if scale > 0 else 0.0
+    return _rel_diff(du_dt - nu * laplacian(u), -nl, u.max_abs())
 
 
 def compare_oracle(traj: Trajectory, nu: float) -> np.ndarray:

@@ -285,3 +285,39 @@ class TestOracleCommand:
         reports = json.loads((out / "report.json").read_text())
         assert reports[0]["passed"] is True
         assert reports[0]["measurements"]["max_relative_l2_error"] <= 1e-10
+
+
+RUN_BASE = {"grid": {"dim": 2, "n_modes": 16}, "run": {"t_end": 0.01, "seed": 0}}
+
+
+def with_block(block, **fields):
+    doc = json.loads(json.dumps(RUN_BASE))
+    doc[block].update(fields)
+    return doc
+
+
+class TestConfigErrorTable:
+    """Malformed configs end in exit 1 with a field-path message, no traceback."""
+
+    @pytest.mark.parametrize(
+        "command,doc,path",
+        [
+            ("estimate", {"estimate": [1, 2]}, "estimate"),
+            ("oracle", {"oracle": [1, 2]}, "oracle"),
+            ("oracle", {"oracle": "fast"}, "oracle"),
+            ("oracle", {"oracle": {"t_end": -1.0}}, "oracle.t_end"),
+            ("run", with_block("run", t_end=-1.0), "run.t_end"),
+            ("run", with_block("run", t_end=0.0), "run.t_end"),
+            ("run", with_block("run", t_end=1e-5), "run.t_end"),
+            ("run", with_block("run", t_end=float("inf")), "run.t_end"),
+            ("run", dict(with_block("run"), solver={"dt": float("inf")}), "solver"),
+        ],
+    )
+    def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):
+        config = write_config(tmp_path / "bad.json", doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ")
+        assert "Traceback" not in err
+        assert not out.exists()

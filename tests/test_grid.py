@@ -109,6 +109,14 @@ class TestDealias:
         assert d.coeffs[0, 6, 0, 0] == 0.0
         assert d.coeffs[1, 5, 0, 0] == 1.0
 
+    def test_cutoff_is_alias_free(self):
+        # 3K < n keeps every product alias off the retained band |k_i| <= K
+        for n in range(8, 257, 2):
+            cutoff = make_grid(2, n).dealias_cutoff
+            assert 3 * cutoff < n
+            if n % 3 != 0:
+                assert cutoff == n // 3
+
     def test_idempotent(self, grid3):
         u = random_divfree_field(grid3, seed=3)
         once = dealias(u)
@@ -248,6 +256,13 @@ class TestForcingSpec:
         grad = random_gradient_field(grid2, seed=3)
         with pytest.raises(ValueError):
             ForcingSpec(kind="steady", base_field=grad)
+
+    def test_rejects_nonzero_mean_base(self, grid2):
+        base = random_divfree_field(grid2, seed=2)
+        coeffs = base.coeffs.copy()
+        coeffs[0, 0, 0] = 1e-6 * base.max_abs()
+        with pytest.raises(ValueError, match="mean-zero"):
+            ForcingSpec(kind="steady", base_field=SpectralVectorField(grid2, coeffs))
 
     def test_rejects_bad_exponent(self, grid2):
         base = random_divfree_field(grid2, seed=2)

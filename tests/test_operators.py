@@ -28,8 +28,13 @@ from nsmild import (
     spectral_l2_norm,
     zero_field,
 )
-from nsmild.operators import _phi1_of, apply_shifted_laplacian, divergence_form_F
-from nsmild.verification import taylor_green
+from nsmild.operators import (
+    _phi1_of,
+    apply_shifted_laplacian,
+    divergence_form_F,
+    max_pointwise_divergence,
+)
+from nsmild.verification import check_diagonal_dependence, taylor_green
 
 
 def single_mode_u(grid):
@@ -238,7 +243,7 @@ def advective_F(u, apply_dealias=True):
 
 
 class TestDivergenceFormF:
-    @pytest.mark.parametrize("dim,n", [(2, 64), (2, 256), (3, 32)])
+    @pytest.mark.parametrize("dim,n", [(2, 64), (2, 256), (3, 32), (2, 48), (3, 24)])
     def test_agrees_with_advective_form(self, dim, n):
         grid = make_grid(dim, n)
         for seed in range(3):
@@ -256,12 +261,6 @@ class TestDivergenceFormF:
         np.testing.assert_array_equal(
             nonlinear_F(u, apply_dealias=False).coeffs, advective_F(u, apply_dealias=False)
         )
-
-    def test_advective_form_when_n_divisible_by_3(self):
-        # n = 3 * cutoff: aliases land on retained modes, where the two forms differ
-        grid = make_grid(2, 48)
-        u = random_divfree_field(grid, seed=6)
-        np.testing.assert_array_equal(nonlinear_F(u).coeffs, advective_F(u))
 
 
 class TestNorms:
@@ -308,6 +307,39 @@ class TestNorms:
         z = zero_field(grid3)
         assert gradient_norm(z, 2.0, "full") == 0.0
         assert gradient_norm(z, 2.0, "diagonal") == 0.0
+
+
+class TestRealInverseTransform:
+    """Jacobian norms and pointwise divergence against the complex reference."""
+
+    @staticmethod
+    def reference_jacobian(u):
+        grid = u.grid
+        return np.stack([
+            np.stack([
+                np.real(np.fft.ifftn(1j * grid.k[j] * u.coeffs[i])) * grid.n_points
+                for j in range(grid.dim)
+            ])
+            for i in range(grid.dim)
+        ])
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (2, 256), (3, 16), (3, 32)])
+    def test_agrees_with_complex_inverse(self, dim, n):
+        grid = make_grid(dim, n)
+        offdiag = ~np.eye(dim, dtype=bool)
+        for seed in range(3):
+            for u in (random_divfree_field(grid, seed), random_gradient_field(grid, seed)):
+                jac = self.reference_jacobian(u)
+                tol = 1e-14 * np.max(np.abs(jac))
+                for p in (2.0, 4.0):
+                    for variant, entries in (("full", jac), ("diagonal", jac[~offdiag])):
+                        expected = (grid.cell_volume * np.sum(np.abs(entries) ** p)) ** (1 / p)
+                        got = gradient_norm(u, p, variant)
+                        assert abs(got - expected) <= 1e-14 * expected
+                _, max_off = check_diagonal_dependence(u)
+                assert abs(max_off - np.max(np.abs(jac[offdiag]))) <= tol
+                div = np.trace(jac)
+                assert abs(max_pointwise_divergence(u) - np.max(np.abs(div))) <= tol
 
 
 class TestEnergyOrthogonality:

@@ -131,6 +131,15 @@ class TestBilinearEstimate:
         with pytest.raises(ValueError):
             estimate_bilinear_constant(ens, (0.25, 0.75, 0.75))
 
+    def test_single_resolution_inconclusive(self):
+        ens = EnsembleSpec(size=2, seed=5)
+        bilinear = estimate_bilinear_constant(ens, (0.0, 0.75, 0.75), 2.0, (16,))
+        reports = (bilinear, *estimate_norm_equivalence(ens, 0.75, 2.0, (16,)))
+        for report in reports:
+            assert report.verdict == "inconclusive"
+            assert len(report.per_resolution) == 1
+            assert report.fitted_constant == report.max_ratio > 0
+
     def test_norm_equivalence_reports(self):
         ens = EnsembleSpec(size=10, seed=4)
         upper, lower = estimate_norm_equivalence(ens, 0.75, 2.0, (16, 32))
