@@ -4,7 +4,7 @@ constants, and compare against the closed-form vortex.
 Configuration is one JSON document with blocks grid{}, solver{}, forcing{},
 run{}, plus optional initial{}, verify{}, estimate{} and oracle{} blocks.
 Exit codes: 0 success, 1 usage/config error, 2 blow-up sentinel,
-3 verification failure.
+3 verification failure, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .grid import ForcingSpec, make_grid, random_divfree_field, zero_field
-from .solver import SolverConfig, march, picard_solve
+from .solver import SolverConfig, SolverError, march, picard_solve
 from .verification import (
     VerifySettings,
     compare_oracle,
@@ -43,6 +43,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BLOWUP = 2
 EXIT_VERIFY = 3
+EXIT_SOLVER = 4
 
 
 class ConfigError(Exception):
@@ -88,6 +89,13 @@ def _check_t_end(path: str, t_end: float, dt: float) -> None:
         raise ConfigError(
             f"{path}: must be finite and cover at least one step of dt = {dt}, got {t_end!r}"
         )
+
+
+def _resolutions(value, path: str) -> tuple:
+    if not (isinstance(value, (list, tuple)) and value
+            and all(type(n) is int and n >= 8 and n % 2 == 0 for n in value)):
+        raise ConfigError(f"{path}: expected a non-empty list of even integers >= 8, got {value!r}")
+    return tuple(value)
 
 
 def load_config(path) -> dict:
@@ -194,29 +202,37 @@ def cmd_run(config_path, out_dir, seed=None, quiet=False) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = _utc_now()
-    if solver_cfg.scheme == "picard_window":
-        traj, _, _ = picard_solve(u0, solver_cfg)
+    outputs, solver_error = [], None
+    try:
+        if solver_cfg.scheme == "picard_window":
+            traj, _, _ = picard_solve(u0, solver_cfg)
+        else:
+            traj = march(u0, solver_cfg, t_end)
+    except SolverError as exc:
+        iterations = len(getattr(exc, "residual_history", ()))
+        solver_error = f"solver error: {type(exc).__name__} after {iterations} iterations"
+        print(solver_error, file=sys.stderr)
     else:
-        traj = march(u0, solver_cfg, t_end)
-
-    outputs = []
-    diag_path = out / "diagnostics.csv"
-    write_diagnostics_csv(diag_path, traj)
-    outputs.append(str(diag_path))
-    for idx, (t, field) in enumerate(zip(traj.times, traj.fields)):
-        snap_path = out / f"snapshot_{idx:06d}.nsms"
-        write_snapshot(snap_path, field, float(t))
-        outputs.append(str(snap_path))
+        diag_path = out / "diagnostics.csv"
+        write_diagnostics_csv(diag_path, traj)
+        outputs.append(str(diag_path))
+        for idx, (t, field) in enumerate(zip(traj.times, traj.fields)):
+            snap_path = out / f"snapshot_{idx:06d}.nsms"
+            write_snapshot(snap_path, field, float(t))
+            outputs.append(str(snap_path))
     manifest = RunManifest(
         artifact_version=__version__,
         config=cfg,
         seed=run_seed,
-        blowup=traj.blowup,
+        blowup=solver_error is None and traj.blowup,
         started_utc=started,
         finished_utc=_utc_now(),
         outputs=outputs,
+        solver_error=solver_error,
     )
     write_manifest(out / "manifest.json", manifest)
+    if solver_error is not None:
+        return EXIT_SOLVER
     if not quiet:
         status = "blow-up" if traj.blowup else "ok"
         print(f"run {status}: {len(traj.times)} snapshots -> {out}")
@@ -232,7 +248,9 @@ def _verify_settings(cfg: dict) -> VerifySettings:
         if key not in known:
             raise ConfigError(f"verify.{key}: unknown setting")
         current = getattr(base, key)
-        if isinstance(current, tuple):
+        if key == "resolutions":
+            overrides[key] = _resolutions(value, "verify.resolutions")
+        elif isinstance(current, tuple):
             overrides[key] = tuple(value)
         elif isinstance(current, int) and not isinstance(current, bool):
             overrides[key] = int(value)
@@ -285,7 +303,7 @@ def cmd_estimate(config_path, out_dir, seed=None, quiet=False) -> int:
             dim=int(block.get("dim", 3)),
             spectrum_decay=float(block.get("decay", 4.0)),
         )
-        resolutions = tuple(block.get("resolutions", (16, 32)))
+        resolutions = _resolutions(block.get("resolutions", (16, 32)), "estimate.resolutions")
         theta = float(block.get("theta", 0.75))
         omega = float(block.get("omega", 0.75))
         p = float(block.get("p", 2.0))

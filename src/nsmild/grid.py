@@ -103,7 +103,8 @@ class TorusGrid:
 
     @property
     def spatial_axes(self) -> tuple:
-        return tuple(range(1, self.dim + 1))
+        """The last dim axes, so arrays may carry leading batch axes."""
+        return tuple(range(-self.dim, 0))
 
 
 def make_grid(dim: int, n_modes: int, period: float = TWO_PI) -> TorusGrid:
@@ -310,12 +311,14 @@ def lattice_part(u: PhysicalVectorField, which: str) -> PhysicalVectorField:
 def leray_symbol_apply(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Apply the Fourier projection symbol I - k k^T / |k|^2; mode 0 unchanged.
 
-    Accepts the full lattice or its half (`_half`) along the last axis.
+    Accepts the full lattice or its half (`_half`) along the last axis, and
+    leading batch axes before the component axis.
     """
     width = coeffs.shape[-1]
     k = grid.k[..., :width]
-    k_dot = np.einsum("i...,i...->...", k, coeffs)
-    return coeffs - k * (k_dot * grid.inv_k_sq[..., :width])
+    xyz = "xyz"[: grid.dim]
+    k_dot = np.einsum(f"i{xyz},...i{xyz}->...{xyz}", k, coeffs)
+    return coeffs - k * np.expand_dims(k_dot * grid.inv_k_sq[..., :width], -grid.dim - 1)
 
 
 def _unit_phase_coeffs(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
@@ -332,6 +335,8 @@ def _unit_phase_coeffs(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
 
 
 def _spectral_envelope(grid: TorusGrid, spectrum_decay: float, amplitude: float) -> np.ndarray:
+    if not spectrum_decay > 0:
+        raise ValueError(f"spectrum_decay must be positive, got {spectrum_decay}")
     env = amplitude * (1.0 + grid.k_sq) ** (-spectrum_decay / 2.0)
     env = env * ~grid.nyquist_mask  # keep derivative symbols Hermitian-safe
     env[(0,) * grid.dim] = 0.0
@@ -350,8 +355,6 @@ def random_divfree_field(
     result is exactly divergence-free and Hermitian. Identical seeds give
     bitwise-identical coefficients.
     """
-    if not spectrum_decay > 0:
-        raise ValueError(f"spectrum_decay must be positive, got {spectrum_decay}")
     rng = np.random.default_rng(seed)
     env = _spectral_envelope(grid, spectrum_decay, amplitude)
     coeffs = np.stack([env * _unit_phase_coeffs(grid, rng) for _ in range(grid.dim)])
@@ -369,8 +372,6 @@ def random_gradient_field(
     Gradient fields span the orthogonal complement of the divergence-free
     subspace, which makes them the natural probes for projection tests.
     """
-    if not spectrum_decay > 0:
-        raise ValueError(f"spectrum_decay must be positive, got {spectrum_decay}")
     rng = np.random.default_rng(seed)
     h_hat = _spectral_envelope(grid, spectrum_decay, amplitude) * _unit_phase_coeffs(grid, rng)
     return SpectralVectorField(grid, 1j * grid.k * h_hat)

@@ -69,7 +69,7 @@ def write_diagnostics_csv(path, traj: Trajectory) -> None:
 class RunManifest:
     """Everything needed to reproduce or audit a run.
 
-    Successful runs reference only files that exist; validate() asserts it.
+    Runs list only files that exist (validate() asserts it); a failed solve lists none.
     """
 
     artifact_version: str
@@ -79,6 +79,7 @@ class RunManifest:
     started_utc: str
     finished_utc: str
     outputs: list = field(default_factory=list)
+    solver_error: str | None = None
 
     def validate(self) -> None:
         missing = [p for p in self.outputs if not Path(p).exists()]

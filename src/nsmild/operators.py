@@ -164,20 +164,25 @@ def divergence_form_F(u: SpectralVectorField) -> SpectralVectorField:
     and rebuilds the full Hermitian lattice at the end. The caller vouches
     that u is divergence-free and mean-zero; `nonlinear_F` checks both.
     """
-    grid = u.grid
+    return SpectralVectorField(u.grid, _divergence_form(u.grid, u.coeffs))
+
+
+def _divergence_form(grid, coeffs: np.ndarray) -> np.ndarray:
+    """`divergence_form_F` of coefficients (..., dim) + grid.shape, batch axes in one pass."""
+    d = grid.dim
     mask = _half(grid.dealias_mask, grid)
     k = _half(grid.k, grid)
-    u_phys = _irfft(_half(u.coeffs, grid) * mask, grid)
-    rows, cols = np.triu_indices(grid.dim)
+    u_phys = np.moveaxis(_irfft(_half(coeffs, grid) * mask, grid), -d - 1, 0)
+    rows, cols = np.triu_indices(d)
     products = _rfft(u_phys[rows] * u_phys[cols], grid)
-    div = np.zeros((grid.dim,) + products.shape[1:], dtype=np.complex128)
+    div = np.zeros((d,) + products.shape[1:], dtype=np.complex128)
     for pair, (i, j) in enumerate(zip(rows, cols)):
         div[i] += k[j] * products[pair]
         if i != j:
             div[j] += k[i] * products[pair]
-    half = leray_symbol_apply(grid, div * mask) * -1j
-    half[(slice(None),) + (0,) * grid.dim] = 0.0
-    return SpectralVectorField(grid, _full_spectrum(half, grid))
+    half = leray_symbol_apply(grid, np.moveaxis(div, 0, -d - 1) * mask) * -1j
+    half[(...,) + (0,) * d] = 0.0
+    return _full_spectrum(half, grid)
 
 
 def _projected_nonlinearity(u: SpectralVectorField, apply_dealias: bool) -> SpectralVectorField:
@@ -262,7 +267,7 @@ def _jacobian_entries(u: SpectralVectorField, pairs):
     """du_i/dx_j on the collocation lattice for each (i, j) in pairs, one at a time."""
     k = u.grid.k
     for i, j in pairs:
-        yield _ifft((1j * k[j] * u.coeffs[i])[np.newaxis], u.grid)[0]
+        yield _ifft(1j * k[j] * u.coeffs[i], u.grid)
 
 
 def energy(u: SpectralVectorField) -> float:
@@ -277,4 +282,4 @@ def enstrophy(u: SpectralVectorField) -> float:
 
 def max_pointwise_divergence(u: SpectralVectorField) -> float:
     """max_x |div u(x)| on the collocation lattice."""
-    return float(np.max(np.abs(_ifft(u.divergence_coeffs()[np.newaxis], u.grid))))
+    return float(np.max(np.abs(_ifft(u.divergence_coeffs(), u.grid))))

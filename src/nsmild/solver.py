@@ -7,8 +7,9 @@ Two realizations of the same integral equation
 
 are provided: a Picard fixed-point iteration on a window [t0, t0 + T] that
 mirrors the local-existence construction, and exponential-Euler marching,
-which is the one-node collapse of the integral. The heat factor is always
-applied exactly in Fourier space, so stiffness never limits the step.
+the one-node collapse of the integral. Heat factors are exact Fourier
+multipliers, so stiffness never limits the step; the Picard trapezoid sum
+applies the factor of lag d as the d-th power of the one-node factor.
 
 `march` evaluates F(u) = -P (u . grad) u once per state: the same array
 feeds the diagnostics of a snapshot and the step that leaves it. The heat
@@ -20,19 +21,22 @@ field and projection keeps every later state divergence-free and mean-zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
 from .grid import (
     ForcingSpec,
+    PhysicalVectorField,
     SpectralVectorField,
     TorusGrid,
+    _ifft,
     _require_mean_zero,
     _require_same_grid,
 )
 from .operators import (
     FracNormParams,
+    _divergence_form,
     _phi1_of,
     _projected_nonlinearity,
     energy,
@@ -118,8 +122,7 @@ class DiagnosticsRow:
     norm_f: float
 
     def as_tuple(self) -> tuple:
-        return (self.time, self.energy, self.enstrophy, self.max_div,
-                self.norm_x_half, self.norm_f)
+        return astuple(self)
 
 
 @dataclass(frozen=True)
@@ -287,7 +290,7 @@ def march(
 
 
 def _semigroup_powers(grid, nu: float, h: float, count: int) -> np.ndarray:
-    """exp(-nu d h |k|^2) for d = 0..count-1, evaluated directly per lag."""
+    """exp(-nu d h |k|^2) for d = 0..count-1: the heat flow factors of u0 on the nodes."""
     lags = np.arange(count).reshape((count,) + (1,) * grid.dim)
     return np.exp(-nu * h * lags * grid.k_sq)
 
@@ -297,11 +300,14 @@ def picard_solve(
 ) -> tuple[Trajectory, int, list]:
     """Fixed-point iteration for the integral equation on [t0, t0 + window_T].
 
-    The window is discretized with config.n_nodes uniform nodes; the time
-    integral uses the trapezoidal rule in s with the heat factor evaluated
-    exactly per node pair. The first iterate is the heat flow of u0, and the
-    update is repeated until the maximum nodewise change, measured in the
-    alpha = 1/2 fractional norm, drops below picard_tol.
+    The window has config.n_nodes uniform nodes; an iterate is one array of
+    shape (n_nodes, dim) + grid.shape, and F of all nodes is one kernel call
+    (node 0 stays u0, so its F is evaluated once). The time integral uses the
+    trapezoidal rule in s, applied by the recurrence S_j = E (S_{j-1} +
+    (h/2) g_{j-1}) + (h/2) g_j with E = exp(-nu h |k|^2), so the heat factor
+    of lag d is E^d. The first iterate is the heat flow of u0, and the update
+    is repeated until the maximum nodewise change, measured in the alpha =
+    1/2 fractional norm, drops below picard_tol.
 
     Raises NotContracting after three consecutive non-decreasing residuals
     (a non-finite residual fails immediately) and MaxIters when the cap is
@@ -313,54 +319,52 @@ def picard_solve(
     h = config.window_T / (n - 1)
     times = t0 + h * np.arange(n)
     E = _semigroup_powers(grid, config.nu, h, n)
-
-    u0_hat = u0.coeffs
-    heat_flow = [u0_hat * E[j] for j in range(n)]
+    heat_flow = u0.coeffs * E[:, np.newaxis]
     forcing = ProjectedForcing(config, grid)
-    forcing_hat = [forcing.at(t) for t in times]
+    forcing_hat = None if forcing.base is None else np.stack([forcing.at(t) for t in times])
+    symbol = np.sqrt(grid.k_sq)  # (-Lap)^(1/2), the alpha of config.x_half
 
-    norm_params = config.x_half
-    current = list(heat_flow)
+    current = heat_flow
     residual_history: list = []
     bad_streak = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        F0 = _projected_nonlinearity(u0, config.dealias).coeffs  # node 0 is u0 in every iterate
     for iteration in range(1, config.picard_max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            g = []
-            for j in range(n):
-                u_j = SpectralVectorField(grid, current[j])
-                g_j = _projected_nonlinearity(u_j, config.dealias).coeffs
-                if forcing_hat[j] is not None:
-                    g_j = g_j + forcing_hat[j]
-                g.append(g_j)
-            new = [heat_flow[0]]
+            if config.dealias:
+                rest = _divergence_form(grid, current[1:])
+            else:
+                rest = [_projected_nonlinearity(SpectralVectorField(grid, c), False).coeffs
+                        for c in current[1:]]
+            g = np.concatenate([F0[np.newaxis], rest])
+            if forcing_hat is not None:
+                g += forcing_hat
+            half_hg = 0.5 * h * g
+            new = heat_flow.copy()
+            S = np.zeros_like(F0)
             for j in range(1, n):
-                acc = heat_flow[j].copy()
-                for jp in range(j + 1):
-                    w = h if 0 < jp < j else 0.5 * h
-                    acc += w * (E[j - jp] * g[jp])
-                new.append(acc)
-            residual = 0.0
-            for j in range(n):
-                diff = SpectralVectorField(grid, new[j] - current[j])
-                if not diff.is_finite():
+                S = E[1] * (S + half_hg[j - 1]) + half_hg[j]
+                new[j] += S
+            diff = new - current
+            for coeffs in diff:
+                node = SpectralVectorField(grid, coeffs)
+                if not node.is_finite():
                     residual = float("inf")
                     break
-                residual = max(residual, frac_norm(diff, norm_params))
+                _require_mean_zero(node, "fractional power")
+            else:
+                samples = _ifft(diff * symbol, grid)
+                residual = max(lp_norm(PhysicalVectorField(grid, x), config.p) for x in samples)
         residual_history.append(residual)
         current = new
         if not np.isfinite(residual):
             raise NotContracting(residual_history)
         if residual < config.picard_tol:
             fields = tuple(SpectralVectorField(grid, c) for c in current)
-            diags = tuple(
-                compute_diagnostics(f, t, config) for f, t in zip(fields, times)
-            )
-            traj = Trajectory(times, fields, diags)
-            return traj, iteration, residual_history
-        if len(residual_history) >= 2 and residual >= residual_history[-2]:
-            bad_streak += 1
-        else:
-            bad_streak = 0
+            diags = tuple(compute_diagnostics(f, t, config) for f, t in zip(fields, times))
+            return Trajectory(times, fields, diags), iteration, residual_history
+        worse = len(residual_history) >= 2 and residual >= residual_history[-2]
+        bad_streak = bad_streak + 1 if worse else 0
         if bad_streak >= 3:
             raise NotContracting(residual_history)
     raise MaxIters(residual_history)

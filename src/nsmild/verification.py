@@ -10,13 +10,16 @@ the claim is literally true at the discrete level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .grid import (
+    PhysicalVectorField,
     SpectralVectorField,
     TorusGrid,
+    _ifft,
+    _require_same_grid,
     dealias,
     embed,
     field_from_function,
@@ -60,12 +63,7 @@ class CheckReport:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measurements": self.measurements,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -87,15 +85,7 @@ class EstimateReport:
             raise ValueError("per_resolution must be nonempty")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ensemble_size": self.ensemble_size,
-            "exponent_triple": list(self.exponent_triple),
-            "fitted_constant": self.fitted_constant,
-            "max_ratio": self.max_ratio,
-            "per_resolution": [list(item) for item in self.per_resolution],
-            "verdict": self.verdict,
-        }
+        return asdict(self)  # tuples serialize as JSON lists
 
 
 @dataclass(frozen=True)
@@ -141,6 +131,15 @@ def _rel(defect: float, scale: float) -> float:
 def _rel_diff(a: SpectralVectorField, b: SpectralVectorField, scale: float) -> float:
     """max_k |ahat(k) - bhat(k)| relative to scale (0 when scale is 0)."""
     return _rel(float(np.max(np.abs(a.coeffs - b.coeffs))), scale)
+
+
+def _frac_samples(fields, alpha: float) -> np.ndarray:
+    """Samples of (-Lap)^alpha u for each field, from one inverse transform.
+
+    By linearity, the L_p norm of a difference of rows is the frac_norm of the difference.
+    """
+    coeffs = [u.coeffs if alpha == 0.0 else frac_power(alpha, u).coeffs for u in fields]
+    return _ifft(np.stack(coeffs), fields[0].grid)
 
 
 def check_operator_identities(
@@ -501,16 +500,17 @@ def estimate_hoelder(
     if np.any(gaps <= 0):
         raise ValueError("trajectory has coincident or unordered times")
     min_sep = min_separation_factor * float(np.min(gaps))
-    params = FracNormParams(alpha, p)
-    log_dt = []
-    log_du = []
+    FracNormParams(alpha, p)  # rejects alpha outside [0, 1] and p < 2
+    x = _frac_samples(traj.fields, alpha)
+    grid = traj.fields[0].grid
+    log_dt, log_du = [], []
     n = len(times)
     for i in range(n):
         for j in range(i + 1, n):
             sep = times[j] - times[i]
             if sep < min_sep:
                 continue
-            d = frac_norm(traj.fields[j] - traj.fields[i], params)
+            d = lp_norm(PhysicalVectorField(grid, x[j] - x[i]), p)
             if d > 0.0:
                 log_dt.append(np.log(sep))
                 log_du.append(np.log(d))
@@ -549,31 +549,29 @@ def check_assumption_F(
     The max is reported as a measurement; stability across resolutions is
     judged by the caller.
     """
-    if len(traj1.times) != len(traj2.times) or np.any(
-        np.asarray(traj1.times) != np.asarray(traj2.times)
-    ):
+    if not np.array_equal(traj1.times, traj2.times):
         raise ValueError("trajectories must share the same time grid")
     if beta is None:
         beta = min(
             estimate_hoelder(traj1, alpha, p).beta,
             estimate_hoelder(traj2, alpha, p).beta,
         )
-    params = FracNormParams(alpha, p)
-    f1 = [nonlinear_F(u) for u in traj1.fields]
-    f2 = [nonlinear_F(u) for u in traj2.fields]
-    max_r = 0.0
-    pairs = 0
-    skipped = 0
+    FracNormParams(alpha, p)  # rejects alpha outside [0, 1] and p < 2
+    grid = traj1.fields[0].grid
+    _require_same_grid(grid, traj2.fields[0].grid)
+    x1, x2 = (_frac_samples(t.fields, alpha) for t in (traj1, traj2))
+    f1, f2 = (_frac_samples([nonlinear_F(u) for u in t.fields], 0.0) for t in (traj1, traj2))
+    max_r, pairs, skipped = 0.0, 0, 0
     n = len(traj1.times)
     for i in range(n):
         for j in range(n):
             dt = abs(float(traj1.times[i]) - float(traj2.times[j]))
-            du = frac_norm(traj1.fields[i] - traj2.fields[j], params)
+            du = lp_norm(PhysicalVectorField(grid, x1[i] - x2[j]), p)
             denom = dt**beta + du
             if denom == 0.0:
                 skipped += 1
                 continue
-            df = lp_norm(f1[i] - f2[j], p)
+            df = lp_norm(PhysicalVectorField(grid, f1[i] - f2[j]), p)
             max_r = max(max_r, df / denom)
             pairs += 1
     measurements = {
@@ -641,9 +639,7 @@ def existence_time_trend(
     reports whether the found window is nonincreasing in amplitude.
     """
     amplitudes = list(amplitudes)
-    if len(amplitudes) >= 2 and any(
-        b <= a for a, b in zip(amplitudes, amplitudes[1:])
-    ):
+    if any(b <= a for a, b in zip(amplitudes, amplitudes[1:])):
         raise ValueError("amplitudes must be strictly increasing")
     pairs = []
     reports = []

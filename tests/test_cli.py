@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +129,18 @@ class TestRun:
         assert (out / "diagnostics.csv").exists()
 
 
+    def test_picard_failure_exits_4_with_manifest(self, tmp_path, capsys):
+        config = picard_failure_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 4
+        line = capsys.readouterr().err.strip()
+        assert line.startswith("solver error: NotContracting after ")
+        assert line.endswith(" iterations") and "Traceback" not in line
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["solver_error"] == line
+        assert manifest["outputs"] == [] and manifest["blowup"] is False
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
     @pytest.mark.parametrize("value", ["false", 0])
     def test_dealias_must_be_boolean(self, tmp_path, capsys, value):
         config = write_config(
@@ -156,6 +171,35 @@ class TestRun:
             assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 0
             norm_f[value] = read_diagnostics(out / "diagnostics.csv")[0]["norm_F"]
         assert norm_f[True] != norm_f[False]
+
+
+def picard_failure_config(tmp_path):
+    """Large data on a long window: the Picard iteration does not contract."""
+    return write_config(
+        tmp_path / "picard_fail.json",
+        {
+            "grid": {"dim": 2, "n_modes": 16},
+            "solver": {"scheme": "picard_window", "window_T": 1.0, "n_nodes": 17,
+                       "picard_max_iters": 30},
+            "initial": {"kind": "random", "amplitude": 50.0},
+            "run": {"t_end": 1.0, "seed": 12},
+        },
+    )
+
+
+class TestModuleEntryPoint:
+    def test_python_m_nsmild_returns_cli_exit_code(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        config = picard_failure_config(tmp_path)
+        done = subprocess.run(
+            [sys.executable, "-m", "nsmild", "run", "--config", config,
+             "--out", str(tmp_path / "out"), "--quiet"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 4
+        assert done.stderr.startswith("solver error: NotContracting")
 
 
 class TestDeterminismAndSnapshots:
@@ -311,6 +355,13 @@ class TestConfigErrorTable:
             ("run", with_block("run", t_end=1e-5), "run.t_end"),
             ("run", with_block("run", t_end=float("inf")), "run.t_end"),
             ("run", dict(with_block("run"), solver={"dt": float("inf")}), "solver"),
+            ("estimate", {"estimate": {"resolutions": []}}, "estimate.resolutions"),
+            ("estimate", {"estimate": {"resolutions": [15]}}, "estimate.resolutions"),
+            ("estimate", {"estimate": {"resolutions": 16}}, "estimate.resolutions"),
+            ("verify", {"verify": {"resolutions": []}}, "verify.resolutions"),
+            ("verify", {"verify": {"resolutions": [15]}}, "verify.resolutions"),
+            ("verify", {"verify": {"resolutions": [6, 16]}}, "verify.resolutions"),
+            ("verify", {"verify": {"resolutions": [16.0, 32]}}, "verify.resolutions"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):

@@ -29,6 +29,7 @@ from nsmild import (
     zero_field,
 )
 from nsmild.operators import (
+    _divergence_form,
     _phi1_of,
     apply_shifted_laplacian,
     divergence_form_F,
@@ -255,6 +256,14 @@ class TestDivergenceFormF:
     def test_nonlinear_F_uses_it(self, grid3_32):
         u = random_divfree_field(grid3_32, seed=4)
         np.testing.assert_array_equal(nonlinear_F(u).coeffs, divergence_form_F(u).coeffs)
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (2, 256), (3, 16)])
+    def test_batched_kernel_is_per_field_kernel(self, dim, n):
+        grid = make_grid(dim, n)
+        fields = [random_divfree_field(grid, seed) for seed in range(4)]
+        stacked = _divergence_form(grid, np.stack([u.coeffs for u in fields]))
+        for u, got in zip(fields, stacked):
+            np.testing.assert_array_equal(got, divergence_form_F(u).coeffs)
 
     def test_without_dealiasing_is_advective_form(self, grid2):
         u = random_divfree_field(grid2, seed=5)

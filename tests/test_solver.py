@@ -22,8 +22,8 @@ from nsmild import (
     zero_field,
 )
 from nsmild import operators
-from nsmild.grid import ForcingSpec
-from nsmild.solver import compute_diagnostics, prepare_initial
+from nsmild.grid import ForcingSpec, SpectralVectorField, make_grid
+from nsmild.solver import ProjectedForcing, SolverError, compute_diagnostics, prepare_initial
 from nsmild.verification import taylor_green
 
 
@@ -206,6 +206,107 @@ class TestPicard:
         expected = (1 - np.exp(-0.1)) * base.coeffs
         got = traj.final_field.coeffs
         assert np.max(np.abs(got - expected)) <= 1e-6 * np.max(np.abs(expected))
+
+
+def reference_picard(u0, config):
+    """Picard iteration with the direct double-loop trapezoid.
+
+    The heat factor exp(-nu (j - j') h |k|^2) is evaluated per node pair and
+    F node by node. Returns (node coefficients, iterations, residual history)
+    and raises like `picard_solve`.
+    """
+    u0 = prepare_initial(u0)
+    grid = u0.grid
+    n = config.n_nodes
+    h = config.window_T / (n - 1)
+    E = [np.exp(-config.nu * h * d * grid.k_sq) for d in range(n)]
+    heat_flow = [u0.coeffs * E[j] for j in range(n)]
+    forcing = ProjectedForcing(config, grid)
+    forcing_hat = [forcing.at(t) for t in h * np.arange(n)]
+    current = list(heat_flow)
+    history = []
+    bad_streak = 0
+    for iteration in range(1, config.picard_max_iters + 1):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            g = []
+            for j in range(n):
+                u_j = SpectralVectorField(grid, current[j])
+                g_j = operators._projected_nonlinearity(u_j, config.dealias).coeffs
+                g.append(g_j if forcing_hat[j] is None else g_j + forcing_hat[j])
+            new = [heat_flow[0]]
+            for j in range(1, n):
+                acc = heat_flow[j].copy()
+                for jp in range(j + 1):
+                    w = h if 0 < jp < j else 0.5 * h
+                    acc += w * (E[j - jp] * g[jp])
+                new.append(acc)
+            residual = 0.0
+            for j in range(n):
+                diff = SpectralVectorField(grid, new[j] - current[j])
+                if not diff.is_finite():
+                    residual = float("inf")
+                    break
+                residual = max(residual, frac_norm(diff, config.x_half))
+        history.append(residual)
+        current = new
+        if not np.isfinite(residual):
+            raise NotContracting(history)
+        if residual < config.picard_tol:
+            return current, iteration, history
+        bad_streak = bad_streak + 1 if len(history) >= 2 and residual >= history[-2] else 0
+        if bad_streak >= 3:
+            raise NotContracting(history)
+    raise MaxIters(history)
+
+
+def picard_case(dim, n_modes, n_nodes, forcing="zero", amplitude=1.0, **settings):
+    grid = make_grid(dim, n_modes)
+    u0 = normalized_x_half(random_divfree_field(grid, seed=31), amplitude)
+    base = random_divfree_field(grid, seed=32, amplitude=0.5)
+    spec = ForcingSpec() if forcing == "zero" else ForcingSpec(forcing, base, exponent=0.5)
+    settings = {"nu": 1.0, "window_T": 0.1, **settings}
+    return u0, SolverConfig(n_nodes=n_nodes, forcing=spec, **settings)
+
+
+def outcome(solve, u0, config):
+    try:
+        return solve(u0, config)
+    except SolverError as exc:
+        return exc
+
+
+class TestPicardRecurrence:
+    """The E^d recurrence against the direct double-loop trapezoid."""
+
+    @pytest.mark.parametrize(
+        "case,expected",
+        [
+            (dict(dim=2, n_modes=32, n_nodes=17), None),
+            (dict(dim=2, n_modes=32, n_nodes=101), None),
+            (dict(dim=3, n_modes=16, n_nodes=9), None),
+            (dict(dim=2, n_modes=32, n_nodes=17, forcing="steady"), None),
+            (dict(dim=2, n_modes=32, n_nodes=17, forcing="hoelder_modulated"), None),
+            (dict(dim=3, n_modes=16, n_nodes=9, forcing="hoelder_modulated"), None),
+            (dict(dim=2, n_modes=32, n_nodes=17, dealias=False), None),
+            (dict(dim=2, n_modes=32, n_nodes=17, amplitude=5.0, window_T=0.5,
+                  picard_max_iters=8), MaxIters),
+            (dict(dim=2, n_modes=32, n_nodes=17, amplitude=50.0, window_T=1.0,
+                  picard_max_iters=30), NotContracting),
+        ],
+    )
+    def test_matches_double_loop(self, case, expected):
+        u0, config = picard_case(**case)
+        reference = outcome(reference_picard, u0, config)
+        got = outcome(picard_solve, u0, config)
+        if expected is not None:
+            assert type(reference) is expected and type(got) is expected
+            assert len(got.residual_history) == len(reference.residual_history)
+            return
+        ref_nodes, ref_iterations, _ = reference
+        traj, iterations, _ = got
+        assert iterations == ref_iterations
+        for u, ref in zip(traj.fields, ref_nodes):
+            assert np.max(np.abs(u.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestAdaptiveWindow:

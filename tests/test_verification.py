@@ -26,6 +26,8 @@ from nsmild import (
     taylor_green,
     spectral_l2_norm,
 )
+from nsmild.grid import PhysicalVectorField, make_grid
+from nsmild.operators import FracNormParams, frac_norm, lp_norm, nonlinear_F
 from nsmild.solver import Trajectory, compute_diagnostics
 from nsmild.verification import (
     CheckReport,
@@ -35,6 +37,7 @@ from nsmild.verification import (
     check_energy_orthogonality,
     check_frac_power_composition,
     check_gradient_identity,
+    _frac_samples,
     check_operator_identities,
     diagonal_dependence_scan,
     taylor_green_residual,
@@ -213,6 +216,31 @@ class TestHoelderFit:
         assert fit.r_squared >= 0.9
 
 
+class TestPairDistances:
+    """Differences of once-transformed samples against the spectral differences."""
+
+    @pytest.mark.parametrize("alpha,p", [(0.5, 2.0), (0.5, 4.0), (0.25, 3.0)])
+    def test_frac_norm_of_difference(self, grid2, alpha, p):
+        config = SolverConfig(nu=1.0, dt=1e-3, snapshot_every=5)
+        fields = march(random_divfree_field(grid2, 41, 5.0, 0.5), config, 0.05).fields
+        samples = _frac_samples(fields, alpha)
+        for i, u in enumerate(fields):
+            for j in range(i + 1, len(fields)):
+                expected = frac_norm(u - fields[j], FracNormParams(alpha, p))
+                got = lp_norm(PhysicalVectorField(grid2, samples[i] - samples[j]), p)
+                assert abs(got - expected) <= 1e-13 * expected
+
+    def test_lp_norm_of_F_difference(self, grid2):
+        fields = [random_divfree_field(grid2, seed, 5.0, 0.5) for seed in range(4)]
+        F = [nonlinear_F(u) for u in fields]
+        samples = _frac_samples(F, 0.0)
+        for i in range(len(F)):
+            for j in range(i + 1, len(F)):
+                expected = lp_norm(F[i] - F[j], 2.0)
+                got = lp_norm(PhysicalVectorField(grid2, samples[i] - samples[j]), 2.0)
+                assert abs(got - expected) <= 1e-13 * expected
+
+
 class TestAssumptionF:
     def test_constant_pair_distinct_times(self, grid2):
         # steady identical states: denominators reduce to the time term
@@ -300,6 +328,23 @@ class TestExistenceTimeTrend:
         config = SolverConfig(nu=1.0, window_T=0.4, n_nodes=9)
         trend = existence_time_trend((0.1, 1.0, 10.0), tg, config)
         assert all(t == 0.4 for _, t in trend.pairs)
+
+    def test_suite_window_search_golden(self):
+        # the suite's trend field and window settings; values of the direct trapezoid
+        base = random_divfree_field(make_grid(2, 32), 7 + 14000, 4.0, 1.0)
+        config = SolverConfig(nu=1.0, p=2.0, window_T=0.5, n_nodes=17)
+        trend = existence_time_trend((0.1, 1.0, 10.0), base, config)
+        assert trend.pairs == ((0.1, 0.5), (1.0, 0.5), (10.0, 0.125))
+        assert trend.nonincreasing
+        attempts = [
+            [(a.window, a.iterations, a.reason) for a in report.attempts]
+            for report in trend.window_reports
+        ]
+        assert attempts == [
+            [(0.5, 5, "converged")],
+            [(0.5, 10, "converged")],
+            [(0.5, 20, "NotContracting"), (0.25, 50, "MaxIters"), (0.125, 40, "converged")],
+        ]
 
     def test_rejects_nonincreasing_amplitudes(self, grid2):
         base = random_divfree_field(grid2, 8)
