@@ -2,7 +2,8 @@
 constants, and compare against the closed-form vortex.
 
 Configuration is one JSON document with blocks grid{}, solver{}, forcing{},
-run{}, plus optional initial{}, verify{}, estimate{} and oracle{} blocks.
+run{}, plus optional initial{}, verify{}, estimate{} and oracle{} blocks;
+a key a block does not know is a config error.
 Exit codes: 0 success, 1 usage/config error, 2 blow-up sentinel,
 3 verification failure, 4 solver failure.
 """
@@ -61,20 +62,39 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
     return node
 
 
-def _typed(cfg: dict, path: str, kind, default=None, required: bool = False):
-    value = _get(cfg, path, default=default, required=required)
-    if value is None:
-        return None
+def _convert(value, kind, path: str):
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}") from exc
 
 
+def _typed(cfg: dict, path: str, kind, default=None, required: bool = False):
+    return _convert(_get(cfg, path, default=default, required=required), kind, path)
+
+
+# The settings each block accepts; any other key is a config error, so a typo
+# never runs silently with a default.
+KNOWN_KEYS = {
+    "grid": ("dim", "n_modes", "period"),
+    "solver": ("nu", "p", "scheme", "dt", "window_T", "n_nodes", "picard_tol",
+               "picard_max_iters", "dealias"),
+    "forcing": ("kind", "seed", "amplitude", "decay", "exponent"),
+    "initial": ("kind", "amplitude", "decay", "seed"),
+    "run": ("t_end", "snapshot_every", "seed"),
+    "verify": tuple(VerifySettings.__dataclass_fields__),
+    "estimate": ("ensemble_size", "seed", "dim", "decay", "resolutions", "theta", "omega", "p"),
+    "oracle": ("n_modes", "nu", "dt", "t_end", "snapshot_every", "tolerance"),
+}
+
+
 def _block(cfg: dict, name: str) -> dict:
     block = cfg.get(name, {})
     if not isinstance(block, dict):
         raise ConfigError(f"{name}: must be an object")
+    for key in block:
+        if key not in KNOWN_KEYS[name]:
+            raise ConfigError(f"{name}.{key}: unknown setting")
     return block
 
 
@@ -91,11 +111,22 @@ def _check_t_end(path: str, t_end: float, dt: float) -> None:
         )
 
 
-def _resolutions(value, path: str) -> tuple:
-    if not (isinstance(value, (list, tuple)) and value
-            and all(type(n) is int and n >= 8 and n % 2 == 0 for n in value)):
-        raise ConfigError(f"{path}: expected a non-empty list of even integers >= 8, got {value!r}")
+def _list_of(value, path: str, valid, what: str) -> tuple:
+    if not (isinstance(value, (list, tuple)) and value and all(valid(x) for x in value)):
+        raise ConfigError(f"{path}: expected a non-empty list of {what}, got {value!r}")
     return tuple(value)
+
+
+def _resolutions(value, path: str) -> tuple:
+    return _list_of(value, path, lambda n: type(n) is int and n >= 8 and n % 2 == 0,
+                    "even integers >= 8")
+
+
+def _random_field(grid, block: str, seed: int, decay: float, amplitude: float):
+    try:
+        return random_divfree_field(grid, seed, decay, amplitude)
+    except ValueError as exc:  # the generator checks only the spectral decay
+        raise ConfigError(f"{block}.decay: {exc}") from exc
 
 
 def load_config(path) -> dict:
@@ -130,7 +161,7 @@ def build_forcing(cfg: dict, grid) -> ForcingSpec:
     amplitude = _typed(cfg, "forcing.amplitude", float, default=1.0)
     decay = _typed(cfg, "forcing.decay", float, default=4.0)
     exponent = _typed(cfg, "forcing.exponent", float, default=1.0)
-    base = random_divfree_field(grid, seed, decay, amplitude)
+    base = _random_field(grid, "forcing", seed, decay, amplitude)
     try:
         return ForcingSpec(kind=kind, base_field=base, exponent=exponent)
     except ValueError as exc:
@@ -179,7 +210,7 @@ def build_initial(cfg: dict, grid, seed: int):
     amplitude = _typed(cfg, "initial.amplitude", float, default=1.0)
     decay = _typed(cfg, "initial.decay", float, default=4.0)
     init_seed = _typed(cfg, "initial.seed", int, default=seed)
-    return random_divfree_field(grid, init_seed, decay, amplitude)
+    return _random_field(grid, "initial", init_seed, decay, amplitude)
 
 
 def _utc_now() -> str:
@@ -190,6 +221,8 @@ def cmd_run(config_path, out_dir, seed=None, quiet=False) -> int:
     """Run a simulation and write diagnostics.csv, snapshots, and manifest.json."""
     try:
         cfg = load_config(config_path)
+        for name in ("grid", "solver", "forcing", "initial", "run"):
+            _block(cfg, name)
         grid = build_grid(cfg)
         run_seed = effective_seed(cfg, seed)
         solver_cfg = build_solver_config(cfg, grid)
@@ -202,12 +235,21 @@ def cmd_run(config_path, out_dir, seed=None, quiet=False) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = _utc_now()
-    outputs, solver_error = [], None
+    snapshots, outputs, solver_error = [], [], None
+
+    def write(index: int, t: float, field) -> None:
+        path = out / f"snapshot_{index:06d}.nsms"
+        write_snapshot(path, field, float(t))
+        snapshots.append(str(path))
+
     try:
         if solver_cfg.scheme == "picard_window":
             traj, _, _ = picard_solve(u0, solver_cfg)
+            for index, (t, field) in enumerate(zip(traj.times, traj.fields)):
+                write(index, t, field)
         else:
-            traj = march(u0, solver_cfg, t_end)
+            # each snapshot is written as the march keeps it, so no field is held
+            traj = march(u0, solver_cfg, t_end, sink=write)
     except SolverError as exc:
         iterations = len(getattr(exc, "residual_history", ()))
         solver_error = f"solver error: {type(exc).__name__} after {iterations} iterations"
@@ -215,11 +257,7 @@ def cmd_run(config_path, out_dir, seed=None, quiet=False) -> int:
     else:
         diag_path = out / "diagnostics.csv"
         write_diagnostics_csv(diag_path, traj)
-        outputs.append(str(diag_path))
-        for idx, (t, field) in enumerate(zip(traj.times, traj.fields)):
-            snap_path = out / f"snapshot_{idx:06d}.nsms"
-            write_snapshot(snap_path, field, float(t))
-            outputs.append(str(snap_path))
+        outputs = [str(diag_path)] + snapshots
     manifest = RunManifest(
         artifact_version=__version__,
         config=cfg,
@@ -241,21 +279,16 @@ def cmd_run(config_path, out_dir, seed=None, quiet=False) -> int:
 
 def _verify_settings(cfg: dict) -> VerifySettings:
     base = VerifySettings()
-    block = _block(cfg, "verify")
-    known = {f for f in VerifySettings.__dataclass_fields__}
     overrides = {}
-    for key, value in block.items():
-        if key not in known:
-            raise ConfigError(f"verify.{key}: unknown setting")
+    for key, value in _block(cfg, "verify").items():
+        path = f"verify.{key}"
         current = getattr(base, key)
         if key == "resolutions":
-            overrides[key] = _resolutions(value, "verify.resolutions")
+            overrides[key] = _resolutions(value, path)
         elif isinstance(current, tuple):
-            overrides[key] = tuple(value)
-        elif isinstance(current, int) and not isinstance(current, bool):
-            overrides[key] = int(value)
+            overrides[key] = _list_of(value, path, lambda x: type(x) in (int, float), "numbers")
         else:
-            overrides[key] = float(value)
+            overrides[key] = _convert(value, type(current), path)
     return replace(base, **overrides)
 
 
@@ -298,19 +331,17 @@ def cmd_estimate(config_path, out_dir, seed=None, quiet=False) -> int:
         cfg = load_config(config_path) if config_path else {}
         block = _block(cfg, "estimate")
         ens = EnsembleSpec(
-            size=int(block.get("ensemble_size", 100)),
-            seed=int(seed if seed is not None else block.get("seed", 7)),
-            dim=int(block.get("dim", 3)),
-            spectrum_decay=float(block.get("decay", 4.0)),
+            size=_typed(cfg, "estimate.ensemble_size", int, default=100),
+            seed=seed if seed is not None else _typed(cfg, "estimate.seed", int, default=7),
+            dim=_typed(cfg, "estimate.dim", int, default=3),
+            spectrum_decay=_typed(cfg, "estimate.decay", float, default=4.0),
         )
         resolutions = _resolutions(block.get("resolutions", (16, 32)), "estimate.resolutions")
-        theta = float(block.get("theta", 0.75))
-        omega = float(block.get("omega", 0.75))
-        p = float(block.get("p", 2.0))
+        theta = _typed(cfg, "estimate.theta", float, default=0.75)
+        omega = _typed(cfg, "estimate.omega", float, default=0.75)
+        p = _typed(cfg, "estimate.p", float, default=2.0)
     except ConfigError as exc:
         return _config_failure(exc)
-    except (TypeError, ValueError) as exc:
-        return _config_failure(f"estimate: {exc}")
 
     bilinear = estimate_bilinear_constant(ens, (0.0, theta, omega), p, resolutions)
     upper, lower = estimate_norm_equivalence(ens, p=p, resolutions=resolutions)
@@ -328,13 +359,13 @@ def cmd_oracle(config_path, out_dir, seed=None, quiet=False) -> int:
     """March the closed-form vortex and compare against its analytic decay."""
     try:
         cfg = load_config(config_path) if config_path else {}
-        block = _block(cfg, "oracle")
-        n_modes = int(block.get("n_modes", 64))
-        nu = float(block.get("nu", 1.0))
-        dt = float(block.get("dt", 1e-3))
-        t_end = float(block.get("t_end", 1.0))
-        snapshot_every = int(block.get("snapshot_every", 100))
-        tolerance = float(block.get("tolerance", 1e-10))
+        _block(cfg, "oracle")
+        n_modes = _typed(cfg, "oracle.n_modes", int, default=64)
+        nu = _typed(cfg, "oracle.nu", float, default=1.0)
+        dt = _typed(cfg, "oracle.dt", float, default=1e-3)
+        t_end = _typed(cfg, "oracle.t_end", float, default=1.0)
+        snapshot_every = _typed(cfg, "oracle.snapshot_every", int, default=100)
+        tolerance = _typed(cfg, "oracle.tolerance", float, default=1e-10)
         grid = make_grid(2, n_modes)
         config = SolverConfig(nu=nu, dt=dt, snapshot_every=snapshot_every)
         _check_t_end("oracle.t_end", t_end, dt)

@@ -30,8 +30,11 @@ def write_snapshot(path, field: SpectralVectorField, time: float) -> None:
     header = _HEADER.pack(
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.n_modes, grid.period, float(time)
     )
-    body = np.ascontiguousarray(field.coeffs, dtype="<c16").tobytes()
-    Path(path).write_bytes(header + body)
+    # written from the array's own buffer: no bytes copy of the field
+    body = np.ascontiguousarray(field.coeffs, dtype="<c16")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(memoryview(body).cast("B"))
 
 
 def read_snapshot(path) -> tuple:

@@ -22,6 +22,7 @@ field and projection keeps every later state divergence-free and mean-zero.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -127,7 +128,10 @@ class DiagnosticsRow:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of the evolving field plus per-snapshot diagnostics."""
+    """Snapshots of the evolving field plus per-snapshot diagnostics.
+
+    `fields` is empty when the snapshots went to a sink instead (`march`).
+    """
 
     times: np.ndarray
     fields: tuple
@@ -135,8 +139,9 @@ class Trajectory:
     blowup: bool = False
 
     def __post_init__(self) -> None:
-        if len(self.fields) != len(self.times) or len(self.diagnostics) != len(self.times):
-            raise ValueError("times, fields and diagnostics must have equal length")
+        n = len(self.times)
+        if len(self.diagnostics) != n or len(self.fields) not in (0, n):
+            raise ValueError("times, diagnostics and any kept fields must have equal length")
         if len(self.times) >= 2 and not np.all(np.diff(self.times) > 0):
             raise ValueError("snapshot times must be strictly increasing")
 
@@ -247,7 +252,11 @@ def exp_euler_step(
 
 
 def march(
-    u0: SpectralVectorField, config: SolverConfig, t_end: float, t0: float = 0.0
+    u0: SpectralVectorField,
+    config: SolverConfig,
+    t_end: float,
+    t0: float = 0.0,
+    sink: Callable[[int, float, SpectralVectorField], None] | None = None,
 ) -> Trajectory:
     """Repeated exponential-Euler stepping from t0 to t_end.
 
@@ -255,6 +264,11 @@ def march(
     config.snapshot_every steps plus the final state. A runaway trajectory
     (norm above 1e8 or non-finite) stops the march early and sets the blowup
     flag; it is recorded, not raised.
+
+    Without a sink the kept fields are returned in `Trajectory.fields`. With
+    one, each kept state goes to sink(index, t, u) as soon as it is kept and
+    the trajectory has `fields=()`, so memory holds O(1) fields however long
+    the march is.
     """
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
@@ -264,10 +278,18 @@ def march(
         raise ValueError("t_end - t0 must cover at least one step")
 
     multipliers = StepMultipliers.build(u.grid, config)
+    times, fields, diags = [], [], []
+
+    def keep(t: float, u: SpectralVectorField, F: SpectralVectorField) -> None:
+        diags.append(compute_diagnostics(u, t, config, F=F))
+        if sink is None:
+            fields.append(u)
+        else:
+            sink(len(times), t, u)
+        times.append(t)
+
     F = _projected_nonlinearity(u, config.dealias)
-    times = [t0]
-    fields = [u]
-    diags = [compute_diagnostics(u, t0, config, F=F)]
+    keep(t0, u, F)
     blowup = False
     for m in range(n_steps):
         t_m = t0 + m * config.dt
@@ -281,9 +303,7 @@ def march(
         F = _projected_nonlinearity(u, config.dealias)
         blowup = bool(np.sqrt(energy(u)) > BLOWUP_NORM)
         if blowup or (m + 1) % config.snapshot_every == 0 or m == n_steps - 1:
-            times.append(t_next)
-            fields.append(u)
-            diags.append(compute_diagnostics(u, t_next, config, F=F))
+            keep(t_next, u, F)
         if blowup:
             break
     return Trajectory(np.asarray(times), tuple(fields), tuple(diags), blowup=blowup)

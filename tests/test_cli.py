@@ -5,14 +5,23 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nsmild import make_grid, random_divfree_field
-from nsmild.cli import main
-from nsmild.io import read_snapshot, write_snapshot
+from nsmild.cli import (
+    build_grid,
+    build_initial,
+    build_solver_config,
+    effective_seed,
+    load_config,
+    main,
+)
+from nsmild.io import read_snapshot, write_diagnostics_csv, write_snapshot
+from nsmild.solver import march, picard_solve
 
 
 def write_config(path, doc):
@@ -171,6 +180,78 @@ class TestRun:
             assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 0
             norm_f[value] = read_diagnostics(out / "diagnostics.csv")[0]["norm_F"]
         assert norm_f[True] != norm_f[False]
+
+
+STREAMED_RUNS = {
+    "every_step": {"solver": {"dt": 1e-2}, "forcing": {"kind": "steady", "seed": 4},
+                   "run": {"t_end": 0.05, "snapshot_every": 1, "seed": 1}},
+    "every_third": {"solver": {"dt": 1e-2},
+                    "run": {"t_end": 0.1, "snapshot_every": 3, "seed": 2}},
+    "blowup": {"solver": {"nu": 1e-6, "dt": 0.1},
+               "initial": {"kind": "random", "amplitude": 1e7},
+               "run": {"t_end": 1.0, "snapshot_every": 1, "seed": 3}},
+    "no_dealias": {"solver": {"dt": 1e-2, "dealias": False},
+                   "run": {"t_end": 0.05, "snapshot_every": 2, "seed": 4}},
+    "picard": {"solver": {"scheme": "picard_window", "window_T": 0.1, "n_nodes": 11},
+               "initial": {"kind": "random", "amplitude": 0.1},
+               "run": {"t_end": 0.1, "seed": 5}},
+}
+
+
+def write_in_memory_outputs(config, out):
+    """diagnostics.csv and snapshots of the trajectory a library caller gets."""
+    cfg = load_config(config)
+    grid = build_grid(cfg)
+    solver_cfg = build_solver_config(cfg, grid)
+    u0 = build_initial(cfg, grid, effective_seed(cfg))
+    if solver_cfg.scheme == "picard_window":
+        traj, _, _ = picard_solve(u0, solver_cfg)
+    else:
+        traj = march(u0, solver_cfg, cfg["run"]["t_end"])
+    out.mkdir()
+    write_diagnostics_csv(out / "diagnostics.csv", traj)
+    for idx, (t, field) in enumerate(zip(traj.times, traj.fields)):
+        write_snapshot(out / f"snapshot_{idx:06d}.nsms", field, float(t))
+    return traj
+
+
+class TestStreamedRun:
+    @pytest.mark.parametrize("name", sorted(STREAMED_RUNS))
+    def test_outputs_match_in_memory_trajectory(self, tmp_path, name):
+        doc = dict(STREAMED_RUNS[name], grid={"dim": 2, "n_modes": 16})
+        config = write_config(tmp_path / "c.json", doc)
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        code = main(["run", "--config", config, "--out", str(out), "--quiet"])
+        traj = write_in_memory_outputs(config, ref)
+        assert code == (2 if name == "blowup" else 0) and traj.blowup == (name == "blowup")
+        names = sorted(p.name for p in ref.iterdir())
+        assert len(names) == len(traj.times) + 1
+        assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json"])
+        for fname in names:
+            assert (out / fname).read_bytes() == (ref / fname).read_bytes(), fname
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / fname) for fname in names]
+
+    def test_memory_does_not_grow_with_steps(self, tmp_path):
+        """Peak traced memory of a 32-step run is within one field of a 4-step run."""
+        grid = make_grid(2, 64)
+        field_bytes = random_divfree_field(grid, seed=0).coeffs.nbytes
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for run, steps in enumerate((4, 4, 32)):  # the first run warms caches
+                doc = {"grid": {"dim": 2, "n_modes": 64}, "solver": {"dt": 1e-3},
+                       "forcing": {"kind": "steady"},
+                       "run": {"t_end": steps * 1e-3, "snapshot_every": 1}}
+                config = write_config(tmp_path / f"m{run}.json", doc)
+                out = tmp_path / f"out{run}"
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 0
+                peaks[steps] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peaks[32] - peaks[4] < field_bytes, (peaks, field_bytes)
 
 
 def picard_failure_config(tmp_path):
@@ -362,6 +443,24 @@ class TestConfigErrorTable:
             ("verify", {"verify": {"resolutions": [15]}}, "verify.resolutions"),
             ("verify", {"verify": {"resolutions": [6, 16]}}, "verify.resolutions"),
             ("verify", {"verify": {"resolutions": [16.0, 32]}}, "verify.resolutions"),
+            ("verify", {"verify": {"ensemble_size": "x"}}, "verify.ensemble_size"),
+            ("verify", {"verify": {"lambdas": 5}}, "verify.lambdas"),
+            ("verify", {"verify": {"times": []}}, "verify.times"),
+            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "nmodes": 8}),
+             "grid.nmodes"),
+            ("run", dict(with_block("run"), solver={"ddt": 0.5}), "solver.ddt"),
+            ("run", dict(with_block("run"), forcing={"kind": "steady", "amp": 2.0}),
+             "forcing.amp"),
+            ("run", dict(with_block("run"), initial={"kind": "zero", "sead": 1}), "initial.sead"),
+            ("run", with_block("run", out_dir="out"), "run.out_dir"),
+            ("estimate", {"estimate": {"ensemble": 5}}, "estimate.ensemble"),
+            ("oracle", {"oracle": {"tol": 1e-3}}, "oracle.tol"),
+            ("run", dict(with_block("run"), forcing={"kind": "steady", "decay": -1}),
+             "forcing.decay"),
+            ("run", dict(with_block("run"), initial={"decay": 0}), "initial.decay"),
+            ("run", with_block("run", t_end=None), "run.t_end"),
+            ("run", dict(with_block("run"), solver={"dt": None}), "solver.dt"),
+            ("estimate", {"estimate": {"theta": "x"}}, "estimate.theta"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):

@@ -154,6 +154,24 @@ class TestMarch:
         for u, t, row in zip(traj.fields, traj.times, traj.diagnostics):
             assert row == compute_diagnostics(u, t, config)
 
+    @pytest.mark.parametrize(
+        "snapshot_every,amplitude,nu,dt",
+        [(1, 1.0, 1.0, 1e-2), (3, 1.0, 1.0, 1e-2), (1, 1e7, 1e-6, 0.1)],  # the last blows up
+    )
+    def test_sink_receives_the_kept_states(self, grid2, snapshot_every, amplitude, nu, dt):
+        u0 = amplitude * random_divfree_field(grid2, seed=12)
+        config = SolverConfig(nu=nu, dt=dt, snapshot_every=snapshot_every)
+        kept = march(u0, config, 1.0)
+        received = []
+        streamed = march(u0, config, 1.0, sink=lambda i, t, u: received.append((i, t, u)))
+        assert streamed.fields == ()
+        assert np.array_equal(streamed.times, kept.times)
+        assert streamed.diagnostics == kept.diagnostics
+        assert streamed.blowup == kept.blowup == (amplitude > 1)
+        assert [(i, t) for i, t, _ in received] == list(enumerate(kept.times))
+        for (_, _, u), field in zip(received, kept.fields):
+            assert np.array_equal(u.coeffs, field.coeffs)
+
 
 class TestPicard:
     def test_zero_converges_first_iteration(self, grid2):
