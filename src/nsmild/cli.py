@@ -3,7 +3,7 @@ constants, and compare against the closed-form vortex.
 
 Configuration is one JSON document with blocks grid{}, solver{}, forcing{},
 run{}, plus optional initial{}, verify{}, estimate{} and oracle{} blocks;
-a key a block does not know is a config error.
+SCHEMA lists every key of every block, and anything else is a config error.
 Exit codes: 0 success, 1 usage/config error, 2 blow-up sentinel,
 3 verification failure, 4 solver failure.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,14 +23,13 @@ from . import __version__
 from .grid import ForcingSpec, make_grid, random_divfree_field, zero_field
 from .solver import SolverConfig, SolverError, march, picard_solve
 from .verification import (
+    EnsembleSpec,
     VerifySettings,
-    compare_oracle,
+    closed_form_vortex,
     estimate_bilinear_constant,
     estimate_norm_equivalence,
-    EnsembleSpec,
     run_verification_suite,
     taylor_green,
-    taylor_green_residual,
 )
 from .io import (
     RunManifest,
@@ -51,51 +50,106 @@ class ConfigError(Exception):
     """Raised with a field-path message when the config document is invalid."""
 
 
-def _get(cfg: dict, path: str, default=None, required: bool = False):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"{path}: missing required field")
-            return default
-        node = node[part]
-    return node
+REQUIRED = object()  # the default of a key that its block must give
 
-
-def _convert(value, kind, path: str):
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}") from exc
-
-
-def _typed(cfg: dict, path: str, kind, default=None, required: bool = False):
-    return _convert(_get(cfg, path, default=default, required=required), kind, path)
-
-
-# The settings each block accepts; any other key is a config error, so a typo
-# never runs silently with a default.
-KNOWN_KEYS = {
-    "grid": ("dim", "n_modes", "period"),
-    "solver": ("nu", "p", "scheme", "dt", "window_T", "n_nodes", "picard_tol",
-               "picard_max_iters", "dealias"),
-    "forcing": ("kind", "seed", "amplitude", "decay", "exponent"),
-    "initial": ("kind", "amplitude", "decay", "seed"),
-    "run": ("t_end", "snapshot_every", "seed"),
-    "verify": tuple(VerifySettings.__dataclass_fields__),
-    "estimate": ("ensemble_size", "seed", "dim", "decay", "resolutions", "theta", "omega", "p"),
-    "oracle": ("n_modes", "nu", "dt", "t_end", "snapshot_every", "tolerance"),
+# kind -> (accepts the JSON value, what a message says was expected, converter);
+# `int` takes JSON integers only, so 16.0, 16.7 and true are not an int
+_KINDS = {
+    "int": (lambda v: type(v) is int, "int", int),
+    "float": (lambda v: type(v) in (int, float), "float", float),
+    "bool": (lambda v: type(v) is bool, "a boolean", bool),
+    "str": (lambda v: type(v) is str, "str", str),
+    "ints": (lambda v: type(v) is list and v and all(type(x) is int for x in v),
+             "a non-empty list of integers", tuple),
+    "floats": (lambda v: type(v) is list and v and all(type(x) in (int, float) for x in v),
+               "a non-empty list of numbers", tuple),
 }
 
 
-def _block(cfg: dict, name: str) -> dict:
-    block = cfg.get(name, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"{name}: must be an object")
-    for key in block:
-        if key not in KNOWN_KEYS[name]:
-            raise ConfigError(f"{name}.{key}: unknown setting")
-    return block
+def _at_least(low):
+    return (lambda x: x >= low, f">= {low}")
+
+
+# range checks: (accepts a value or each entry of a list, what it must be)
+_POSITIVE = (lambda x: 0 < x < np.inf, "finite and > 0")
+_NONNEGATIVE = (lambda x: 0 <= x < np.inf, "finite and >= 0")
+_DIM = (lambda d: d in (2, 3), "2 or 3")
+_EVEN_N = (lambda n: n >= 8 and n % 2 == 0, "even and >= 8")
+_UNIT = (lambda x: 0 < x <= 1, "in (0, 1]")
+
+
+def _rows(cls, kinds: dict) -> dict:
+    """Rows for the fields of dataclass `cls` named in `kinds`, with its defaults."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return {key: (kind, defaults[key], check) for key, (kind, check) in kinds.items()}
+
+
+# SCHEMA[block][key] = (kind, default, range check or None). A range that the
+# library checks when the command builds its objects (make_grid, SolverConfig,
+# ForcingSpec, the generators' decay) is left to the library.
+SCHEMA = {
+    "grid": {"dim": ("int", REQUIRED, None), "n_modes": ("int", REQUIRED, None),
+             "period": ("float", 2.0 * np.pi, None)},
+    "solver": _rows(SolverConfig, {
+        "nu": ("float", None), "p": ("float", None), "scheme": ("str", None),
+        "dt": ("float", None), "window_T": ("float", None), "n_nodes": ("int", None),
+        "picard_tol": ("float", None), "picard_max_iters": ("int", None),
+        "dealias": ("bool", None),
+    }),
+    "forcing": {"kind": ("str", "zero", None), "seed": ("int", 0, _at_least(0)),
+                "amplitude": ("float", 1.0, None), "decay": ("float", 4.0, None),
+                "exponent": ("float", 1.0, None)},
+    "initial": {"kind": ("str", "random", None), "amplitude": ("float", 1.0, None),
+                "decay": ("float", 4.0, None), "seed": ("int", None, _at_least(0))},
+    "run": {"t_end": ("float", REQUIRED, None), "snapshot_every": ("int", 1, None),
+            "seed": ("int", 0, _at_least(0))},
+    "verify": _rows(VerifySettings, {
+        "dim": ("int", _DIM), "n_modes": ("int", _EVEN_N), "nu": ("float", _POSITIVE),
+        "p": ("float", _at_least(2)),
+        "ensemble_size": ("int", _at_least(2)),  # the suite advects fields[0] by fields[1]
+        "seed": ("int", _at_least(0)), "spectrum_decay": ("float", _POSITIVE),
+        "lambdas": ("floats", _POSITIVE), "times": ("floats", _NONNEGATIVE),
+        "resolutions": ("ints", _EVEN_N),
+        "tolerance_identity": ("float", _POSITIVE), "tolerance_gradient": ("float", _POSITIVE),
+        "tolerance_energy_orth": ("float", _POSITIVE), "tolerance_oracle": ("float", _POSITIVE),
+        "trajectory_n_modes": ("int", _EVEN_N), "trajectory_dt": ("float", _POSITIVE),
+        "trajectory_t_end": ("float", _POSITIVE),
+        "trajectory_snapshot_every": ("int", _at_least(1)),
+        "trajectory_amplitude": ("float", _POSITIVE), "trajectory_decay": ("float", _POSITIVE),
+    }),
+    "estimate": {"ensemble_size": ("int", 100, _at_least(1)), "seed": ("int", 7, _at_least(0)),
+                 "dim": ("int", 3, _DIM), "decay": ("float", 4.0, _POSITIVE),
+                 "resolutions": ("ints", (16, 32), _EVEN_N), "theta": ("float", 0.75, _UNIT),
+                 "omega": ("float", 0.75, _UNIT), "p": ("float", 2.0, _at_least(2))},
+    "oracle": {"n_modes": ("int", 64, _EVEN_N), "nu": ("float", 1.0, _POSITIVE),
+               "dt": ("float", 1e-3, _POSITIVE), "t_end": ("float", 1.0, None),
+               "snapshot_every": ("int", 100, _at_least(1)),
+               "tolerance": ("float", 1e-10, _POSITIVE)},
+}
+
+
+def settings(cfg: dict, block: str) -> dict:
+    """Every key of `block`: its value in `cfg`, checked against SCHEMA, or its default."""
+    given = cfg.get(block, {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"{block}: must be an object")
+    values = {key: default for key, (_, default, _) in SCHEMA[block].items()}
+    for key, value in given.items():
+        path = f"{block}.{key}"
+        if key not in values:
+            raise ConfigError(f"{path}: unknown setting")
+        kind, _, check = SCHEMA[block][key]
+        accepts, expected, convert = _KINDS[kind]
+        if not accepts(value):
+            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        entries = value if type(value) is list else [value]
+        if check is not None and not all(check[0](x) for x in entries):
+            raise ConfigError(f"{path}: must be {check[1]}, got {value!r}")
+        values[key] = convert(value)
+    for key, value in values.items():
+        if value is REQUIRED:
+            raise ConfigError(f"{block}.{key}: missing required field")
+    return values
 
 
 def _config_failure(message) -> int:
@@ -109,17 +163,6 @@ def _check_t_end(path: str, t_end: float, dt: float) -> None:
         raise ConfigError(
             f"{path}: must be finite and cover at least one step of dt = {dt}, got {t_end!r}"
         )
-
-
-def _list_of(value, path: str, valid, what: str) -> tuple:
-    if not (isinstance(value, (list, tuple)) and value and all(valid(x) for x in value)):
-        raise ConfigError(f"{path}: expected a non-empty list of {what}, got {value!r}")
-    return tuple(value)
-
-
-def _resolutions(value, path: str) -> tuple:
-    return _list_of(value, path, lambda n: type(n) is int and n >= 8 and n % 2 == 0,
-                    "even integers >= 8")
 
 
 def _random_field(grid, block: str, seed: int, decay: float, amplitude: float):
@@ -144,73 +187,49 @@ def load_config(path) -> dict:
 
 
 def build_grid(cfg: dict):
-    dim = _typed(cfg, "grid.dim", int, required=True)
-    n_modes = _typed(cfg, "grid.n_modes", int, required=True)
-    period = _typed(cfg, "grid.period", float, default=2.0 * np.pi)
     try:
-        return make_grid(dim, n_modes, period)
+        return make_grid(**settings(cfg, "grid"))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
 def build_forcing(cfg: dict, grid) -> ForcingSpec:
-    kind = _get(cfg, "forcing.kind", default="zero")
-    if kind == "zero":
+    forcing = settings(cfg, "forcing")
+    if forcing["kind"] == "zero":
         return ForcingSpec()
-    seed = _typed(cfg, "forcing.seed", int, default=0)
-    amplitude = _typed(cfg, "forcing.amplitude", float, default=1.0)
-    decay = _typed(cfg, "forcing.decay", float, default=4.0)
-    exponent = _typed(cfg, "forcing.exponent", float, default=1.0)
-    base = _random_field(grid, "forcing", seed, decay, amplitude)
+    base = _random_field(grid, "forcing", forcing["seed"], forcing["decay"], forcing["amplitude"])
     try:
-        return ForcingSpec(kind=kind, base_field=base, exponent=exponent)
+        return ForcingSpec(kind=forcing["kind"], base_field=base, exponent=forcing["exponent"])
     except ValueError as exc:
         raise ConfigError(f"forcing: {exc}") from exc
 
 
-def build_solver_config(cfg: dict, grid, seed_override=None) -> SolverConfig:
-    dealias = _get(cfg, "solver.dealias", default=True)
-    if not isinstance(dealias, bool):
-        raise ConfigError(f"solver.dealias: expected a boolean, got {dealias!r}")
+def build_solver_config(cfg: dict, grid) -> SolverConfig:
+    solver = dict(settings(cfg, "solver"), forcing=build_forcing(cfg, grid),
+                  snapshot_every=settings(cfg, "run")["snapshot_every"])
     try:
-        return SolverConfig(
-            nu=_typed(cfg, "solver.nu", float, default=1.0),
-            p=_typed(cfg, "solver.p", float, default=2.0),
-            scheme=_get(cfg, "solver.scheme", default="exp_euler"),
-            dt=_typed(cfg, "solver.dt", float, default=1e-3),
-            window_T=_typed(cfg, "solver.window_T", float, default=0.1),
-            n_nodes=_typed(cfg, "solver.n_nodes", int, default=33),
-            picard_tol=_typed(cfg, "solver.picard_tol", float, default=1e-10),
-            picard_max_iters=_typed(cfg, "solver.picard_max_iters", int, default=50),
-            forcing=build_forcing(cfg, grid),
-            dealias=dealias,
-            snapshot_every=_typed(cfg, "run.snapshot_every", int, default=1),
-        )
+        return SolverConfig(**solver)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
 
 def effective_seed(cfg: dict, seed_override=None) -> int:
-    if seed_override is not None:
-        return int(seed_override)
-    return _typed(cfg, "run.seed", int, default=0)
+    return settings(cfg, "run")["seed"] if seed_override is None else int(seed_override)
 
 
 def build_initial(cfg: dict, grid, seed: int):
-    kind = _get(cfg, "initial.kind", default="random")
+    initial = settings(cfg, "initial")
+    kind = initial["kind"]
     if kind == "taylor_green":
         if grid.dim != 2:
             raise ConfigError("initial.kind: taylor_green requires grid.dim = 2")
-        nu = _typed(cfg, "solver.nu", float, default=1.0)
-        return taylor_green(grid, nu, 0.0)
+        return taylor_green(grid, settings(cfg, "solver")["nu"], 0.0)
     if kind == "zero":
         return zero_field(grid)
     if kind != "random":
         raise ConfigError(f"initial.kind: unknown kind {kind!r}")
-    amplitude = _typed(cfg, "initial.amplitude", float, default=1.0)
-    decay = _typed(cfg, "initial.decay", float, default=4.0)
-    init_seed = _typed(cfg, "initial.seed", int, default=seed)
-    return _random_field(grid, "initial", init_seed, decay, amplitude)
+    init_seed = seed if initial["seed"] is None else initial["seed"]
+    return _random_field(grid, "initial", init_seed, initial["decay"], initial["amplitude"])
 
 
 def _utc_now() -> str:
@@ -221,14 +240,15 @@ def cmd_run(config_path, out_dir, seed=None, quiet=False) -> int:
     """Run a simulation and write diagnostics.csv, snapshots, and manifest.json."""
     try:
         cfg = load_config(config_path)
-        for name in ("grid", "solver", "forcing", "initial", "run"):
-            _block(cfg, name)
         grid = build_grid(cfg)
         run_seed = effective_seed(cfg, seed)
         solver_cfg = build_solver_config(cfg, grid)
         u0 = build_initial(cfg, grid, run_seed)
-        t_end = _typed(cfg, "run.t_end", float, required=True)
+        t_end = settings(cfg, "run")["t_end"]
         _check_t_end("run.t_end", t_end, solver_cfg.dt)
+        if solver_cfg.scheme == "picard_window" and t_end != solver_cfg.window_T:
+            raise ConfigError(f"run.t_end: must equal solver.window_T = {solver_cfg.window_T} "
+                              f"with scheme picard_window, got {t_end!r}")
     except ConfigError as exc:
         return _config_failure(exc)
 
@@ -277,46 +297,29 @@ def cmd_run(config_path, out_dir, seed=None, quiet=False) -> int:
     return EXIT_BLOWUP if traj.blowup else EXIT_OK
 
 
-def _verify_settings(cfg: dict) -> VerifySettings:
-    base = VerifySettings()
-    overrides = {}
-    for key, value in _block(cfg, "verify").items():
-        path = f"verify.{key}"
-        current = getattr(base, key)
-        if key == "resolutions":
-            overrides[key] = _resolutions(value, path)
-        elif isinstance(current, tuple):
-            overrides[key] = _list_of(value, path, lambda x: type(x) in (int, float), "numbers")
-        else:
-            overrides[key] = _convert(value, type(current), path)
-    return replace(base, **overrides)
+def _write_reports(out_dir, reports) -> None:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_report_json(out / "report.json", reports)
+
+
+_TAGS = {None: "INFO", True: "PASS", False: "FAIL"}
 
 
 def cmd_verify(config_path, out_dir, seed=None, quiet=False) -> int:
     """Run the verification suite; exit 0 iff every asserted check passes."""
     try:
-        cfg = load_config(config_path) if config_path else {}
-        settings = _verify_settings(cfg)
-        if seed is not None:
-            settings = replace(settings, seed=int(seed))
+        values = settings(load_config(config_path) if config_path else {}, "verify")
     except ConfigError as exc:
         return _config_failure(exc)
-
-    reports = run_verification_suite(settings)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report_json(out / "report.json", reports)
-    failed = []
-    for r in reports:
-        if r.passed is None:
-            tag = "INFO"
-        elif r.passed:
-            tag = "PASS"
-        else:
-            tag = "FAIL"
-            failed.append(r.name)
-        if not quiet:
-            print(f"{tag:4s} {r.name}")
+    if seed is not None:
+        values["seed"] = int(seed)
+    reports = run_verification_suite(VerifySettings(**values))
+    _write_reports(out_dir, reports)
+    if not quiet:
+        for r in reports:
+            print(f"{_TAGS[r.passed]:4s} {r.name}")
+    failed = [r.name for r in reports if r.passed is not None and not r.passed]
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
         return EXIT_VERIFY
@@ -328,26 +331,15 @@ def cmd_verify(config_path, out_dir, seed=None, quiet=False) -> int:
 def cmd_estimate(config_path, out_dir, seed=None, quiet=False) -> int:
     """Estimate the advection-bound and norm-equivalence constants."""
     try:
-        cfg = load_config(config_path) if config_path else {}
-        block = _block(cfg, "estimate")
-        ens = EnsembleSpec(
-            size=_typed(cfg, "estimate.ensemble_size", int, default=100),
-            seed=seed if seed is not None else _typed(cfg, "estimate.seed", int, default=7),
-            dim=_typed(cfg, "estimate.dim", int, default=3),
-            spectrum_decay=_typed(cfg, "estimate.decay", float, default=4.0),
-        )
-        resolutions = _resolutions(block.get("resolutions", (16, 32)), "estimate.resolutions")
-        theta = _typed(cfg, "estimate.theta", float, default=0.75)
-        omega = _typed(cfg, "estimate.omega", float, default=0.75)
-        p = _typed(cfg, "estimate.p", float, default=2.0)
+        est = settings(load_config(config_path) if config_path else {}, "estimate")
     except ConfigError as exc:
         return _config_failure(exc)
-
-    bilinear = estimate_bilinear_constant(ens, (0.0, theta, omega), p, resolutions)
+    ens_seed = est["seed"] if seed is None else seed
+    ens = EnsembleSpec(est["ensemble_size"], ens_seed, est["dim"], est["decay"])
+    p, resolutions = est["p"], est["resolutions"]
+    bilinear = estimate_bilinear_constant(ens, (0.0, est["theta"], est["omega"]), p, resolutions)
     upper, lower = estimate_norm_equivalence(ens, p=p, resolutions=resolutions)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report_json(out / "report.json", [bilinear, upper, lower])
+    _write_reports(out_dir, [bilinear, upper, lower])
     if not quiet:
         for rep in (bilinear, upper, lower):
             rows = ", ".join(f"N={n}: {r:.6g}" for n, r in rep.per_resolution)
@@ -358,26 +350,15 @@ def cmd_estimate(config_path, out_dir, seed=None, quiet=False) -> int:
 def cmd_oracle(config_path, out_dir, seed=None, quiet=False) -> int:
     """March the closed-form vortex and compare against its analytic decay."""
     try:
-        cfg = load_config(config_path) if config_path else {}
-        _block(cfg, "oracle")
-        n_modes = _typed(cfg, "oracle.n_modes", int, default=64)
-        nu = _typed(cfg, "oracle.nu", float, default=1.0)
-        dt = _typed(cfg, "oracle.dt", float, default=1e-3)
-        t_end = _typed(cfg, "oracle.t_end", float, default=1.0)
-        snapshot_every = _typed(cfg, "oracle.snapshot_every", int, default=100)
-        tolerance = _typed(cfg, "oracle.tolerance", float, default=1e-10)
-        grid = make_grid(2, n_modes)
-        config = SolverConfig(nu=nu, dt=dt, snapshot_every=snapshot_every)
-        _check_t_end("oracle.t_end", t_end, dt)
+        o = settings(load_config(config_path) if config_path else {}, "oracle")
+        _check_t_end("oracle.t_end", o["t_end"], o["dt"])
     except ConfigError as exc:
         return _config_failure(exc)
-    except (TypeError, ValueError) as exc:
-        return _config_failure(f"oracle: {exc}")
 
-    traj = march(taylor_green(grid, nu, 0.0), config, t_end)
-    errors = compare_oracle(traj, nu)
-    residual = max(taylor_green_residual(grid, nu, t) for t in (0.0, t_end / 2, t_end))
-    max_err = float(np.max(errors))
+    residual, max_err, errors, times = closed_form_vortex(
+        o["n_modes"], o["nu"], o["dt"], o["t_end"], o["snapshot_every"]
+    )
+    tolerance = o["tolerance"]
     report = {
         "name": "closed_form_vortex",
         "passed": bool(max_err <= tolerance and residual <= tolerance),
@@ -386,13 +367,11 @@ def cmd_oracle(config_path, out_dir, seed=None, quiet=False) -> int:
             "equation_residual": residual,
             "tolerance": tolerance,
             "errors": [float(e) for e in errors],
-            "times": [float(t) for t in traj.times],
+            "times": [float(t) for t in times],
         },
         "notes": "",
     }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report_json(out / "report.json", [report])
+    _write_reports(out_dir, [report])
     if not quiet:
         print(f"oracle max relative error {max_err:.3e} (tolerance {tolerance:.1e})")
     return EXIT_OK if report["passed"] else EXIT_VERIFY

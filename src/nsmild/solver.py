@@ -95,7 +95,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.nu > 0:
             raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.p < 2.0:
+        if not self.p >= 2.0:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if self.scheme not in ("exp_euler", "picard_window"):
             raise ValueError(f"unknown scheme {self.scheme!r}")

@@ -6,6 +6,9 @@ each operation's outputs against the independent numpy references in
 No timing is asserted.
 """
 
+import importlib
+import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +23,26 @@ def test_bench_smoke_passes():
     )
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
     assert "smoke ok" in result.stdout
+
+
+def bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_timed_names_are_public_functions():
+    """Every function the benchmark times by name is one the tracer can wrap.
+
+    The tracer wraps public module-level functions only, so a renamed,
+    private or moved function would read as zero time without an error.
+    """
+    run, tracing = bench_module("run"), bench_module("tracing")
+    names = set(run.FULL_STAT_FUNCS) | set(run.TIMED_FUNCS) | set(tracing.SETUP_FUNCS)
+    for name in sorted(names):
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"nsmild.{layer}")
+        obj = getattr(module, attr, None)
+        assert not attr.startswith("_") and inspect.isfunction(obj), name
+        assert obj.__module__ == module.__name__, name

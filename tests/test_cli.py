@@ -1,6 +1,7 @@
 """Command-line interface: configs, persistence formats, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 from nsmild import make_grid, random_divfree_field
 from nsmild.cli import (
+    SCHEMA,
     build_grid,
     build_initial,
     build_solver_config,
@@ -22,6 +24,7 @@ from nsmild.cli import (
 )
 from nsmild.io import read_snapshot, write_diagnostics_csv, write_snapshot
 from nsmild.solver import march, picard_solve
+from nsmild.verification import VerifySettings
 
 
 def write_config(path, doc):
@@ -381,6 +384,20 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "operator_identities" in err
 
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_small_suite_passes_at_seed(self, tmp_path, seed):
+        """Seeds at which the Lipschitz trajectories once came from unrelated data."""
+        config = self.small_verify_config(tmp_path)
+        out = tmp_path / "out"
+        code = main(["verify", "--config", config, "--out", str(out), "--seed", str(seed),
+                     "--quiet"])
+        assert code == 0
+
+    def test_verify_rows_follow_verify_settings(self):
+        fields = dataclasses.fields(VerifySettings)
+        assert list(SCHEMA["verify"]) == [f.name for f in fields]
+        assert [row[1] for row in SCHEMA["verify"].values()] == [f.default for f in fields]
+
     def test_unknown_setting_rejected(self, tmp_path):
         config = write_config(tmp_path / "v.json", {"verify": {"bogus": 1}})
         assert main(["verify", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 1
@@ -461,6 +478,26 @@ class TestConfigErrorTable:
             ("run", with_block("run", t_end=None), "run.t_end"),
             ("run", dict(with_block("run"), solver={"dt": None}), "solver.dt"),
             ("estimate", {"estimate": {"theta": "x"}}, "estimate.theta"),
+            ("verify", {"verify": {"lambdas": [-1]}}, "verify.lambdas"),
+            ("verify", {"verify": {"ensemble_size": 0}}, "verify.ensemble_size"),
+            ("verify", {"verify": {"ensemble_size": 1}}, "verify.ensemble_size"),
+            ("verify", {"verify": {"nu": 0}}, "verify.nu"),
+            ("verify", {"verify": {"times": [-1]}}, "verify.times"),
+            ("verify", {"verify": {"n_modes": 7}}, "verify.n_modes"),
+            ("verify", {"verify": {"trajectory_snapshot_every": 0}},
+             "verify.trajectory_snapshot_every"),
+            ("verify", {"verify": {"n_modes": 16.5}}, "verify.n_modes"),
+            ("estimate", {"estimate": {"ensemble_size": 0}}, "estimate.ensemble_size"),
+            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16.7}), "grid.n_modes"),
+            ("run", with_block("run", snapshot_every=2.9), "run.snapshot_every"),
+            ("run", dict(with_block("run", t_end=5.0), solver={"scheme": "picard_window"}),
+             "run.t_end"),
+            ("run", dict(with_block("run"), grid={"dim": True, "n_modes": 16}), "grid.dim"),
+            ("run", with_block("run", seed=-1), "run.seed"),
+            ("oracle", {"oracle": {"n_modes": 32.0}}, "oracle.n_modes"),
+            ("oracle", {"oracle": {"n_modes": 31}}, "oracle.n_modes"),
+            ("estimate", {"estimate": {"theta": 1.5}}, "estimate.theta"),
+            ("run", dict(with_block("run"), solver={"p": float("nan")}), "solver"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):
