@@ -21,8 +21,9 @@ import numpy as np
 
 from . import __version__
 from .grid import ForcingSpec, make_grid, random_divfree_field, zero_field
-from .solver import SolverConfig, SolverError, march, picard_solve
+from .solver import SolverConfig, SolverError, march, march_schedule, picard_solve
 from .verification import (
+    CheckReport,
     EnsembleSpec,
     VerifySettings,
     closed_form_vortex,
@@ -152,11 +153,6 @@ def settings(cfg: dict, block: str) -> dict:
     return values
 
 
-def _config_failure(message) -> int:
-    print(f"config error: {message}", file=sys.stderr)
-    return EXIT_CONFIG
-
-
 def _check_t_end(path: str, t_end: float, dt: float) -> None:
     """The march from t = 0 needs a finite t_end that rounds to at least one step."""
     if not (np.isfinite(t_end) and t_end / dt > 0.5):
@@ -214,7 +210,7 @@ def build_solver_config(cfg: dict, grid) -> SolverConfig:
 
 
 def effective_seed(cfg: dict, seed_override=None) -> int:
-    return settings(cfg, "run")["seed"] if seed_override is None else int(seed_override)
+    return settings(cfg, "run")["seed"] if seed_override is None else seed_override
 
 
 def build_initial(cfg: dict, grid, seed: int):
@@ -236,23 +232,20 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def cmd_run(config_path, out_dir, seed=None, quiet=False) -> int:
+def cmd_run(config, out, seed=None, quiet=False) -> int:
     """Run a simulation and write diagnostics.csv, snapshots, and manifest.json."""
-    try:
-        cfg = load_config(config_path)
-        grid = build_grid(cfg)
-        run_seed = effective_seed(cfg, seed)
-        solver_cfg = build_solver_config(cfg, grid)
-        u0 = build_initial(cfg, grid, run_seed)
-        t_end = settings(cfg, "run")["t_end"]
-        _check_t_end("run.t_end", t_end, solver_cfg.dt)
-        if solver_cfg.scheme == "picard_window" and t_end != solver_cfg.window_T:
-            raise ConfigError(f"run.t_end: must equal solver.window_T = {solver_cfg.window_T} "
-                              f"with scheme picard_window, got {t_end!r}")
-    except ConfigError as exc:
-        return _config_failure(exc)
+    cfg = load_config(config)
+    grid = build_grid(cfg)
+    run_seed = effective_seed(cfg, seed)
+    solver_cfg = build_solver_config(cfg, grid)
+    u0 = build_initial(cfg, grid, run_seed)
+    t_end = settings(cfg, "run")["t_end"]
+    _check_t_end("run.t_end", t_end, solver_cfg.dt)
+    if solver_cfg.scheme == "picard_window" and t_end != solver_cfg.window_T:
+        raise ConfigError(f"run.t_end: must equal solver.window_T = {solver_cfg.window_T} "
+                          f"with scheme picard_window, got {t_end!r}")
 
-    out = Path(out_dir)
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     started = _utc_now()
     snapshots, outputs, solver_error = [], [], None
@@ -297,8 +290,8 @@ def cmd_run(config_path, out_dir, seed=None, quiet=False) -> int:
     return EXIT_BLOWUP if traj.blowup else EXIT_OK
 
 
-def _write_reports(out_dir, reports) -> None:
-    out = Path(out_dir)
+def _write_reports(out, reports) -> None:
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     write_report_json(out / "report.json", reports)
 
@@ -306,16 +299,23 @@ def _write_reports(out_dir, reports) -> None:
 _TAGS = {None: "INFO", True: "PASS", False: "FAIL"}
 
 
-def cmd_verify(config_path, out_dir, seed=None, quiet=False) -> int:
+def _check_suite_trajectory(values: dict) -> None:
+    """The suite's Hoelder fits need at least 10 kept snapshots of its trajectory."""
+    every = values["trajectory_snapshot_every"]
+    steps, kept = march_schedule(values["trajectory_t_end"], values["trajectory_dt"], every)
+    if kept < 10:
+        raise ConfigError(f"verify.trajectory_t_end: {steps} steps of trajectory_dt, kept every "
+                          f"{every}, give {kept} snapshots; the suite needs at least 10")
+
+
+def cmd_verify(config, out, seed=None, quiet=False) -> int:
     """Run the verification suite; exit 0 iff every asserted check passes."""
-    try:
-        values = settings(load_config(config_path) if config_path else {}, "verify")
-    except ConfigError as exc:
-        return _config_failure(exc)
+    values = settings(load_config(config) if config else {}, "verify")
+    _check_suite_trajectory(values)
     if seed is not None:
-        values["seed"] = int(seed)
+        values["seed"] = seed
     reports = run_verification_suite(VerifySettings(**values))
-    _write_reports(out_dir, reports)
+    _write_reports(out, reports)
     if not quiet:
         for r in reports:
             print(f"{_TAGS[r.passed]:4s} {r.name}")
@@ -328,18 +328,15 @@ def cmd_verify(config_path, out_dir, seed=None, quiet=False) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(config_path, out_dir, seed=None, quiet=False) -> int:
+def cmd_estimate(config, out, seed=None, quiet=False) -> int:
     """Estimate the advection-bound and norm-equivalence constants."""
-    try:
-        est = settings(load_config(config_path) if config_path else {}, "estimate")
-    except ConfigError as exc:
-        return _config_failure(exc)
+    est = settings(load_config(config) if config else {}, "estimate")
     ens_seed = est["seed"] if seed is None else seed
     ens = EnsembleSpec(est["ensemble_size"], ens_seed, est["dim"], est["decay"])
     p, resolutions = est["p"], est["resolutions"]
     bilinear = estimate_bilinear_constant(ens, (0.0, est["theta"], est["omega"]), p, resolutions)
     upper, lower = estimate_norm_equivalence(ens, p=p, resolutions=resolutions)
-    _write_reports(out_dir, [bilinear, upper, lower])
+    _write_reports(out, [bilinear, upper, lower])
     if not quiet:
         for rep in (bilinear, upper, lower):
             rows = ", ".join(f"N={n}: {r:.6g}" for n, r in rep.per_resolution)
@@ -347,34 +344,37 @@ def cmd_estimate(config_path, out_dir, seed=None, quiet=False) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(config_path, out_dir, seed=None, quiet=False) -> int:
+def cmd_oracle(config, out, quiet=False) -> int:
     """March the closed-form vortex and compare against its analytic decay."""
-    try:
-        o = settings(load_config(config_path) if config_path else {}, "oracle")
-        _check_t_end("oracle.t_end", o["t_end"], o["dt"])
-    except ConfigError as exc:
-        return _config_failure(exc)
+    o = settings(load_config(config) if config else {}, "oracle")
+    _check_t_end("oracle.t_end", o["t_end"], o["dt"])
 
     residual, max_err, errors, times = closed_form_vortex(
         o["n_modes"], o["nu"], o["dt"], o["t_end"], o["snapshot_every"]
     )
     tolerance = o["tolerance"]
-    report = {
-        "name": "closed_form_vortex",
-        "passed": bool(max_err <= tolerance and residual <= tolerance),
-        "measurements": {
+    report = CheckReport(
+        "closed_form_vortex",
+        bool(max_err <= tolerance and residual <= tolerance),
+        {
             "max_relative_l2_error": max_err,
             "equation_residual": residual,
             "tolerance": tolerance,
             "errors": [float(e) for e in errors],
             "times": [float(t) for t in times],
         },
-        "notes": "",
-    }
-    _write_reports(out_dir, [report])
+    )
+    _write_reports(out, [report])
     if not quiet:
         print(f"oracle max relative error {max_err:.3e} (tolerance {tolerance:.1e})")
-    return EXIT_OK if report["passed"] else EXIT_VERIFY
+    return EXIT_OK if report.passed else EXIT_VERIFY
+
+
+def _seed(text: str) -> int:
+    """--seed: decimal digits only, so a negative or non-integer seed is a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def main(argv=None) -> int:
@@ -384,25 +384,29 @@ def main(argv=None) -> int:
         "divergence-free heat/advection system on the torus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "integrate an initial value problem"),
-        ("verify", "run the verification suite"),
-        ("estimate", "estimate bilinear and norm-equivalence constants"),
-        ("oracle", "compare the solver against the closed-form vortex"),
+    handlers = {}
+    for name, handler, help_text in (
+        ("run", cmd_run, "integrate an initial value problem"),
+        ("verify", cmd_verify, "run the verification suite"),
+        ("estimate", cmd_estimate, "estimate bilinear and norm-equivalence constants"),
+        ("oracle", cmd_oracle, "compare the solver against the closed-form vortex"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=(name == "run"), help="path to JSON config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name != "oracle":  # the closed-form vortex has no random input
+            p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
-    handlers = {
-        "run": cmd_run,
-        "verify": cmd_verify,
-        "estimate": cmd_estimate,
-        "oracle": cmd_oracle,
-    }
-    return handlers[args.command](args.config, args.out, args.seed, args.quiet)
+        handlers[name] = handler
+    try:
+        args = vars(parser.parse_args(argv))
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    try:
+        return handlers[args.pop("command")](**args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -182,21 +182,15 @@ class SpectralVectorField:
 
     def hermitian_defect(self) -> float:
         """max |uhat(k) - conj(uhat(-k))| relative to max |uhat|."""
-        scale = self.max_abs()
-        if scale == 0.0:
-            return 0.0
         mirror = _conj_reflect(self.coeffs, self.grid.spatial_axes)
-        return float(np.max(np.abs(self.coeffs - mirror))) / scale
+        return _relative_max(self.coeffs - mirror, self.max_abs())
 
     def divergence_coeffs(self) -> np.ndarray:
         return np.einsum("i...,i...->...", 1j * self.grid.k, self.coeffs)
 
     def divergence_defect(self) -> float:
         """max_k |k . uhat(k)| relative to max |uhat|."""
-        scale = self.max_abs()
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.divergence_coeffs()))) / scale
+        return _relative_max(self.divergence_coeffs(), self.max_abs())
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.coeffs.view(np.float64))))
@@ -233,6 +227,11 @@ class PhysicalVectorField:
             )
         if self.values.dtype != np.float64:
             object.__setattr__(self, "values", self.values.astype(np.float64))
+
+
+def _relative_max(defect: np.ndarray, scale: float) -> float:
+    """max |defect| relative to scale; 0 when scale is 0."""
+    return 0.0 if scale == 0.0 else float(np.max(np.abs(defect))) / scale
 
 
 def _require_same_grid(a: TorusGrid, b: TorusGrid) -> None:
@@ -328,7 +327,7 @@ def _unit_phase_coeffs(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
     symmetry is exact by construction.
     """
     noise = rng.standard_normal(grid.shape)
-    what = np.fft.fftn(noise) / grid.n_points
+    what = _fft(noise, grid)
     mag = np.abs(what)
     safe = np.where(mag > 0, mag, 1.0)
     return np.where(mag > 0, what / safe, 1.0 + 0.0j)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +64,7 @@ def _fmt(x: float) -> str:
 def write_diagnostics_csv(path, traj: Trajectory) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for row in traj.diagnostics:
-        lines.append(",".join(_fmt(v) for v in row.as_tuple()))
+        lines.append(",".join(_fmt(v) for v in astuple(row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -89,15 +89,12 @@ class RunManifest:
         if missing:
             raise FileNotFoundError(f"manifest references missing outputs: {missing}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def write_manifest(path, manifest: RunManifest) -> None:
     manifest.validate()
-    Path(path).write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
 
 
 def write_report_json(path, reports: list) -> None:
-    payload = [r.to_dict() if hasattr(r, "to_dict") else r for r in reports]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    """Reports are dataclasses (CheckReport, EstimateReport); tuples become JSON lists."""
+    Path(path).write_text(json.dumps([asdict(r) for r in reports], indent=2) + "\n")

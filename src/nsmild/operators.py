@@ -7,11 +7,12 @@ linear operator here is a modewise multiplier, so algebraic identities
 (idempotence, resolvent identity, semigroup law, power composition) hold to
 roundoff and the tests assert them at 1e-12.
 
-The projected nonlinearity F(u) = -P (u . grad) u has two evaluations.
-With dealiasing on, `divergence_form_F` evaluates -P div(u (x) u) with real
-transforms of the half spectrum; the grid's cutoff satisfies 3 * cutoff < n,
-so this is exact for divergence-free u on the retained modes. `advect` is
-the advective form, used without dealiasing and as the reference.
+The projected nonlinearity F(u) = -P (u . grad) u has one kernel,
+`projected_nonlinearity`, on arrays with any leading batch axes. With
+dealiasing on it evaluates -P div(u (x) u) with real transforms of the half
+spectrum; the grid's cutoff satisfies 3 * cutoff < n, so this is exact for
+divergence-free u on the retained modes. Without dealiasing it uses the
+advective form of `advect`, which is also the reference.
 Physical-space values come from the grid's real inverse transform `_ifft`.
 """
 
@@ -154,22 +155,26 @@ def advect(
     return SpectralVectorField(grid, coeffs)
 
 
-def divergence_form_F(u: SpectralVectorField) -> SpectralVectorField:
-    """-P div(u (x) u) on the two-thirds-dealiased modes, without input checks.
+def projected_nonlinearity(grid, coeffs: np.ndarray, dealias: bool = True) -> np.ndarray:
+    """F(u) = -P (u . grad) u of coefficients (..., dim) + grid.shape, without input checks.
 
-    For divergence-free u, (u . grad) u = div(u (x) u), and the dealiased
-    products are exact on the retained modes, so this equals the advective
-    form -P (u . grad) u of `advect` to roundoff. It takes d
-    real inverse and d(d+1)/2 real forward transforms of the half spectrum
-    and rebuilds the full Hermitian lattice at the end. The caller vouches
-    that u is divergence-free and mean-zero; `nonlinear_F` checks both.
+    Dealiased: -P div(u (x) u) on the two-thirds modes, every batch axis in one
+    pass of d real inverse and d(d+1)/2 real forward half-spectrum transforms;
+    for divergence-free u it equals the advective form to roundoff. Otherwise:
+    the advective form of `advect`, one field at a time, with the Nyquist
+    planes of the image zeroed so that states keep them empty. The zero mode
+    is pinned to 0. The caller vouches that u is divergence-free and
+    mean-zero; `nonlinear_F` checks both.
     """
-    return SpectralVectorField(u.grid, _divergence_form(u.grid, u.coeffs))
-
-
-def _divergence_form(grid, coeffs: np.ndarray) -> np.ndarray:
-    """`divergence_form_F` of coefficients (..., dim) + grid.shape, batch axes in one pass."""
     d = grid.dim
+    if not dealias:
+        out = np.empty(coeffs.shape, dtype=np.complex128)
+        for index in np.ndindex(coeffs.shape[: -d - 1]):
+            u = SpectralVectorField(grid, coeffs[index])
+            image = advect(u, u, apply_dealias=False).coeffs * ~grid.nyquist_mask
+            out[index] = -leray_symbol_apply(grid, image)
+        out[(...,) + (0,) * d] = 0.0
+        return out
     mask = _half(grid.dealias_mask, grid)
     k = _half(grid.k, grid)
     u_phys = np.moveaxis(_irfft(_half(coeffs, grid) * mask, grid), -d - 1, 0)
@@ -185,31 +190,16 @@ def _divergence_form(grid, coeffs: np.ndarray) -> np.ndarray:
     return _full_spectrum(half, grid)
 
 
-def _projected_nonlinearity(u: SpectralVectorField, apply_dealias: bool) -> SpectralVectorField:
-    """F(u) = -P (u . grad) u without input checks.
-
-    Uses `divergence_form_F` when dealiasing and the undealiased advective
-    form of `advect` otherwise. The zero mode of the advection image
-    integrates to zero for divergence-free inputs, so it is pinned to exactly
-    zero; the output is divergence-free by projection.
-    """
-    if apply_dealias:
-        return divergence_form_F(u)
-    coeffs = -leray_symbol_apply(u.grid, advect(u, u, apply_dealias=False).coeffs)
-    coeffs[(slice(None),) + (0,) * u.grid.dim] = 0.0
-    return SpectralVectorField(u.grid, coeffs)
-
-
 def nonlinear_F(u: SpectralVectorField, apply_dealias: bool = True) -> SpectralVectorField:
     """Projected advection nonlinearity -P (u . grad) u for div-free mean-zero u.
 
     Checks that u is mean-zero and divergence-free, then evaluates
-    `_projected_nonlinearity`.
+    `projected_nonlinearity`.
     """
     _require_mean_zero(u, "nonlinear term")
     if u.divergence_defect() > 1e-10:
         raise ValueError("nonlinear term requires a divergence-free field")
-    return _projected_nonlinearity(u, apply_dealias)
+    return SpectralVectorField(u.grid, projected_nonlinearity(u.grid, u.coeffs, apply_dealias))
 
 
 def lp_norm(u, p: float) -> float:
@@ -235,7 +225,7 @@ def frac_norm(u: SpectralVectorField, params: FracNormParams) -> float:
 
 def spectral_l2_norm(u: SpectralVectorField) -> float:
     """L_2 norm evaluated from the coefficients (discrete Parseval identity)."""
-    return float(np.sqrt(u.grid.volume * np.sum(np.abs(u.coeffs) ** 2)))
+    return float(np.sqrt(energy(u)))
 
 
 def l2_inner(u: SpectralVectorField, v: SpectralVectorField) -> float:

@@ -14,14 +14,15 @@ applies the factor of lag d as the d-th power of the one-node factor.
 `march` evaluates F(u) = -P (u . grad) u once per state: the same array
 feeds the diagnostics of a snapshot and the step that leaves it. The heat
 and h phi1 symbols and the projected forcing base are built once per march
-(`StepMultipliers`). Inside the solvers F is evaluated without the input
-checks of `nonlinear_F`, because `prepare_initial` validates the initial
-field and projection keeps every later state divergence-free and mean-zero.
+(`StepMultipliers`). Inside the solvers F is evaluated by
+`projected_nonlinearity`, without the input checks of `nonlinear_F`, because
+`prepare_initial` validates the initial field and projection keeps every
+later state divergence-free and mean-zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -37,9 +38,7 @@ from .grid import (
 )
 from .operators import (
     FracNormParams,
-    _divergence_form,
     _phi1_of,
-    _projected_nonlinearity,
     energy,
     enstrophy,
     frac_norm,
@@ -47,6 +46,7 @@ from .operators import (
     lp_norm,
     max_pointwise_divergence,
     nonlinear_F,
+    projected_nonlinearity,
 )
 
 BLOWUP_NORM = 1e8
@@ -121,9 +121,6 @@ class DiagnosticsRow:
     max_div: float
     norm_x_half: float
     norm_f: float
-
-    def as_tuple(self) -> tuple:
-        return astuple(self)
 
 
 @dataclass(frozen=True)
@@ -251,6 +248,13 @@ def exp_euler_step(
     return u_next
 
 
+def march_schedule(span: float, dt: float, every: int) -> tuple[int, int]:
+    """(steps, kept) of a `march` over span: span/dt steps of dt, rounded, keeping
+    the state of every `every`-th step and of the last."""
+    steps = int(round(span / dt))
+    return steps, len(range(0, steps, every)) + 1
+
+
 def march(
     u0: SpectralVectorField,
     config: SolverConfig,
@@ -273,7 +277,7 @@ def march(
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
     u = prepare_initial(u0)
-    n_steps = int(round((t_end - t0) / config.dt))
+    n_steps, _ = march_schedule(t_end - t0, config.dt, config.snapshot_every)
     if n_steps < 1:
         raise ValueError("t_end - t0 must cover at least one step")
 
@@ -288,24 +292,21 @@ def march(
             sink(len(times), t, u)
         times.append(t)
 
-    F = _projected_nonlinearity(u, config.dealias)
-    keep(t0, u, F)
     blowup = False
-    for m in range(n_steps):
+    for m in range(n_steps + 1):
+        # F(u) of every state: the step that leaves it needs it, or the final snapshot
+        F = SpectralVectorField(u.grid, projected_nonlinearity(u.grid, u.coeffs, config.dealias))
         t_m = t0 + m * config.dt
+        if blowup or m % config.snapshot_every == 0 or m == n_steps:  # as march_schedule counts
+            keep(t_m, u, F)
+        if blowup or m == n_steps:
+            break
         try:
             u = exp_euler_step(u, t_m, config, F_m=F, multipliers=multipliers)
         except FieldBlowup:
             blowup = True
             break
-        t_next = t0 + (m + 1) * config.dt
-        # F(u) of every new state: the next step needs it, or the final snapshot
-        F = _projected_nonlinearity(u, config.dealias)
         blowup = bool(np.sqrt(energy(u)) > BLOWUP_NORM)
-        if blowup or (m + 1) % config.snapshot_every == 0 or m == n_steps - 1:
-            keep(t_next, u, F)
-        if blowup:
-            break
     return Trajectory(np.asarray(times), tuple(fields), tuple(diags), blowup=blowup)
 
 
@@ -321,13 +322,14 @@ def picard_solve(
     """Fixed-point iteration for the integral equation on [t0, t0 + window_T].
 
     The window has config.n_nodes uniform nodes; an iterate is one array of
-    shape (n_nodes, dim) + grid.shape, and F of all nodes is one kernel call
-    (node 0 stays u0, so its F is evaluated once). The time integral uses the
-    trapezoidal rule in s, applied by the recurrence S_j = E (S_{j-1} +
-    (h/2) g_{j-1}) + (h/2) g_j with E = exp(-nu h |k|^2), so the heat factor
-    of lag d is E^d. The first iterate is the heat flow of u0, and the update
-    is repeated until the maximum nodewise change, measured in the alpha =
-    1/2 fractional norm, drops below picard_tol.
+    shape (n_nodes, dim) + grid.shape, and F of nodes 1.. is one kernel call,
+    as is F of the converged window for its diagnostics. Node 0 stays u0, so
+    its F is evaluated once per solve. The time integral uses the trapezoidal rule
+    in s, applied by the recurrence S_j = E (S_{j-1} + (h/2) g_{j-1}) +
+    (h/2) g_j with E = exp(-nu h |k|^2), so the heat factor of lag d is E^d.
+    The first iterate is the heat flow of u0, and the update is repeated
+    until the maximum nodewise change, measured in the alpha = 1/2
+    fractional norm, drops below picard_tol.
 
     Raises NotContracting after three consecutive non-decreasing residuals
     (a non-finite residual fails immediately) and MaxIters when the cap is
@@ -348,15 +350,16 @@ def picard_solve(
     residual_history: list = []
     bad_streak = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        F0 = _projected_nonlinearity(u0, config.dealias).coeffs  # node 0 is u0 in every iterate
+        F0 = projected_nonlinearity(grid, u0.coeffs, config.dealias)
+
+    def nodes_F(nodes: np.ndarray) -> np.ndarray:
+        # node 0 is u0 in every iterate, so its F is F0
+        rest = projected_nonlinearity(grid, nodes[1:], config.dealias)
+        return np.concatenate([F0[np.newaxis], rest])
+
     for iteration in range(1, config.picard_max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if config.dealias:
-                rest = _divergence_form(grid, current[1:])
-            else:
-                rest = [_projected_nonlinearity(SpectralVectorField(grid, c), False).coeffs
-                        for c in current[1:]]
-            g = np.concatenate([F0[np.newaxis], rest])
+            g = nodes_F(current)
             if forcing_hat is not None:
                 g += forcing_hat
             half_hg = 0.5 * h * g
@@ -381,7 +384,9 @@ def picard_solve(
             raise NotContracting(residual_history)
         if residual < config.picard_tol:
             fields = tuple(SpectralVectorField(grid, c) for c in current)
-            diags = tuple(compute_diagnostics(f, t, config) for f, t in zip(fields, times))
+            F = nodes_F(current)
+            diags = tuple(compute_diagnostics(u, t, config, F=SpectralVectorField(grid, F_j))
+                          for u, t, F_j in zip(fields, times, F))
             return Trajectory(times, fields, diags), iteration, residual_history
         worse = len(residual_history) >= 2 and residual >= residual_history[-2]
         bad_streak = bad_streak + 1 if worse else 0

@@ -498,6 +498,10 @@ class TestConfigErrorTable:
             ("oracle", {"oracle": {"n_modes": 31}}, "oracle.n_modes"),
             ("estimate", {"estimate": {"theta": 1.5}}, "estimate.theta"),
             ("run", dict(with_block("run"), solver={"p": float("nan")}), "solver"),
+            ("verify", {"verify": {"trajectory_t_end": 0.02}}, "verify.trajectory_t_end"),
+            ("verify", {"verify": {"trajectory_snapshot_every": 1000}},
+             "verify.trajectory_t_end"),
+            ("verify", {"verify": {"trajectory_t_end": 0.0001}}, "verify.trajectory_t_end"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):
@@ -506,5 +510,40 @@ class TestConfigErrorTable:
         assert main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestUsageErrors:
+    """Command-line misuse exits 1 (exit 2 is the blow-up sentinel) before any output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "c.json"],
+            ["run", "--config", "c.json", "--out", "OUT", "--seed", "x"],
+            ["simulate", "--out", "OUT"],
+            ["oracle", "--out", "OUT", "--seed", "5"],
+        ],
+        ids=["missing-out", "non-integer-seed", "unknown-command", "oracle-seed"],
+    )
+    def test_exits_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([str(out) if a == "OUT" else a for a in argv]) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        assert main(["run", "--help"]) == 0
+        assert "--seed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "verify", "estimate"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        config = write_config(tmp_path / "c.json", RUN_BASE if command == "run" else {})
+        out = tmp_path / "out"
+        argv = [command, "--config", config, "--out", str(out), "--seed", "-1", "--quiet"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: expected an integer >= 0, got '-1'" in err
         assert "Traceback" not in err
         assert not out.exists()

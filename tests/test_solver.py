@@ -21,9 +21,15 @@ from nsmild import (
     spectral_l2_norm,
     zero_field,
 )
-from nsmild import operators
+from nsmild import operators, solver
 from nsmild.grid import ForcingSpec, SpectralVectorField, make_grid
-from nsmild.solver import ProjectedForcing, SolverError, compute_diagnostics, prepare_initial
+from nsmild.solver import (
+    ProjectedForcing,
+    SolverError,
+    compute_diagnostics,
+    march_schedule,
+    prepare_initial,
+)
 from nsmild.verification import taylor_green
 
 
@@ -98,6 +104,12 @@ class TestMarch:
         assert np.all(np.diff(traj.times) > 0)
         assert len(traj.diagnostics) == len(traj.times)
 
+    @pytest.mark.parametrize("every", [1, 3, 4, 10, 11])
+    def test_schedule_counts_the_kept_states(self, grid2, every):
+        config = SolverConfig(nu=1.0, dt=1e-2, snapshot_every=every)
+        traj = march(random_divfree_field(grid2, seed=6), config, 0.1)
+        assert march_schedule(0.1, 1e-2, every) == (10, len(traj.times))
+
     def test_energy_dissipation(self, grid2):
         # f = 0, dt <= 0.1/nu: discrete energy is nonincreasing
         config = SolverConfig(nu=1.0, dt=0.1, snapshot_every=1)
@@ -134,14 +146,18 @@ class TestMarch:
 
     def test_nonlinearity_evaluated_once_per_state(self, grid2, monkeypatch):
         calls = []
-        for name in ("divergence_form_F", "advect"):
-            original = getattr(operators, name)
+        # every path to F: the march's own call, and nonlinear_F (compute_diagnostics
+        # without F=, exp_euler_step without F_m=) through the operators module
+        patched = ((solver, "projected_nonlinearity"), (operators, "projected_nonlinearity"),
+                   (operators, "advect"))
+        for module, name in patched:
+            original = getattr(module, name)
 
             def counted(*args, _original=original, **kwargs):
                 calls.append(1)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(operators, name, counted)
+            monkeypatch.setattr(module, name, counted)
         base = random_divfree_field(grid2, seed=11)
         config = SolverConfig(
             nu=1.0, dt=1e-2, forcing=ForcingSpec(kind="steady", base_field=base),
@@ -153,6 +169,16 @@ class TestMarch:
         assert len(traj.diagnostics) == n_steps + 1
         for u, t, row in zip(traj.fields, traj.times, traj.diagnostics):
             assert row == compute_diagnostics(u, t, config)
+
+    def test_without_dealiasing_states_stay_hermitian(self):
+        # the Nyquist planes of the advection image are zeroed, so they stay empty
+        grid = make_grid(2, 32)
+        config = SolverConfig(nu=1.0, dt=1e-2, dealias=False)
+        traj = march(random_divfree_field(grid, seed=3), config, 0.1)
+        assert len(traj.fields) == 11
+        for u in traj.fields:
+            assert u.hermitian_defect() <= 1e-12
+            assert not np.any(u.coeffs[:, grid.nyquist_mask])
 
     @pytest.mark.parametrize(
         "snapshot_every,amplitude,nu,dt",
@@ -248,8 +274,7 @@ def reference_picard(u0, config):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             g = []
             for j in range(n):
-                u_j = SpectralVectorField(grid, current[j])
-                g_j = operators._projected_nonlinearity(u_j, config.dealias).coeffs
+                g_j = operators.projected_nonlinearity(grid, current[j], config.dealias)
                 g.append(g_j if forcing_hat[j] is None else g_j + forcing_hat[j])
             new = [heat_flow[0]]
             for j in range(1, n):

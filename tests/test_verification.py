@@ -1,5 +1,7 @@
 """Verification harness: operator-claim checks, estimate reports, oracle."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -356,7 +358,7 @@ class TestExistenceTimeTrend:
 class TestReportTypes:
     def test_check_report_serializes(self):
         report = CheckReport("demo", True, {"value": 1.0})
-        d = report.to_dict()
+        d = asdict(report)
         assert d["name"] == "demo" and d["passed"] is True
 
     def test_estimate_report_validation(self):
