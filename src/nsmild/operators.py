@@ -208,12 +208,23 @@ def lp_norm(u, p: float) -> float:
     Component powers are summed inside the quadrature, matching the norm
     (sum_i |u_i|_p^p)^(1/p). Accepts spectral or physical fields.
     """
-    if p < 2.0:
-        raise ValueError(f"p must be >= 2, got {p}")
     if isinstance(u, SpectralVectorField):
         u = inverse_transform(u)
-    total = float(np.sum(np.abs(u.values) ** p))
-    return (u.grid.cell_volume * total) ** (1.0 / p)
+    return float(_lp(u.values, u.grid, p))
+
+
+_libm_pow = np.vectorize(pow, otypes=[float])  # x ** y, bit for bit as Python floats
+
+
+def _lp(values: np.ndarray, grid, p: float) -> np.ndarray:
+    """L_p norm of each sample in values shaped (..., components) + grid.shape.
+
+    The root is `_libm_pow`, as numpy's vectorized power can differ in the last bit.
+    """
+    if p < 2.0:
+        raise ValueError(f"p must be >= 2, got {p}")
+    total = np.sum(np.abs(values) ** p, axis=tuple(range(-grid.dim - 1, 0)))
+    return _libm_pow(grid.cell_volume * total, 1.0 / p)
 
 
 def frac_norm(u: SpectralVectorField, params: FracNormParams) -> float:
@@ -242,22 +253,18 @@ def gradient_norm(u: SpectralVectorField, p: float, variant: str = "full") -> fl
     ``diagonal`` uses only the entries du_i/dx_i, the componentwise reading
     of grad u as a vector, which can vanish for nonzero fields.
     """
-    if p < 2.0:
-        raise ValueError(f"p must be >= 2, got {p}")
     if variant not in ("full", "diagonal"):
         raise ValueError(f"variant must be full or diagonal, got {variant!r}")
     _require_mean_zero(u, "gradient norm")
     dim = u.grid.dim
     pairs = [(i, j) for i in range(dim) for j in range(dim) if variant == "full" or i == j]
-    total = sum(float(np.sum(np.abs(entry) ** p)) for entry in _jacobian_entries(u, pairs))
-    return (u.grid.cell_volume * total) ** (1.0 / p)
+    return float(_lp(_jacobian_entries(u, pairs), u.grid, p))
 
 
-def _jacobian_entries(u: SpectralVectorField, pairs):
-    """du_i/dx_j on the collocation lattice for each (i, j) in pairs, one at a time."""
+def _jacobian_entries(u: SpectralVectorField, pairs) -> np.ndarray:
+    """Samples of du_i/dx_j for each (i, j) in pairs, stacked, one transform per entry."""
     k = u.grid.k
-    for i, j in pairs:
-        yield _ifft(1j * k[j] * u.coeffs[i], u.grid)
+    return np.stack([_ifft(1j * k[j] * u.coeffs[i], u.grid) for i, j in pairs])
 
 
 def energy(u: SpectralVectorField) -> float:

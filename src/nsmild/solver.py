@@ -29,7 +29,6 @@ import numpy as np
 
 from .grid import (
     ForcingSpec,
-    PhysicalVectorField,
     SpectralVectorField,
     TorusGrid,
     _ifft,
@@ -38,6 +37,7 @@ from .grid import (
 )
 from .operators import (
     FracNormParams,
+    _lp,
     _phi1_of,
     energy,
     enstrophy,
@@ -50,6 +50,7 @@ from .operators import (
 )
 
 BLOWUP_NORM = 1e8
+DIV_TOL = 1e-10  # largest divergence defect of a solver input or a stored state
 
 
 class SolverError(Exception):
@@ -146,10 +147,10 @@ class Trajectory:
     def final_field(self) -> SpectralVectorField:
         return self.fields[-1]
 
-    def validate(self, div_tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Assert the stored-field invariants: divergence-free, mean-zero."""
         for t, u in zip(self.times, self.fields):
-            if u.divergence_defect() > div_tol:
+            if u.divergence_defect() > DIV_TOL:
                 raise AssertionError(f"field at t={t} violates divergence tolerance")
             if np.any(u.mean_mode() != 0):
                 raise AssertionError(f"field at t={t} has a nonzero mean mode")
@@ -176,7 +177,7 @@ def compute_diagnostics(
 
 def prepare_initial(u0: SpectralVectorField) -> SpectralVectorField:
     """Validate and normalize solver input: divergence-free, exactly mean-zero."""
-    if u0.divergence_defect() > 1e-10:
+    if u0.divergence_defect() > DIV_TOL:
         raise ValueError("initial field must be divergence-free")
     _require_mean_zero(u0, "the solver")
     coeffs = u0.coeffs.copy()
@@ -376,8 +377,7 @@ def picard_solve(
                     break
                 _require_mean_zero(node, "fractional power")
             else:
-                samples = _ifft(diff * symbol, grid)
-                residual = max(lp_norm(PhysicalVectorField(grid, x), config.p) for x in samples)
+                residual = float(np.max(_lp(_ifft(diff * symbol, grid), grid, config.p)))
         residual_history.append(residual)
         current = new
         if not np.isfinite(residual):

@@ -393,6 +393,23 @@ class TestVerifyCommand:
                      "--quiet"])
         assert code == 0
 
+    @pytest.mark.parametrize("amplitude", [1e7, 300.0])
+    def test_blown_up_trajectory_is_a_failed_check(self, tmp_path, capsys, amplitude):
+        """1e7 keeps fewer than 10 snapshots; 300 keeps 10, then blows up."""
+        verify = {"trajectory_amplitude": amplitude, "ensemble_size": 2, "n_modes": 8,
+                  "resolutions": [8, 16], "trajectory_n_modes": 16}
+        config = write_config(tmp_path / "verify.json", {"verify": verify})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", config, "--out", str(out), "--quiet"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        text = (out / "report.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        reports = {r["name"]: r for r in json.loads(text)}
+        assert len(reports) == 16
+        for name in ("hoelder_fit_trajectory", "nonlinearity_lipschitz_stability"):
+            assert reports[name]["passed"] is False
+            assert reports[name]["measurements"]["blowup"] is True
+
     def test_verify_rows_follow_verify_settings(self):
         fields = dataclasses.fields(VerifySettings)
         assert list(SCHEMA["verify"]) == [f.name for f in fields]
@@ -452,7 +469,7 @@ class TestConfigErrorTable:
             ("run", with_block("run", t_end=0.0), "run.t_end"),
             ("run", with_block("run", t_end=1e-5), "run.t_end"),
             ("run", with_block("run", t_end=float("inf")), "run.t_end"),
-            ("run", dict(with_block("run"), solver={"dt": float("inf")}), "solver"),
+            ("run", dict(with_block("run"), solver={"dt": float("inf")}), "solver.dt"),
             ("estimate", {"estimate": {"resolutions": []}}, "estimate.resolutions"),
             ("estimate", {"estimate": {"resolutions": [15]}}, "estimate.resolutions"),
             ("estimate", {"estimate": {"resolutions": 16}}, "estimate.resolutions"),
@@ -497,11 +514,23 @@ class TestConfigErrorTable:
             ("oracle", {"oracle": {"n_modes": 32.0}}, "oracle.n_modes"),
             ("oracle", {"oracle": {"n_modes": 31}}, "oracle.n_modes"),
             ("estimate", {"estimate": {"theta": 1.5}}, "estimate.theta"),
-            ("run", dict(with_block("run"), solver={"p": float("nan")}), "solver"),
+            ("run", dict(with_block("run"), solver={"p": float("nan")}), "solver.p"),
             ("verify", {"verify": {"trajectory_t_end": 0.02}}, "verify.trajectory_t_end"),
             ("verify", {"verify": {"trajectory_snapshot_every": 1000}},
              "verify.trajectory_t_end"),
             ("verify", {"verify": {"trajectory_t_end": 0.0001}}, "verify.trajectory_t_end"),
+            ("run", dict(with_block("run"), initial={"amplitude": float("nan")}),
+             "initial.amplitude"),
+            ("run", dict(with_block("run"), forcing={"kind": "steady", "amplitude": float("inf")}),
+             "forcing.amplitude"),
+            ("run", dict(with_block("run"), solver={"nu": float("inf")}), "solver.nu"),
+            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16,
+                                                  "period": float("inf")}), "grid.period"),
+            ("run", dict(with_block("run"), solver={"picard_tol": float("nan")}),
+             "solver.picard_tol"),
+            ("run", with_block("run", snapshot_every=0), "run.snapshot_every"),
+            ("verify", {"verify": {"p": float("inf")}}, "verify.p"),
+            ("run", dict(with_block("run"), solver={"nu": 10**400}), "solver.nu"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):

@@ -30,6 +30,7 @@ from nsmild import (
     zero_field,
 )
 from nsmild.operators import (
+    _lp,
     _phi1_of,
     apply_shifted_laplacian,
     max_pointwise_divergence,
@@ -328,6 +329,23 @@ class TestNorms:
         z = zero_field(grid3)
         assert gradient_norm(z, 2.0, "full") == 0.0
         assert gradient_norm(z, 2.0, "diagonal") == 0.0
+
+
+class TestBatchedLp:
+    """`_lp` of a batch is `lp_norm` of each row, bit for bit."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_rows_equal_lp_norm(self, dim, n, p):
+        grid = make_grid(dim, n)
+        fields = [random_divfree_field(grid, seed) for seed in range(20)]
+        rows = [inverse_transform(u).values for u in fields]
+        # the quadrature in Python floats (numpy's vectorized power can differ in the last bit)
+        cell = grid.cell_volume
+        quadrature = [(cell * float(np.sum(np.abs(x) ** p))) ** (1.0 / p) for x in rows]
+        assert [lp_norm(u, p) for u in fields] == quadrature
+        batch = _lp(np.stack(rows).reshape((4, 5, dim) + grid.shape), grid, p)
+        np.testing.assert_array_equal(batch, np.reshape(quadrature, (4, 5)))
 
 
 class TestRealInverseTransform:

@@ -29,12 +29,13 @@ from nsmild import (
     spectral_l2_norm,
 )
 from nsmild.grid import PhysicalVectorField, make_grid
-from nsmild.operators import FracNormParams, frac_norm, lp_norm, nonlinear_F
+from nsmild.operators import FracNormParams, frac_norm, gradient_norm, lp_norm, nonlinear_F
 from nsmild.solver import Trajectory, compute_diagnostics
 from nsmild.verification import (
     CheckReport,
     EstimateReport,
     HoelderFit,
+    _hoelder_fit,
     advection_ratio,
     check_energy_orthogonality,
     check_frac_power_composition,
@@ -50,6 +51,73 @@ def make_trajectory(fields, times, config=None):
     config = config or SolverConfig()
     diags = tuple(compute_diagnostics(f, t, config) for f, t in zip(fields, times))
     return Trajectory(np.asarray(times, dtype=float), tuple(fields), diags)
+
+
+def reference_hoelder_fit(times, samples, grid, p):
+    """`_hoelder_fit` as a double loop over pairs, one `lp_norm` per pair."""
+    times = np.asarray(times, dtype=float)
+    min_sep = 2.0 * float(np.min(np.diff(times)))
+    log_dt, log_du = [], []
+    n = len(times)
+    for i in range(n):
+        for j in range(i + 1, n):
+            sep = times[j] - times[i]
+            if sep < min_sep:
+                continue
+            d = lp_norm(PhysicalVectorField(grid, samples[j] - samples[i]), p)
+            if d > 0.0:
+                log_dt.append(np.log(sep))
+                log_du.append(np.log(d))
+    log_dt = np.asarray(log_dt)
+    log_du = np.asarray(log_du)
+    beta, intercept = np.polyfit(log_dt, log_du, 1)
+    predicted = beta * log_dt + intercept
+    ss_res = float(np.sum((log_du - predicted) ** 2))
+    ss_tot = float(np.sum((log_du - np.mean(log_du)) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    return HoelderFit(
+        C=float(np.exp(intercept)),
+        beta=float(beta),
+        r_squared=max(0.0, min(1.0, r_squared)),
+        sample_pairs=len(log_du),
+    )
+
+
+def reference_assumption_F(traj1, traj2, p, beta=None):
+    """`check_assumption_F` measurements (alpha = 1/2) as a double loop over pairs."""
+    grid = traj1.fields[0].grid
+    x1, x2 = (_frac_samples(t.fields, 0.5) for t in (traj1, traj2))
+    if beta is None:
+        beta = min(reference_hoelder_fit(traj1.times, x, grid, p).beta for x in (x1, x2))
+    f1, f2 = (_frac_samples([nonlinear_F(u) for u in t.fields], 0.0) for t in (traj1, traj2))
+    max_r, pairs, skipped = 0.0, 0, 0
+    n = len(traj1.times)
+    for i in range(n):
+        for j in range(n):
+            dt = abs(float(traj1.times[i]) - float(traj2.times[j]))
+            du = lp_norm(PhysicalVectorField(grid, x1[i] - x2[j]), p)
+            denom = dt**beta + du
+            if denom == 0.0:
+                skipped += 1
+                continue
+            df = lp_norm(PhysicalVectorField(grid, f1[i] - f2[j]), p)
+            max_r = max(max_r, df / denom)
+            pairs += 1
+    return {"max_ratio": max_r, "beta": float(beta), "pairs": pairs,
+            "skipped_degenerate": skipped, "finite": bool(np.isfinite(max_r))}
+
+
+def count_inverse_transforms(monkeypatch):
+    """Count the calls of numpy's real inverse transform from here on."""
+    calls = []
+    irfftn = np.fft.irfftn
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return irfftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfftn", counted)
+    return calls
 
 
 class TestResolventDivfree:
@@ -87,6 +155,13 @@ class TestSemigroupCheck:
         assert report.passed
         assert report.measurements["contraction_violation"] <= 1e-12
 
+    def test_each_field_and_image_transformed_once(self, grid3, monkeypatch):
+        fields = [random_divfree_field(grid3, seed) for seed in range(3)]
+        times = (0.01, 0.1, 1.0)
+        calls = count_inverse_transforms(monkeypatch)
+        check_semigroup(fields, times, p_values=(2.0, 4.0))
+        assert len(calls) == len(fields) * (1 + len(times))
+
 
 class TestOperatorIdentities:
     def test_defects_at_roundoff(self, grid3):
@@ -102,6 +177,16 @@ class TestOperatorIdentities:
         assert check_frac_power_composition(fields).passed
         assert check_energy_orthogonality(fields).passed
         assert check_gradient_identity(fields).passed
+
+    def test_gradient_identity_transforms_once(self, grid3, monkeypatch):
+        fields = [random_divfree_field(grid3, s) for s in range(3)]
+        ratios = [gradient_norm(u, 4.0) / frac_norm(u, FracNormParams(0.5, 4.0)) for u in fields]
+        calls = count_inverse_transforms(monkeypatch)
+        report = check_gradient_identity(fields)
+        assert len(calls) == len(fields) * (grid3.dim**2 + 1)
+        assert report.measurements["report_p"] == 4.0
+        assert report.measurements["ratio_p_min"] == min(ratios)
+        assert report.measurements["ratio_p_max"] == max(ratios)
 
 
 class TestBilinearEstimate:
@@ -209,6 +294,25 @@ class TestHoelderFit:
         with pytest.raises(ValueError):
             make_trajectory([u] * 12, times)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_equals_pairwise_reference(self, grid2, p):
+        config = SolverConfig(nu=1.0, dt=1e-3, snapshot_every=5)
+        traj = march(random_divfree_field(grid2, 21, 5.0, 0.5), config, 0.1)
+        expected = reference_hoelder_fit(traj.times, _frac_samples(traj.fields, 0.5), grid2, p)
+        assert estimate_hoelder(traj, 0.5, p) == expected
+
+    def test_skipped_pairs_equal_reference(self, grid2):
+        # uneven spacing skips pairs closer than twice the finest gap, and a
+        # repeated state gives one zero increment
+        u = random_divfree_field(grid2, 22, 5.0, 0.5)
+        times = [0.0, 0.005, 0.02, 0.03, 0.05, 0.07, 0.1, 0.12, 0.15, 0.2, 0.25, 0.3]
+        fields = [heat_semigroup(t, 1.0, u) for t in times]
+        fields[5] = fields[4]
+        samples = _frac_samples(fields, 0.5)
+        expected = reference_hoelder_fit(times, samples, grid2, 2.0)
+        assert expected.sample_pairs < len(times) * (len(times) - 1) // 2 - 1
+        assert _hoelder_fit(times, samples, grid2, 2.0) == expected
+
     def test_solver_trajectory_regularity(self, grid2):
         u0 = random_divfree_field(grid2, 21, spectrum_decay=5.0, amplitude=0.5)
         config = SolverConfig(nu=1.0, dt=1e-3, snapshot_every=5)
@@ -281,6 +385,23 @@ class TestAssumptionF:
         report = check_assumption_F(t1, t2)
         assert report.measurements["max_ratio"] > 0
         assert report.measurements["finite"]
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_equals_pairwise_reference(self, grid2, p):
+        config = SolverConfig(nu=1.0, dt=1e-3, snapshot_every=10)
+        t1 = march(random_divfree_field(grid2, 4, 5.0, 0.5), config, 0.1)
+        t2 = march(random_divfree_field(grid2, 5, 5.0, 0.5), config, 0.1)
+        report = check_assumption_F(t1, t2, p=p)
+        assert report.measurements == reference_assumption_F(t1, t2, p)
+
+    def test_constant_pair_equals_reference(self, grid2):
+        u = random_divfree_field(grid2, 2, amplitude=0.3)
+        times = np.linspace(0.0, 0.5, 11)
+        traj = make_trajectory([u] * len(times), times)
+        report = check_assumption_F(traj, traj, beta=1.0)
+        expected = reference_assumption_F(traj, traj, 2.0, beta=1.0)
+        assert expected["skipped_degenerate"] == len(times)
+        assert report.measurements == expected
 
     def test_mismatched_grids_rejected(self, grid2):
         u = random_divfree_field(grid2, 6, amplitude=0.2)
