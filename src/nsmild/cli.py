@@ -160,9 +160,12 @@ def settings(cfg: dict, block: str) -> dict:
 
 
 def _check_t_end(path: str, t_end: float, dt: float) -> None:
-    """The march from t = 0 needs a t_end that rounds to at least one step."""
+    """The march from t = 0 needs a t_end that rounds to 1 to 2**53 steps of dt:
+    past 2**53 steps, t = m * dt can repeat a time."""
     if not t_end / dt > 0.5:
         raise ConfigError(f"{path}: must cover at least one step of dt = {dt}, got {t_end!r}")
+    if t_end / dt > 2**53:  # exactly when round(t_end / dt) > 2**53
+        raise ConfigError(f"{path}: must cover at most 2**53 steps of dt = {dt}, got {t_end!r}")
 
 
 def _random_field(grid, block: str, seed: int, decay: float, amplitude: float):
@@ -221,9 +224,10 @@ def build_initial(cfg: dict, grid, seed: int):
     initial = settings(cfg, "initial")
     kind = initial["kind"]
     if kind == "taylor_green":
-        if grid.dim != 2:
-            raise ConfigError("initial.kind: taylor_green requires grid.dim = 2")
-        return taylor_green(grid, settings(cfg, "solver")["nu"], 0.0)
+        try:
+            return taylor_green(grid, settings(cfg, "solver")["nu"], 0.0)
+        except ValueError as exc:  # it is defined on the 2D 2 pi box only
+            raise ConfigError(f"initial.kind: taylor_green: {exc}") from exc
     if kind == "zero":
         return zero_field(grid)
     if kind != "random":
@@ -244,8 +248,9 @@ def cmd_run(config, out, seed=None, quiet=False) -> int:
     solver_cfg = build_solver_config(cfg, grid)
     u0 = build_initial(cfg, grid, run_seed)
     t_end = settings(cfg, "run")["t_end"]
-    _check_t_end("run.t_end", t_end, solver_cfg.dt)
-    if solver_cfg.scheme == "picard_window" and t_end != solver_cfg.window_T:
+    if solver_cfg.scheme == "exp_euler":
+        _check_t_end("run.t_end", t_end, solver_cfg.dt)
+    elif t_end != solver_cfg.window_T:  # the Picard window never uses solver.dt
         raise ConfigError(f"run.t_end: must equal solver.window_T = {solver_cfg.window_T} "
                           f"with scheme picard_window, got {t_end!r}")
 
@@ -305,6 +310,7 @@ _TAGS = {None: "INFO", True: "PASS", False: "FAIL"}
 
 def _check_suite_trajectory(values: dict) -> None:
     """The suite's Hoelder fits need at least 10 kept snapshots of its trajectory."""
+    _check_t_end("verify.trajectory_t_end", values["trajectory_t_end"], values["trajectory_dt"])
     every = values["trajectory_snapshot_every"]
     steps, kept = march_schedule(values["trajectory_t_end"], values["trajectory_dt"], every)
     if kept < 10:

@@ -24,6 +24,7 @@ TWO_PI = 2.0 * np.pi
 # relative tolerances for the field invariants
 DIVFREE_TOL = 1e-12
 MEAN_MODE_TOL = 1e-12
+DIV_TOL = 1e-10  # largest divergence defect of a solver input or a stored state
 
 
 def _integer_modes(n: int) -> np.ndarray:
@@ -400,8 +401,9 @@ def embed(u: SpectralVectorField, fine: TorusGrid) -> SpectralVectorField:
 class ForcingSpec:
     """Time-dependent forcing: zero, steady, or t^exponent times a base field.
 
-    The base field must be divergence-free and mean-zero so the solver stays
-    on the mean-zero divergence-free subspace.
+    The base field must be divergence-free and mean-zero. `projected` is P f0
+    with its mean mode set to 0, as `prepare_initial` sets u0's, so the solver
+    stays exactly on the mean-zero divergence-free subspace; None for zero.
     """
 
     kind: str = "zero"
@@ -413,16 +415,20 @@ class ForcingSpec:
             raise ValueError(f"unknown forcing kind {self.kind!r}")
         if not 0.0 < self.exponent <= 1.0:
             raise ValueError(f"exponent must lie in (0, 1], got {self.exponent}")
+        projected = None
         if self.kind != "zero":
             if self.base_field is None:
                 raise ValueError(f"forcing kind {self.kind!r} requires a base field")
             if self.base_field.divergence_defect() > DIVFREE_TOL:
                 raise ValueError("forcing base field must be divergence-free")
             _require_mean_zero(self.base_field, "forcing base")
+            projected = leray_symbol_apply(self.base_field.grid, self.base_field.coeffs)
+            projected[(slice(None),) + (0,) * self.base_field.grid.dim] = 0.0
+        object.__setattr__(self, "projected", projected)
 
     def amplitude(self, t: float) -> float | None:
         """Factor of the base field at time t; None means identically zero."""
-        if self.kind == "zero" or self.base_field is None:
+        if self.kind == "zero":
             return None
         if self.kind == "steady":
             return 1.0

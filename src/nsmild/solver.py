@@ -13,11 +13,12 @@ applies the factor of lag d as the d-th power of the one-node factor.
 
 `march` evaluates F(u) = -P (u . grad) u once per state: the same array
 feeds the diagnostics of a snapshot and the step that leaves it. The heat
-and h phi1 symbols and the projected forcing base are built once per march
-(`StepMultipliers`). Inside the solvers F is evaluated by
-`projected_nonlinearity`, without the input checks of `nonlinear_F`, because
-`prepare_initial` validates the initial field and projection keeps every
-later state divergence-free and mean-zero.
+and h phi1 symbols are built once per march (`StepMultipliers`). Inside the
+solvers F is evaluated by `projected_nonlinearity`, without the input checks
+of `nonlinear_F`. The mean-zero divergence-free invariant is owned where it
+enters: `prepare_initial` validates u0 and zeroes its mean mode, the kernel
+pins F's, and `ForcingSpec.projected` is P f0 with its mean mode zeroed, so
+every later state is divergence-free with a mean mode of exactly 0.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import (
+    DIV_TOL,
     ForcingSpec,
     SpectralVectorField,
     TorusGrid,
@@ -42,7 +44,6 @@ from .operators import (
     energy,
     enstrophy,
     frac_norm,
-    leray_project,
     lp_norm,
     max_pointwise_divergence,
     nonlinear_F,
@@ -50,7 +51,6 @@ from .operators import (
 )
 
 BLOWUP_NORM = 1e8
-DIV_TOL = 1e-10  # largest divergence defect of a solver input or a stored state
 
 
 class SolverError(Exception):
@@ -185,38 +185,24 @@ def prepare_initial(u0: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(u0.grid, coeffs)
 
 
-class ProjectedForcing:
-    """P f(t) = amplitude(t) P f0 on `grid`, with the base P f0 projected once."""
-
-    def __init__(self, config: SolverConfig, grid: TorusGrid):
-        self.spec = config.forcing
-        base = self.spec.base_field
-        if base is not None:
-            _require_same_grid(base.grid, grid)
-        self.base = None if base is None else leray_project(base).coeffs
-
-    def at(self, t: float) -> np.ndarray | None:
-        """Coefficients of P f(t); None means identically zero."""
-        amplitude = self.spec.amplitude(t)
-        return None if amplitude is None else amplitude * self.base
-
-
 @dataclass(frozen=True)
 class StepMultipliers:
     """The symbols of one exponential-Euler step on one grid.
 
     heat = exp(-nu h |k|^2) and h_phi1 = h phi1(-nu h |k|^2), plus the
-    projected forcing; `march` builds them once instead of every step.
+    forcing, checked to live on `grid`; `march` builds them once, not every step.
     """
 
     heat: np.ndarray
     h_phi1: np.ndarray
-    forcing: ProjectedForcing
+    forcing: ForcingSpec
 
     @classmethod
     def build(cls, grid: TorusGrid, config: SolverConfig) -> "StepMultipliers":
+        if config.forcing.projected is not None:
+            _require_same_grid(config.forcing.base_field.grid, grid)
         z = -config.nu * config.dt * grid.k_sq
-        return cls(np.exp(z), config.dt * _phi1_of(z), ProjectedForcing(config, grid))
+        return cls(np.exp(z), config.dt * _phi1_of(z), config.forcing)
 
 
 def exp_euler_step(
@@ -239,9 +225,9 @@ def exp_euler_step(
         if F_m is None:
             F_m = nonlinear_F(u_m, apply_dealias=config.dealias)
         rhs = F_m.coeffs
-        f = multipliers.forcing.at(t_m)
-        if f is not None:
-            rhs = rhs + f
+        amplitude = multipliers.forcing.amplitude(t_m)
+        if amplitude is not None:
+            rhs = rhs + amplitude * multipliers.forcing.projected
         coeffs = u_m.coeffs * multipliers.heat + rhs * multipliers.h_phi1
     u_next = SpectralVectorField(u_m.grid, coeffs)
     if not u_next.is_finite():
@@ -253,7 +239,7 @@ def march_schedule(span: float, dt: float, every: int) -> tuple[int, int]:
     """(steps, kept) of a `march` over span: span/dt steps of dt, rounded, keeping
     the state of every `every`-th step and of the last."""
     steps = int(round(span / dt))
-    return steps, len(range(0, steps, every)) + 1
+    return steps, -(-steps // every) + 1
 
 
 def march(
@@ -334,7 +320,8 @@ def picard_solve(
 
     Raises NotContracting after three consecutive non-decreasing residuals
     (a non-finite residual fails immediately) and MaxIters when the cap is
-    reached. Returns (trajectory-on-nodes, iterations, residual history).
+    reached. Returns (trajectory, iterations, residual history); like `march`,
+    the trajectory keeps every config.snapshot_every-th node and the last.
     """
     u0 = prepare_initial(u0)
     grid = u0.grid
@@ -343,8 +330,10 @@ def picard_solve(
     times = t0 + h * np.arange(n)
     E = _semigroup_powers(grid, config.nu, h, n)
     heat_flow = u0.coeffs * E[:, np.newaxis]
-    forcing = ProjectedForcing(config, grid)
-    forcing_hat = None if forcing.base is None else np.stack([forcing.at(t) for t in times])
+    forcing, forcing_hat = config.forcing, None
+    if forcing.projected is not None:
+        _require_same_grid(forcing.base_field.grid, grid)
+        forcing_hat = np.stack([forcing.amplitude(t) * forcing.projected for t in times])
     symbol = np.sqrt(grid.k_sq)  # (-Lap)^(1/2), the alpha of config.x_half
 
     current = heat_flow
@@ -370,24 +359,21 @@ def picard_solve(
                 S = E[1] * (S + half_hg[j - 1]) + half_hg[j]
                 new[j] += S
             diff = new - current
-            for coeffs in diff:
-                node = SpectralVectorField(grid, coeffs)
-                if not node.is_finite():
-                    residual = float("inf")
-                    break
-                _require_mean_zero(node, "fractional power")
-            else:
+            if np.isfinite(diff).all():  # its mean mode is 0, as u0's, F's and P f's are
                 residual = float(np.max(_lp(_ifft(diff * symbol, grid), grid, config.p)))
+            else:
+                residual = float("inf")
         residual_history.append(residual)
         current = new
         if not np.isfinite(residual):
             raise NotContracting(residual_history)
         if residual < config.picard_tol:
-            fields = tuple(SpectralVectorField(grid, c) for c in current)
+            kept = [j for j in range(n) if j % config.snapshot_every == 0 or j == n - 1]
+            fields = tuple(SpectralVectorField(grid, current[j]) for j in kept)
             F = nodes_F(current)
-            diags = tuple(compute_diagnostics(u, t, config, F=SpectralVectorField(grid, F_j))
-                          for u, t, F_j in zip(fields, times, F))
-            return Trajectory(times, fields, diags), iteration, residual_history
+            diags = tuple(compute_diagnostics(u, times[j], config, SpectralVectorField(grid, F[j]))
+                          for u, j in zip(fields, kept))
+            return Trajectory(times[kept], fields, diags), iteration, residual_history
         worse = len(residual_history) >= 2 and residual >= residual_history[-2]
         bad_streak = bad_streak + 1 if worse else 0
         if bad_streak >= 3:

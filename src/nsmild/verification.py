@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grid import (
+    TWO_PI,
     SpectralVectorField,
     TorusGrid,
     _ifft,
@@ -566,10 +567,10 @@ def taylor_green(grid: TorusGrid, nu: float, t: float) -> SpectralVectorField:
     """Closed-form decaying vortex: exp(-2 nu t) (sin x cos y, -cos x sin y).
 
     Its convective term is a pure gradient, so the projected dynamics reduce
-    to heat decay; only defined on 2D grids.
+    to heat decay; only defined on 2D grids of period 2 pi.
     """
-    if grid.dim != 2:
-        raise ValueError("the closed-form vortex is two-dimensional")
+    if grid.dim != 2 or grid.period != TWO_PI:
+        raise ValueError("the closed-form vortex is defined on the 2D grid of period 2 pi")
     u = field_from_function(
         grid,
         (
@@ -691,6 +692,23 @@ def _suite_trajectory(
     return march(embed(u0, make_grid(2, n_modes)), config, settings.trajectory_t_end)
 
 
+def _hoelder_report(traj: Trajectory) -> CheckReport:
+    """`hoelder_fit_trajectory`: the Hoelder fit of traj, or a failure that names why not.
+
+    A trajectory that blew up is not fitted; a fit that cannot be made (too few
+    nonzero increments, or HoelderFit rejecting beta outside (0, 1.05]) fails.
+    """
+    if traj.blowup:
+        return CheckReport("hoelder_fit_trajectory", False, {"blowup": True})
+    try:
+        fit = estimate_hoelder(traj)
+    except ValueError as exc:
+        return CheckReport("hoelder_fit_trajectory", False, {"fit_error": str(exc)})
+    measurements = {"beta": fit.beta, "C": fit.C, "r_squared": fit.r_squared,
+                    "sample_pairs": fit.sample_pairs}
+    return CheckReport("hoelder_fit_trajectory", fit.r_squared >= 0.9, measurements)
+
+
 def run_verification_suite(settings: VerifySettings | None = None) -> list:
     """Run every check with the given settings; returns a list of CheckReports."""
     s = settings or VerifySettings()
@@ -752,42 +770,34 @@ def run_verification_suite(settings: VerifySettings | None = None) -> list:
 
     reports.append(diagonal_dependence_scan(fields[:50]))
 
-    # time regularity of a solver trajectory; one that blew up is not fitted
+    # time regularity of a solver trajectory
     traj = _suite_trajectory(s, s.seed + 11000, s.trajectory_n_modes, s.trajectory_n_modes)
-    if traj.blowup:
-        reports.append(CheckReport("hoelder_fit_trajectory", False, {"blowup": True}))
-    else:
-        fit = estimate_hoelder(traj)
-        reports.append(
-            CheckReport(
-                "hoelder_fit_trajectory",
-                fit.r_squared >= 0.9,  # HoelderFit itself rejects beta outside (0, 1.05]
-                {"beta": fit.beta, "C": fit.C, "r_squared": fit.r_squared,
-                 "sample_pairs": fit.sample_pairs},
-            )
-        )
+    reports.append(_hoelder_report(traj))
 
     # Lipschitz stability of the nonlinearity across resolutions: as in
     # estimate_bilinear_constant, the data are drawn on the coarsest grid and
-    # embedded, so every resolution marches the same initial fields
+    # embedded, so every resolution marches the same initial fields. A
+    # resolution whose trajectories blew up or cannot be fitted fails the
+    # check, names the reason, and has no row.
     resolutions = sorted(s.resolutions)
-    max_ratios, blowup = [], False
+    max_ratios, failure = [], {}
     for n in resolutions:
         t1, t2 = (_suite_trajectory(s, s.seed + offset, resolutions[0], n)
                   for offset in (12000, 13000))
-        if t1.blowup or t2.blowup:  # such a resolution fails the check and has no row
-            blowup = True
+        if t1.blowup or t2.blowup:
+            failure["blowup"] = True
             continue
-        rep = check_assumption_F(t1, t2, p=s.p)
+        try:
+            rep = check_assumption_F(t1, t2, p=s.p)
+        except ValueError as exc:  # beta defaults to the two trajectories' fitted exponents
+            failure["fit_error"] = str(exc)
+            continue
         max_ratios.append((n, rep.measurements["max_ratio"]))
-    measurements = {"per_resolution": [list(r) for r in max_ratios]}
-    if blowup:
-        measurements["blowup"] = True
     reports.append(
         CheckReport(
             "nonlinearity_lipschitz_stability",
-            not blowup and _bounded(max_ratios),
-            measurements,
+            not failure and _bounded(max_ratios),
+            {"per_resolution": [list(r) for r in max_ratios], **failure},
         )
     )
 

@@ -88,6 +88,22 @@ class TestRun:
         assert main(["run", "--config", str(bad), "--out", str(out), "--quiet"]) == 1
         assert not out.exists()
 
+    def test_unreadable_config_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(missing), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {missing}: ")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_non_object_config_exits_1(self, tmp_path, capsys):
+        config = write_config(tmp_path / "list.json", [1, 2])
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {config}: top level must be a JSON object\n"
+        assert not out.exists()
+
     def test_missing_field_named_in_error(self, tmp_path, capsys):
         config = write_config(
             tmp_path / "incomplete.json",
@@ -140,6 +156,68 @@ class TestRun:
         assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 0
         assert (out / "diagnostics.csv").exists()
 
+
+    def test_picard_window_shorter_than_dt(self, tmp_path):
+        """The window is checked against solver.window_T, never against solver.dt."""
+        config = write_config(
+            tmp_path / "short.json",
+            {
+                "grid": {"dim": 2, "n_modes": 16},
+                "solver": {"scheme": "picard_window", "window_T": 4e-4, "n_nodes": 9},
+                "run": {"t_end": 4e-4, "seed": 5},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 0
+        assert len(read_diagnostics(out / "diagnostics.csv")) == 9
+
+    def test_picard_honours_snapshot_every(self, tmp_path):
+        """snapshot_every 4 on 9 nodes keeps nodes 0, 4 and 8, as march keeps steps."""
+        outputs = {}
+        for every in (1, 4):
+            config = write_config(
+                tmp_path / f"every{every}.json",
+                {
+                    "grid": {"dim": 2, "n_modes": 16},
+                    "solver": {"scheme": "picard_window", "window_T": 0.1, "n_nodes": 9},
+                    "forcing": {"kind": "steady", "seed": 2},
+                    "run": {"t_end": 0.1, "snapshot_every": every, "seed": 5},
+                },
+            )
+            out = outputs[every] = tmp_path / f"out{every}"
+            assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 0
+        all_nodes = (outputs[1] / "diagnostics.csv").read_text().splitlines()
+        kept = (outputs[4] / "diagnostics.csv").read_text().splitlines()
+        assert kept == [all_nodes[0]] + [all_nodes[1 + j] for j in (0, 4, 8)]
+        for index, node in enumerate((0, 4, 8)):
+            name = f"snapshot_{index:06d}.nsms"
+            assert (outputs[4] / name).read_bytes() == (
+                outputs[1] / f"snapshot_{node:06d}.nsms").read_bytes()
+        assert not (outputs[4] / "snapshot_000003.nsms").exists()
+
+    def test_nonfinite_step_keeps_one_state_and_exits_2(self, tmp_path):
+        config = write_config(
+            tmp_path / "huge.json",
+            {"grid": {"dim": 2, "n_modes": 16}, "initial": {"amplitude": 1e200},
+             "run": {"t_end": 0.01, "seed": 1}},
+        )
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 2
+        assert len(read_diagnostics(out / "diagnostics.csv")) == 1
+        assert json.loads((out / "manifest.json").read_text())["blowup"] is True
+
+    def test_nonfinite_picard_residual_exits_4(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "huge.json",
+            {"grid": {"dim": 2, "n_modes": 16},
+             "solver": {"scheme": "picard_window", "window_T": 0.1, "n_nodes": 9},
+             "initial": {"amplitude": 1e200}, "run": {"t_end": 0.1, "seed": 1}},
+        )
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 4
+        assert capsys.readouterr().err == "solver error: NotContracting after 1 iterations\n"
 
     def test_picard_failure_exits_4_with_manifest(self, tmp_path, capsys):
         config = picard_failure_config(tmp_path)
@@ -410,6 +488,29 @@ class TestVerifyCommand:
             assert reports[name]["passed"] is False
             assert reports[name]["measurements"]["blowup"] is True
 
+    @pytest.mark.parametrize(
+        "verify,reason",
+        [
+            ({"trajectory_decay": 1.0, "ensemble_size": 2}, "fitted exponent "),
+            ({"trajectory_amplitude": 1e-300, "ensemble_size": 2, "n_modes": 8,
+              "resolutions": [8, 16], "trajectory_n_modes": 16},
+             "degenerate trajectory: not enough nonzero increments"),
+        ],
+        ids=["beta-above-1.05", "zero-increments"],
+    )
+    def test_unfittable_trajectory_is_a_failed_check(self, tmp_path, capsys, verify, reason):
+        config = write_config(tmp_path / "verify.json", {"verify": verify})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", config, "--out", str(out), "--quiet"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        text = (out / "report.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        reports = {r["name"]: r for r in json.loads(text)}
+        assert len(reports) == 16
+        for name in ("hoelder_fit_trajectory", "nonlinearity_lipschitz_stability"):
+            assert reports[name]["passed"] is False
+            assert reports[name]["measurements"]["fit_error"].startswith(reason)
+
     def test_verify_rows_follow_verify_settings(self):
         fields = dataclasses.fields(VerifySettings)
         assert list(SCHEMA["verify"]) == [f.name for f in fields]
@@ -531,6 +632,20 @@ class TestConfigErrorTable:
             ("run", with_block("run", snapshot_every=0), "run.snapshot_every"),
             ("verify", {"verify": {"p": float("inf")}}, "verify.p"),
             ("run", dict(with_block("run"), solver={"nu": 10**400}), "solver.nu"),
+            ("run", with_block("run", t_end=1e300), "run.t_end"),
+            ("verify", {"verify": {"trajectory_t_end": 1e300}}, "verify.trajectory_t_end"),
+            ("oracle", {"oracle": {"t_end": 1e300}}, "oracle.t_end"),
+            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": 5.0},
+                         initial={"kind": "taylor_green"}), "initial.kind"),
+            ("run", dict(with_block("run"), grid={"dim": 3, "n_modes": 16},
+                         initial={"kind": "taylor_green"}), "initial.kind"),
+            ("run", dict(with_block("run"), initial={"kind": "vortex"}), "initial.kind"),
+            ("run", dict(with_block("run"), grid={"dim": 4, "n_modes": 16}), "grid"),
+            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": -1.0}),
+             "grid"),
+            ("run", dict(with_block("run"), forcing={"kind": "bogus"}), "forcing"),
+            ("run", dict(with_block("run"), forcing={"kind": "steady", "exponent": 1.5}),
+             "forcing"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):

@@ -177,12 +177,12 @@ class TestPhi1:
                                    (1 - np.exp(-1)) * u.coeffs[0, 0, 1, 0], rtol=1e-13)
 
     def test_branch_agreement(self):
-        # series branch vs stable direct formula at z = -1e-4
+        # the Taylor series vs the stable direct formula at z = -1e-4
         z = np.array([-1e-4])
         direct = np.expm1(z) / z
         series = 1 + z / 2 + z**2 / 6 + z**3 / 24
         assert abs(direct[0] - series[0]) < 1e-12
-        # the dispatcher takes the direct branch there, series below 1e-6
+        # _phi1_of is the direct formula there, and keeps full precision at |z| = 1e-8
         np.testing.assert_allclose(_phi1_of(z), direct, rtol=1e-13)
         np.testing.assert_allclose(_phi1_of(np.array([-1e-8])), [1 - 0.5e-8], rtol=1e-12)
 

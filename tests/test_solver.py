@@ -24,7 +24,6 @@ from nsmild import (
 from nsmild import operators, solver
 from nsmild.grid import ForcingSpec, SpectralVectorField, make_grid
 from nsmild.solver import (
-    ProjectedForcing,
     SolverError,
     compute_diagnostics,
     march_schedule,
@@ -109,6 +108,12 @@ class TestMarch:
         config = SolverConfig(nu=1.0, dt=1e-2, snapshot_every=every)
         traj = march(random_divfree_field(grid2, seed=6), config, 0.1)
         assert march_schedule(0.1, 1e-2, every) == (10, len(traj.times))
+
+    def test_schedule_counts_any_number_of_steps(self):
+        # len(range(...)) overflowed a C ssize_t here
+        steps, kept = march_schedule(1e300, 1e-3, 3)
+        assert steps == int(round(1e300 / 1e-3))
+        assert kept == (steps + 2) // 3 + 1
 
     def test_energy_dissipation(self, grid2):
         # f = 0, dt <= 0.1/nu: discrete energy is nonincreasing
@@ -252,6 +257,41 @@ class TestPicard:
         assert np.max(np.abs(got - expected)) <= 1e-6 * np.max(np.abs(expected))
 
 
+def forcing_with_tiny_mean(grid):
+    """A steady forcing whose base has a mean mode of 0.9e-12 max |f^|, which
+    ForcingSpec accepts (MEAN_MODE_TOL is 1e-12)."""
+    base = random_divfree_field(grid, seed=21)
+    coeffs = base.coeffs.copy()
+    coeffs[(0,) + (0,) * grid.dim] = 0.9e-12 * base.max_abs()
+    return ForcingSpec(kind="steady", base_field=SpectralVectorField(grid, coeffs))
+
+
+class TestForcingMeanMode:
+    """The forcing's mean mode is dropped where it enters, like u0's."""
+
+    def test_march_keeps_states_mean_free(self):
+        grid = make_grid(2, 16)
+        config = SolverConfig(nu=1.0, dt=0.01, forcing=forcing_with_tiny_mean(grid))
+        traj = march(zero_field(grid), config, 1.0)
+        assert not traj.blowup and traj.times[-1] == pytest.approx(1.0)
+        assert all(np.all(u.mean_mode() == 0) for u in traj.fields)
+
+    def test_picard_keeps_nodes_mean_free(self):
+        grid = make_grid(2, 16)
+        config = SolverConfig(nu=1.0, window_T=1.0, n_nodes=17,
+                              forcing=forcing_with_tiny_mean(grid))
+        traj, _, _ = picard_solve(zero_field(grid), config)
+        assert len(traj.fields) == 17
+        assert all(np.all(u.mean_mode() == 0) for u in traj.fields)
+
+    def test_projected_base_is_the_mean_free_projection(self, grid2):
+        spec = forcing_with_tiny_mean(grid2)
+        expected = operators.leray_project(spec.base_field).coeffs
+        expected[:, 0, 0] = 0.0
+        assert np.array_equal(spec.projected, expected)
+        assert ForcingSpec().projected is None
+
+
 def reference_picard(u0, config):
     """Picard iteration with the direct double-loop trapezoid.
 
@@ -265,8 +305,9 @@ def reference_picard(u0, config):
     h = config.window_T / (n - 1)
     E = [np.exp(-config.nu * h * d * grid.k_sq) for d in range(n)]
     heat_flow = [u0.coeffs * E[j] for j in range(n)]
-    forcing = ProjectedForcing(config, grid)
-    forcing_hat = [forcing.at(t) for t in h * np.arange(n)]
+    forcing = config.forcing
+    forcing_hat = [None if forcing.projected is None else forcing.amplitude(t) * forcing.projected
+                   for t in h * np.arange(n)]
     current = list(heat_flow)
     history = []
     bad_streak = 0
@@ -364,6 +405,17 @@ class TestAdaptiveWindow:
         config = SolverConfig(nu=1.0, window_T=0.4, n_nodes=9)
         t_star, _ = adaptive_window(tg, config)
         assert t_star == 0.4
+
+    def test_exhausted_halvings_give_zero(self):
+        # the first Picard iterate of this field is not finite, so every window fails
+        grid = make_grid(2, 16)
+        u0 = random_divfree_field(grid, seed=1, amplitude=1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_star, report = adaptive_window(u0, SolverConfig(window_T=0.5, n_nodes=5))
+        assert t_star == 0.0 and report.t_star == 0.0
+        assert len(report.attempts) == 21
+        assert [a.window for a in report.attempts] == [0.5 / 2**i for i in range(21)]
+        assert all(not a.converged and a.reason == "NotContracting" for a in report.attempts)
 
     def test_amplitude_trend(self, grid2):
         base = random_divfree_field(grid2, seed=13)
