@@ -207,6 +207,20 @@ class TestRun:
         assert len(read_diagnostics(out / "diagnostics.csv")) == 1
         assert json.loads((out / "manifest.json").read_text())["blowup"] is True
 
+    def test_overflowing_march_exits_2_without_numpy_warnings(self, tmp_path):
+        config = write_config(
+            tmp_path / "huge.json",
+            {"grid": {"dim": 2, "n_modes": 16}, "initial": {"amplitude": 1e200},
+             "run": {"t_end": 0.01}},
+        )
+        out = tmp_path / "out"
+        done = run_module(["run", "--config", config, "--out", str(out), "--quiet"])
+        assert done.returncode == 2
+        assert "RuntimeWarning" not in done.stderr
+        assert (out / "diagnostics.csv").read_text().splitlines()[1:] == [
+            "0,inf,inf,5.9732276614041894e+183,inf,nan"
+        ]
+
     def test_nonfinite_picard_residual_exits_4(self, tmp_path, capsys):
         config = write_config(
             tmp_path / "huge.json",
@@ -349,17 +363,19 @@ def picard_failure_config(tmp_path):
     )
 
 
+def run_module(argv):
+    """`python -m nsmild argv` in a fresh process, importing this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "nsmild"] + argv,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestModuleEntryPoint:
     def test_python_m_nsmild_returns_cli_exit_code(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = dict(os.environ, PYTHONPATH=path)
         config = picard_failure_config(tmp_path)
-        done = subprocess.run(
-            [sys.executable, "-m", "nsmild", "run", "--config", config,
-             "--out", str(tmp_path / "out"), "--quiet"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        done = run_module(["run", "--config", config, "--out", str(tmp_path / "out"), "--quiet"])
         assert done.returncode == 4
         assert done.stderr.startswith("solver error: NotContracting")
 

@@ -29,6 +29,7 @@ from nsmild import (
     spectral_l2_norm,
     zero_field,
 )
+from nsmild.grid import _full_spectrum, _half, _ifft, _irfft, _rfft, leray_symbol_apply
 from nsmild.operators import (
     _lp,
     _phi1_of,
@@ -277,6 +278,36 @@ class TestDivergenceFormF:
         stacked = projected_nonlinearity(grid, np.stack([u.coeffs for u in fields]), dealias)
         for u, got in zip(fields, stacked):
             np.testing.assert_array_equal(got, projected_nonlinearity(grid, u.coeffs, dealias))
+        two_axes = stacked.reshape((2, 2) + stacked.shape[1:])
+        inputs = np.stack([u.coeffs for u in fields]).reshape(two_axes.shape)
+        np.testing.assert_array_equal(projected_nonlinearity(grid, inputs, dealias), two_axes)
+
+    @staticmethod
+    def reference_kernel(grid, coeffs):
+        """The dealiased kernel written with a fresh array per operation."""
+        d = grid.dim
+        mask = _half(grid.dealias_mask, grid)
+        k = _half(grid.k, grid)
+        u_phys = np.moveaxis(_irfft(_half(coeffs, grid) * mask, grid), -d - 1, 0)
+        rows, cols = np.triu_indices(d)
+        products = _rfft(u_phys[rows] * u_phys[cols], grid)
+        div = np.zeros((d,) + products.shape[1:], dtype=np.complex128)
+        for pair, (i, j) in enumerate(zip(rows, cols)):
+            div[i] += k[j] * products[pair]
+            if i != j:
+                div[j] += k[i] * products[pair]
+        half = leray_symbol_apply(grid, np.moveaxis(div, 0, -d - 1) * mask) * -1j
+        half[(...,) + (0,) * d] = 0.0
+        return _full_spectrum(half, grid)
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (2, 256), (3, 16)])
+    def test_in_place_kernel_is_the_reference_bit_for_bit(self, dim, n):
+        grid = make_grid(dim, n)
+        fields = np.stack([random_divfree_field(grid, seed).coeffs for seed in range(6)])
+        for coeffs in (fields[0], fields.reshape((2, 3) + fields.shape[1:])):
+            np.testing.assert_array_equal(
+                projected_nonlinearity(grid, coeffs), self.reference_kernel(grid, coeffs)
+            )
 
     def test_without_dealiasing_is_advective_form(self, grid2):
         u = random_divfree_field(grid2, seed=5)
@@ -379,6 +410,16 @@ class TestRealInverseTransform:
                 assert abs(max_off - np.max(np.abs(jac[offdiag]))) <= tol
                 div = np.trace(jac)
                 assert abs(max_pointwise_divergence(u) - np.max(np.abs(div))) <= tol
+
+
+class TestMaxPointwiseDivergence:
+    @pytest.mark.parametrize("dim,n", [(2, 32), (2, 256), (3, 16)])
+    def test_half_spectrum_equals_full_lattice_bit_for_bit(self, dim, n):
+        grid = make_grid(dim, n)
+        for seed in range(3):
+            for u in (random_divfree_field(grid, seed), random_gradient_field(grid, seed)):
+                expected = float(np.max(np.abs(_ifft(u.divergence_coeffs(), grid))))
+                assert max_pointwise_divergence(u) == expected
 
 
 class TestEnergyOrthogonality:

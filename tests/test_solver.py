@@ -14,7 +14,9 @@ from nsmild import (
     frac_norm,
     field_from_function,
     heat_semigroup,
+    lp_norm,
     march,
+    nonlinear_F,
     picard_solve,
     random_divfree_field,
     random_gradient_field,
@@ -25,6 +27,7 @@ from nsmild import operators, solver
 from nsmild.grid import ForcingSpec, SpectralVectorField, make_grid
 from nsmild.solver import (
     SolverError,
+    StepMultipliers,
     compute_diagnostics,
     march_schedule,
     prepare_initial,
@@ -63,6 +66,62 @@ class TestExpEulerStep:
         config = SolverConfig(dt=1e-3)
         u1 = exp_euler_step(prepare_initial(u), 0.0, config)
         assert u1.divergence_defect() <= 1e-12
+
+
+class TestStepBitIdentity:
+    """The in-place step computes the textbook expression in its order, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["zero", "steady", "hoelder_modulated"])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_equals_the_plain_expression(self, dim, n, kind):
+        grid = make_grid(dim, n)
+        base = None if kind == "zero" else prepare_initial(random_divfree_field(grid, seed=21))
+        config = SolverConfig(dt=1e-2, forcing=ForcingSpec(kind=kind, base_field=base,
+                                                           exponent=0.5))
+        multipliers = StepMultipliers.build(grid, config)
+        for seed, t in ((1, 0.0), (2, 0.37)):
+            u = prepare_initial(random_divfree_field(grid, seed))
+            F = nonlinear_F(u)
+            a = config.forcing.amplitude(t)
+            rhs = F.coeffs if a is None else F.coeffs + a * config.forcing.projected
+            expected = u.coeffs * multipliers.heat + rhs * multipliers.h_phi1
+            got = exp_euler_step(u, t, config, F_m=F, multipliers=multipliers)
+            np.testing.assert_array_equal(got.coeffs, expected)
+            np.testing.assert_array_equal(exp_euler_step(u, t, config).coeffs, expected)
+
+
+class TestParsevalDiagnostics:
+    """At p = 2 the diagnostics norms are coefficient sums; other p stay collocation."""
+
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "undealiased"])
+    @pytest.mark.parametrize("dim,n", [(2, 64), (3, 16)])
+    def test_p2_norms_agree_with_collocation(self, dim, n, dealias):
+        grid = make_grid(dim, n)
+        config = SolverConfig(p=2.0, dealias=dealias)
+        for seed in range(5):
+            u = prepare_initial(random_divfree_field(grid, seed, amplitude=10.0 ** (seed - 2)))
+            row = compute_diagnostics(u, 0.0, config)
+            x_half = frac_norm(u, config.x_half)
+            norm_f = lp_norm(nonlinear_F(u, apply_dealias=dealias), 2.0)
+            assert abs(row.norm_x_half - x_half) <= 1e-14 * x_half
+            assert abs(row.norm_f - norm_f) <= 1e-14 * norm_f
+
+    def test_p2_takes_no_collocation_norm(self, grid2, monkeypatch):
+        for name in ("frac_norm", "lp_norm"):
+            monkeypatch.setattr(solver, name, lambda *args, _n=name: pytest.fail(f"{_n} called"))
+        u = prepare_initial(random_divfree_field(grid2, seed=3))
+        row = compute_diagnostics(u, 0.0, SolverConfig(p=2.0))
+        assert row.norm_x_half ** 2 == pytest.approx(row.enstrophy, rel=1e-15)
+
+    @pytest.mark.parametrize("dim,n", [(2, 64), (3, 16)])
+    def test_other_p_is_collocation_exactly(self, dim, n):
+        grid = make_grid(dim, n)
+        config = SolverConfig(p=3.0)
+        for seed in range(3):
+            u = prepare_initial(random_divfree_field(grid, seed))
+            row = compute_diagnostics(u, 0.0, config)
+            assert row.norm_x_half == frac_norm(u, config.x_half)
+            assert row.norm_f == lp_norm(nonlinear_F(u), 3.0)
 
 
 class TestMarch:
