@@ -61,8 +61,13 @@ class TorusGrid:
         axes = np.meshgrid(*([modes] * self.dim), indexing="ij")
         k_int = np.stack(axes)
         scale = TWO_PI / self.period
-        k = k_int * scale
-        k_sq = np.sum(k * k, axis=0)
+        with np.errstate(over="ignore"):
+            k = k_int * scale
+            k_sq = np.sum(k * k, axis=0)
+            extents = np.float64(self.period) ** self.dim, np.float64(self.period / n) ** self.dim
+        if not all(0 < x < np.inf for x in extents + (np.max(k_sq),)):
+            raise ValueError(f"period {self.period} makes the box volume, cell volume or "
+                             "largest |k|^2 zero or infinite")
         inv_k_sq = np.zeros_like(k_sq)
         nonzero = k_sq > 0
         inv_k_sq[nonzero] = 1.0 / k_sq[nonzero]

@@ -12,7 +12,7 @@ The projected nonlinearity F(u) = -P (u . grad) u has one kernel,
 dealiasing on it evaluates -P div(u (x) u) with real transforms of the half
 spectrum; the grid's cutoff satisfies 3 * cutoff < n, so this is exact for
 divergence-free u on the retained modes. Without dealiasing it uses the
-advective form of `advect`, which is also the reference.
+advective form of `advect`, the reference, on the whole batch at once.
 Physical-space values come from the grid's real inverse transform `_ifft`.
 """
 
@@ -33,7 +33,6 @@ from .grid import (
     _require_mean_zero,
     _require_same_grid,
     _rfft,
-    dealias,
     inverse_transform,
     leray_symbol_apply,
 )
@@ -53,11 +52,6 @@ class FracNormParams:
             raise ValueError(f"p must be >= 2, got {self.p}")
 
 
-def _apply_symbol(u: SpectralVectorField, symbol: np.ndarray) -> SpectralVectorField:
-    """Multiply every component by a real modewise symbol."""
-    return SpectralVectorField(u.grid, u.coeffs * symbol)
-
-
 def leray_project(u: SpectralVectorField) -> SpectralVectorField:
     """Orthogonal projection onto divergence-free fields: uhat -> uhat - k (k.uhat)/|k|^2.
 
@@ -67,19 +61,19 @@ def leray_project(u: SpectralVectorField) -> SpectralVectorField:
 
 
 def laplacian(u: SpectralVectorField) -> SpectralVectorField:
-    return _apply_symbol(u, -u.grid.k_sq)
+    return SpectralVectorField(u.grid, u.coeffs * -u.grid.k_sq)
 
 
 def resolvent(lam: float, u: SpectralVectorField) -> SpectralVectorField:
     """(lam I - Lap)^{-1}, modewise 1/(lam + |k|^2); requires lam > 0."""
     if not lam > 0:
         raise ValueError(f"resolvent requires lambda > 0, got {lam}")
-    return _apply_symbol(u, 1.0 / (lam + u.grid.k_sq))
+    return SpectralVectorField(u.grid, u.coeffs * (1.0 / (lam + u.grid.k_sq)))
 
 
 def apply_shifted_laplacian(lam: float, u: SpectralVectorField) -> SpectralVectorField:
     """(lam I - Lap), the inverse of the resolvent at lam."""
-    return _apply_symbol(u, lam + u.grid.k_sq)
+    return SpectralVectorField(u.grid, u.coeffs * (lam + u.grid.k_sq))
 
 
 def heat_semigroup(t: float, nu: float, u: SpectralVectorField) -> SpectralVectorField:
@@ -88,7 +82,7 @@ def heat_semigroup(t: float, nu: float, u: SpectralVectorField) -> SpectralVecto
         raise ValueError(f"heat semigroup requires t >= 0, got {t}")
     if not nu > 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
-    return _apply_symbol(u, np.exp(-nu * t * u.grid.k_sq))
+    return SpectralVectorField(u.grid, u.coeffs * np.exp(-nu * t * u.grid.k_sq))
 
 
 def frac_power(alpha: float, u: SpectralVectorField) -> SpectralVectorField:
@@ -104,7 +98,7 @@ def frac_power(alpha: float, u: SpectralVectorField) -> SpectralVectorField:
     symbol = np.zeros_like(grid.k_sq)
     nonzero = grid.k_sq > 0
     symbol[nonzero] = grid.k_sq[nonzero] ** alpha
-    return _apply_symbol(u, symbol)
+    return SpectralVectorField(grid, u.coeffs * symbol)
 
 
 def _phi1_of(z: np.ndarray) -> np.ndarray:
@@ -118,7 +112,7 @@ def phi1(h: float, nu: float, u: SpectralVectorField) -> SpectralVectorField:
     """Exponential-integrator weight phi1(-nu h |k|^2); mode 0 gets factor 1."""
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
-    return _apply_symbol(u, _phi1_of(-nu * h * u.grid.k_sq))
+    return SpectralVectorField(u.grid, u.coeffs * _phi1_of(-nu * h * u.grid.k_sq))
 
 
 def advect(
@@ -132,19 +126,24 @@ def advect(
     The result is generally not divergence-free.
     """
     _require_same_grid(u.grid, v.grid)
-    grid = u.grid
+    return SpectralVectorField(u.grid, _advect(u.grid, u.coeffs, v.coeffs, apply_dealias))
+
+
+def _advect(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.ndarray:
+    """The body of `advect` on coefficients shaped (..., dim) + grid.shape."""
+    d = grid.dim
     if apply_dealias:
-        u = dealias(u)
-        v = dealias(v)
-    u_phys = _ifft(u.coeffs, grid)
+        u = u * grid.dealias_mask
+        v = v * grid.dealias_mask
+    u_phys = _ifft(u, grid)
     out = np.zeros_like(u_phys)
-    for j in range(grid.dim):
-        dv_j = _ifft(1j * grid.k[j] * v.coeffs, grid)
-        out += u_phys[j] * dv_j
+    for j, u_j in enumerate(np.moveaxis(u_phys, -d - 1, 0)):
+        dv_j = _ifft(1j * grid.k[j] * v, grid)
+        out += np.expand_dims(u_j, -d - 1) * dv_j
     coeffs = _fft(out, grid)
     if apply_dealias:
         coeffs = coeffs * grid.dealias_mask
-    return SpectralVectorField(grid, coeffs)
+    return coeffs
 
 
 def projected_nonlinearity(grid, coeffs: np.ndarray, dealias: bool = True) -> np.ndarray:
@@ -154,19 +153,15 @@ def projected_nonlinearity(grid, coeffs: np.ndarray, dealias: bool = True) -> np
     pass of d real inverse and d(d+1)/2 real forward half-spectrum transforms;
     for divergence-free u it equals the advective form to roundoff. Its arrays are
     filled in place and freed once dead, bit-equal to fresh ones per operation,
-    so a call pages in little fresh memory. Otherwise:
-    the advective form of `advect`, one field at a time, with the Nyquist
+    so a call pages in little fresh memory. Otherwise: the advective form of
+    `advect`, every batch axis in one pass of its body, with the Nyquist
     planes of the image zeroed so that states keep them empty. The zero mode
     is pinned to 0. The caller vouches that u is divergence-free and
     mean-zero; `nonlinear_F` checks both.
     """
     d = grid.dim
     if not dealias:
-        out = np.empty(coeffs.shape, dtype=np.complex128)
-        for index in np.ndindex(coeffs.shape[: -d - 1]):
-            u = SpectralVectorField(grid, coeffs[index])
-            image = advect(u, u, apply_dealias=False).coeffs * ~grid.nyquist_mask
-            out[index] = -leray_symbol_apply(grid, image)
+        out = -leray_symbol_apply(grid, _advect(grid, coeffs, coeffs, False) * ~grid.nyquist_mask)
         out[(...,) + (0,) * d] = 0.0
         return out
     mask = _half(grid.dealias_mask, grid)

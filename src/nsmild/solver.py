@@ -109,6 +109,10 @@ class SolverConfig:
             raise ValueError(f"window_T must be positive, got {self.window_T}")
         if self.n_nodes < 3:
             raise ValueError(f"n_nodes must be >= 3, got {self.n_nodes}")
+        if not self.picard_tol > 0:
+            raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
+        if self.picard_max_iters < 1:
+            raise ValueError(f"picard_max_iters must be >= 1, got {self.picard_max_iters}")
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
 
@@ -193,20 +197,19 @@ def prepare_initial(u0: SpectralVectorField) -> SpectralVectorField:
 class StepMultipliers:
     """The symbols of one exponential-Euler step on one grid.
 
-    heat = exp(-nu h |k|^2) and h_phi1 = h phi1(-nu h |k|^2), plus the
-    forcing, checked to live on `grid`; `march` builds them once, not every step.
+    heat = exp(-nu h |k|^2) and h_phi1 = h phi1(-nu h |k|^2); `build` checks
+    that config's forcing lives on `grid`. `march` builds them once, not every step.
     """
 
     heat: np.ndarray
     h_phi1: np.ndarray
-    forcing: ForcingSpec
 
     @classmethod
     def build(cls, grid: TorusGrid, config: SolverConfig) -> "StepMultipliers":
         if config.forcing.projected is not None:
             _require_same_grid(config.forcing.base_field.grid, grid)
         z = -config.nu * config.dt * grid.k_sq
-        return cls(np.exp(z), config.dt * _phi1_of(z), config.forcing)
+        return cls(np.exp(z), config.dt * _phi1_of(z))
 
 
 def exp_euler_step(
@@ -228,11 +231,11 @@ def exp_euler_step(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if F_m is None:
             F_m = nonlinear_F(u_m, apply_dealias=config.dealias)
-        amplitude = multipliers.forcing.amplitude(t_m)
+        amplitude = config.forcing.amplitude(t_m)
         if amplitude is None:
             rhs = np.multiply(F_m.coeffs, multipliers.h_phi1)
         else:  # (F + a P f) h_phi1, in place
-            rhs = np.multiply(amplitude, multipliers.forcing.projected)
+            rhs = np.multiply(amplitude, config.forcing.projected)
             rhs += F_m.coeffs
             rhs *= multipliers.h_phi1
         coeffs = np.multiply(u_m.coeffs, multipliers.heat)
@@ -306,12 +309,6 @@ def march(
     return Trajectory(np.asarray(times), tuple(fields), tuple(diags), blowup=blowup)
 
 
-def _semigroup_powers(grid, nu: float, h: float, count: int) -> np.ndarray:
-    """exp(-nu d h |k|^2) for d = 0..count-1: the heat flow factors of u0 on the nodes."""
-    lags = np.arange(count).reshape((count,) + (1,) * grid.dim)
-    return np.exp(-nu * h * lags * grid.k_sq)
-
-
 def picard_solve(
     u0: SpectralVectorField, config: SolverConfig, t0: float = 0.0
 ) -> tuple[Trajectory, int, list]:
@@ -337,7 +334,8 @@ def picard_solve(
     n = config.n_nodes
     h = config.window_T / (n - 1)
     times = t0 + h * np.arange(n)
-    E = _semigroup_powers(grid, config.nu, h, n)
+    lags = np.arange(n).reshape((n,) + (1,) * grid.dim)
+    E = np.exp(-config.nu * h * lags * grid.k_sq)  # E[d] = exp(-nu d h |k|^2), lag d's factor
     heat_flow = u0.coeffs * E[:, np.newaxis]
     forcing, forcing_hat = config.forcing, None
     if forcing.projected is not None:

@@ -662,6 +662,14 @@ class TestConfigErrorTable:
             ("run", dict(with_block("run"), forcing={"kind": "bogus"}), "forcing"),
             ("run", dict(with_block("run"), forcing={"kind": "steady", "exponent": 1.5}),
              "forcing"),
+            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": 1e300}),
+             "grid"),
+            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": 1e-300}),
+             "grid"),
+            ("run", dict(with_block("run"), solver={"picard_max_iters": 0}), "solver"),
+            ("run", dict(with_block("run"), solver={"picard_max_iters": -3}), "solver"),
+            ("run", dict(with_block("run"), solver={"picard_tol": 0}), "solver"),
+            ("run", dict(with_block("run"), solver={"picard_tol": -1.0}), "solver"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):
@@ -672,6 +680,30 @@ class TestConfigErrorTable:
         assert err.startswith(f"config error: {path}: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestOutOfMemory:
+    """An allocation larger than the machine exits 1 with one line, not a traceback.
+
+    Each first large request is 7.28 TiB, so it fails before any page is touched.
+    """
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            dict(RUN_BASE, grid={"dim": 2, "n_modes": 1000000}),
+            dict(with_block("run", t_end=0.1),
+                 solver={"scheme": "picard_window", "n_nodes": 10**12}),
+        ],
+        ids=["grid-n_modes", "solver-n_nodes"],
+    )
+    def test_exits_1_with_one_line(self, tmp_path, capsys, doc):
+        config = write_config(tmp_path / "big.json", doc)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestUsageErrors:

@@ -35,7 +35,8 @@ class TestMakeGrid:
         assert np.count_nonzero(np.all(grid.k_int == 0, axis=0)) == 1
 
     @pytest.mark.parametrize("dim,n,period", [(3, 7, 2 * np.pi), (3, 6, 2 * np.pi),
-                                              (2, 16, 0.0), (4, 16, 2 * np.pi)])
+                                              (2, 16, 0.0), (4, 16, 2 * np.pi),
+                                              (2, 16, 1e300), (2, 16, 1e-300)])
     def test_rejects_bad_parameters(self, dim, n, period):
         with pytest.raises(ValueError):
             make_grid(dim, n, period)

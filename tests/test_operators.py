@@ -31,6 +31,7 @@ from nsmild import (
 )
 from nsmild.grid import _full_spectrum, _half, _ifft, _irfft, _rfft, leray_symbol_apply
 from nsmild.operators import (
+    _advect,
     _lp,
     _phi1_of,
     apply_shifted_laplacian,
@@ -216,6 +217,40 @@ class TestAdvect:
         v = random_divfree_field(make_grid(2, 16), seed=1)
         with pytest.raises(ValueError):
             advect(u, v)
+
+
+class TestMultipliersBitForBit:
+    """Each wrapper is u.coeffs times its symbol, and `_advect` serves any batch shape."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_wrappers_multiply_by_their_symbols(self, dim, n):
+        grid = make_grid(dim, n)
+        u = random_divfree_field(grid, seed=5)
+        k_sq = grid.k_sq
+        frac = np.zeros_like(k_sq)
+        frac[k_sq > 0] = k_sq[k_sq > 0] ** 0.25
+        cases = [
+            (laplacian(u), -k_sq),
+            (resolvent(3.0, u), 1.0 / (3.0 + k_sq)),
+            (apply_shifted_laplacian(3.0, u), 3.0 + k_sq),
+            (heat_semigroup(0.2, 0.7, u), np.exp(-0.7 * 0.2 * k_sq)),
+            (frac_power(0.25, u), frac),
+            (phi1(0.2, 0.7, u), _phi1_of(-0.7 * 0.2 * k_sq)),
+        ]
+        for got, symbol in cases:
+            assert np.array_equal(got.coeffs, u.coeffs * symbol)
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("apply_dealias", [True, False])
+    def test_batched_advect_is_per_field_advect(self, dim, n, apply_dealias):
+        grid = make_grid(dim, n)
+        us = [random_divfree_field(grid, seed) for seed in range(4)]
+        vs = [random_divfree_field(grid, seed) for seed in range(10, 14)]
+        batch = lambda fields: np.stack([f.coeffs for f in fields]).reshape(
+            (2, 2, dim) + grid.shape)
+        got = _advect(grid, batch(us), batch(vs), apply_dealias)
+        expected = batch([advect(u, v, apply_dealias) for u, v in zip(us, vs)])
+        assert np.array_equal(got, expected)
 
 
 class TestNonlinearF:

@@ -1,0 +1,39 @@
+"""Source conventions of src/nsmild: short lines, and no dead private names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "nsmild").glob("*.py"))
+MAX_COLUMNS = 99
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_line_exceeds_max_columns(path):
+    long = [n for n, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > MAX_COLUMNS]
+    assert long == [], f"{path.name}: lines over {MAX_COLUMNS} columns: {long}"
+
+
+def _names_read(tree, outside) -> set:
+    """Names read in tree, bare or as attributes, outside the subtree `outside`."""
+    own = {id(node) for node in ast.walk(outside)}
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in own}
+
+
+def test_every_private_top_level_name_is_used():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert len(trees) >= 5, "src/nsmild not found"
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            if not any(node.name in _names_read(other, node) for other in trees.values()):
+                dead.append(f"{name}:{node.lineno} {node.name}")
+    assert dead == [], f"private definitions that nothing in src/ reads: {dead}"
