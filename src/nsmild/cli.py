@@ -83,6 +83,8 @@ _NONNEGATIVE = (lambda x: 0 <= x < np.inf, "finite and >= 0")
 _DIM = (lambda d: d in (2, 3), "2 or 3")
 _EVEN_N = (lambda n: n >= 8 and n % 2 == 0, "even and >= 8")
 _UNIT = (lambda x: 0 < x <= 1, "in (0, 1]")
+# a decay of the 2 pi box, where the envelope's largest value is 2 ** (-decay/2)
+_DECAY = (lambda x: 0 < x < np.inf and 2.0 ** (-x / 2) > 0, "> 0 with 2 ** (-decay/2) > 0")
 
 
 def _rows(cls, kinds: dict) -> dict:
@@ -114,7 +116,7 @@ SCHEMA = {
         "dim": ("int", _DIM), "n_modes": ("int", _EVEN_N), "nu": ("float", _POSITIVE),
         "p": ("float", _at_least(2)),
         "ensemble_size": ("int", _at_least(2)),  # the suite advects fields[0] by fields[1]
-        "seed": ("int", _at_least(0)), "spectrum_decay": ("float", _POSITIVE),
+        "seed": ("int", _at_least(0)), "spectrum_decay": ("float", _DECAY),
         "lambdas": ("floats", _POSITIVE), "times": ("floats", _NONNEGATIVE),
         "resolutions": ("ints", _EVEN_N),
         "tolerance_identity": ("float", _POSITIVE), "tolerance_gradient": ("float", _POSITIVE),
@@ -122,10 +124,10 @@ SCHEMA = {
         "trajectory_n_modes": ("int", _EVEN_N), "trajectory_dt": ("float", _POSITIVE),
         "trajectory_t_end": ("float", _POSITIVE),
         "trajectory_snapshot_every": ("int", _at_least(1)),
-        "trajectory_amplitude": ("float", _POSITIVE), "trajectory_decay": ("float", _POSITIVE),
+        "trajectory_amplitude": ("float", _POSITIVE), "trajectory_decay": ("float", _DECAY),
     }),
     "estimate": {"ensemble_size": ("int", 100, _at_least(1)), "seed": ("int", 7, _at_least(0)),
-                 "dim": ("int", 3, _DIM), "decay": ("float", 4.0, _POSITIVE),
+                 "dim": ("int", 3, _DIM), "decay": ("float", 4.0, _DECAY),
                  "resolutions": ("ints", (16, 32), _EVEN_N), "theta": ("float", 0.75, _UNIT),
                  "omega": ("float", 0.75, _UNIT), "p": ("float", 2.0, _at_least(2))},
     "oracle": {"n_modes": ("int", 64, _EVEN_N), "nu": ("float", 1.0, _POSITIVE),

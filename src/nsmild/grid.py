@@ -132,14 +132,10 @@ def _rfft(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.rfftn(values, axes=grid.spatial_axes, norm="forward")
 
 
-def _irfft(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Half spectrum -> real samples of the Hermitian field it determines."""
-    return np.fft.irfftn(half, s=grid.shape, axes=grid.spatial_axes, norm="forward")
-
-
-def _ifft(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Full Hermitian spectrum -> real samples, by a real transform of its half."""
-    return _irfft(_half(coeffs, grid), grid)
+def _irfft(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Full Hermitian spectrum or its half -> real samples of the field it determines."""
+    return np.fft.irfftn(_half(coeffs, grid), s=grid.shape, axes=grid.spatial_axes,
+                         norm="forward")
 
 
 def _conj_reflect(coeffs: np.ndarray, axes: tuple) -> np.ndarray:
@@ -259,7 +255,7 @@ def forward_transform(u: PhysicalVectorField) -> SpectralVectorField:
 
 def inverse_transform(u: SpectralVectorField) -> PhysicalVectorField:
     """Fourier coefficients -> collocation samples (real part; fields are real)."""
-    return PhysicalVectorField(u.grid, _ifft(u.coeffs, u.grid))
+    return PhysicalVectorField(u.grid, _irfft(u.coeffs, u.grid))
 
 
 def field_from_function(grid: TorusGrid, component_funcs) -> SpectralVectorField:
@@ -342,8 +338,11 @@ def _unit_phase_coeffs(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
 def _spectral_envelope(grid: TorusGrid, spectrum_decay: float, amplitude: float) -> np.ndarray:
     if not spectrum_decay > 0:
         raise ValueError(f"spectrum_decay must be positive, got {spectrum_decay}")
-    env = amplitude * (1.0 + grid.k_sq) ** (-spectrum_decay / 2.0)
-    env = env * ~grid.nyquist_mask  # keep derivative symbols Hermitian-safe
+    shape = (1.0 + grid.k_sq) ** (-spectrum_decay / 2.0)
+    if shape[(1,) + (0,) * (grid.dim - 1)] == 0.0:  # the largest value off the zero mode
+        raise ValueError(f"spectrum_decay {spectrum_decay} on the box of period {grid.period} "
+                         "makes (1+|k|^2)^(-decay/2) zero on every mode")
+    env = amplitude * shape * ~grid.nyquist_mask  # keep derivative symbols Hermitian-safe
     env[(0,) * grid.dim] = 0.0
     return env
 
@@ -395,10 +394,8 @@ def embed(u: SpectralVectorField, fine: TorusGrid) -> SpectralVectorField:
         raise ValueError("target grid must be at least as fine")
     if fine.n_modes == coarse.n_modes:
         return u
-    idx = [np.asarray(coarse.modes) % fine.n_modes for _ in range(coarse.dim)]
     coeffs = np.zeros((fine.dim,) + fine.shape, dtype=np.complex128)
-    for i in range(coarse.dim):
-        coeffs[(i,) + np.ix_(*idx)] = u.coeffs[i]
+    coeffs[(slice(None),) + np.ix_(*[coarse.modes % fine.n_modes] * coarse.dim)] = u.coeffs
     return SpectralVectorField(fine, coeffs)
 
 

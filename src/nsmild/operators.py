@@ -13,7 +13,7 @@ dealiasing on it evaluates -P div(u (x) u) with real transforms of the half
 spectrum; the grid's cutoff satisfies 3 * cutoff < n, so this is exact for
 divergence-free u on the retained modes. Without dealiasing it uses the
 advective form of `advect`, the reference, on the whole batch at once.
-Physical-space values come from the grid's real inverse transform `_ifft`.
+Physical-space values come from the grid's real inverse transform `_irfft`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .grid import (
     _fft,
     _full_spectrum,
     _half,
-    _ifft,
     _irfft,
     _require_mean_zero,
     _require_same_grid,
@@ -135,10 +134,10 @@ def _advect(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.ndarr
     if apply_dealias:
         u = u * grid.dealias_mask
         v = v * grid.dealias_mask
-    u_phys = _ifft(u, grid)
+    u_phys = _irfft(u, grid)
     out = np.zeros_like(u_phys)
     for j, u_j in enumerate(np.moveaxis(u_phys, -d - 1, 0)):
-        dv_j = _ifft(1j * grid.k[j] * v, grid)
+        dv_j = _irfft(1j * grid.k[j] * v, grid)
         out += np.expand_dims(u_j, -d - 1) * dv_j
     coeffs = _fft(out, grid)
     if apply_dealias:
@@ -261,7 +260,7 @@ def _jacobian_entries(u: SpectralVectorField, pairs) -> np.ndarray:
     """Samples of du_i/dx_j for each (i, j) in pairs, one row and one transform per entry."""
     out = np.empty((len(pairs),) + u.grid.shape)
     for row, (i, j) in zip(out, pairs):
-        row[...] = _ifft(1j * u.grid.k[j] * u.coeffs[i], u.grid)
+        row[...] = _irfft(1j * u.grid.k[j] * u.coeffs[i], u.grid)
     return out
 
 
@@ -277,6 +276,6 @@ def enstrophy(u: SpectralVectorField) -> float:
 
 def max_pointwise_divergence(u: SpectralVectorField) -> float:
     """max_x |div u(x)| on the collocation lattice, the divergence formed only
-    on the half spectrum `_irfft` reads (bit-equal to `_ifft` of the full one)."""
+    on the half spectrum `_irfft` reads (bit-equal to `_irfft` of the full one)."""
     div = np.einsum("i...,i...->...", 1j * _half(u.grid.k, u.grid), _half(u.coeffs, u.grid))
     return float(np.max(np.abs(_irfft(div, u.grid))))

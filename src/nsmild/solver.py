@@ -2,10 +2,9 @@
 
 Two realizations of the same integral equation
 
-    u(t) = exp(nu (t - t0) Lap) u0
-           + int_{t0}^t exp(nu (t - s) Lap) (F(u(s)) + P f(s)) ds
+    u(t) = exp(nu t Lap) u0 + int_0^t exp(nu (t - s) Lap) (F(u(s)) + P f(s)) ds
 
-are provided: a Picard fixed-point iteration on a window [t0, t0 + T] that
+are provided: a Picard fixed-point iteration on a window [0, window_T] that
 mirrors the local-existence construction, and exponential-Euler marching,
 the one-node collapse of the integral. Heat factors are exact Fourier
 multipliers, so stiffness never limits the step; the Picard trapezoid sum
@@ -35,7 +34,7 @@ from .grid import (
     ForcingSpec,
     SpectralVectorField,
     TorusGrid,
-    _ifft,
+    _irfft,
     _require_mean_zero,
     _require_same_grid,
 )
@@ -116,10 +115,6 @@ class SolverConfig:
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
 
-    @property
-    def x_half(self) -> FracNormParams:
-        return FracNormParams(alpha=0.5, p=self.p)
-
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
@@ -179,7 +174,7 @@ def compute_diagnostics(
     if config.p == 2.0:
         norms = float(np.sqrt(enstrophy_u)), spectral_l2_norm(F)
     else:
-        norms = frac_norm(u, config.x_half), lp_norm(F, config.p)
+        norms = frac_norm(u, FracNormParams(0.5, config.p)), lp_norm(F, config.p)
     return DiagnosticsRow(float(t), energy(u), enstrophy_u, max_pointwise_divergence(u), *norms)
 
 
@@ -258,10 +253,9 @@ def march(
     u0: SpectralVectorField,
     config: SolverConfig,
     t_end: float,
-    t0: float = 0.0,
     sink: Callable[[int, float, SpectralVectorField], None] | None = None,
 ) -> Trajectory:
-    """Repeated exponential-Euler stepping from t0 to t_end.
+    """Repeated exponential-Euler stepping from 0 to t_end.
 
     t_end is rounded to the nearest multiple of dt. Snapshots are kept every
     config.snapshot_every steps plus the final state. A runaway trajectory
@@ -273,12 +267,10 @@ def march(
     the trajectory has `fields=()`, so memory holds O(1) fields however long
     the march is.
     """
-    if not t_end > t0:
-        raise ValueError("t_end must exceed t0")
+    if not t_end / config.dt > 0.5:  # exactly when round(t_end / dt) < 1, or t_end is NaN
+        raise ValueError(f"t_end must cover at least one step of dt = {config.dt}, got {t_end}")
+    n_steps, _ = march_schedule(t_end, config.dt, config.snapshot_every)
     u = prepare_initial(u0)
-    n_steps, _ = march_schedule(t_end - t0, config.dt, config.snapshot_every)
-    if n_steps < 1:
-        raise ValueError("t_end - t0 must cover at least one step")
 
     multipliers = StepMultipliers.build(u.grid, config)
     times, fields, diags = [], [], []
@@ -295,7 +287,7 @@ def march(
     for m in range(n_steps + 1):
         # F(u) of every state: the step that leaves it needs it, or the final snapshot
         F = SpectralVectorField(u.grid, projected_nonlinearity(u.grid, u.coeffs, config.dealias))
-        t_m = t0 + m * config.dt
+        t_m = m * config.dt
         if blowup or m % config.snapshot_every == 0 or m == n_steps:  # as march_schedule counts
             keep(t_m, u, F)
         if blowup or m == n_steps:
@@ -309,10 +301,11 @@ def march(
     return Trajectory(np.asarray(times), tuple(fields), tuple(diags), blowup=blowup)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a runaway iterate: NotContracting
 def picard_solve(
-    u0: SpectralVectorField, config: SolverConfig, t0: float = 0.0
+    u0: SpectralVectorField, config: SolverConfig
 ) -> tuple[Trajectory, int, list]:
-    """Fixed-point iteration for the integral equation on [t0, t0 + window_T].
+    """Fixed-point iteration for the integral equation on [0, window_T].
 
     The window has config.n_nodes uniform nodes; an iterate is one array of
     shape (n_nodes, dim) + grid.shape, and F of nodes 1.. is one kernel call,
@@ -333,7 +326,7 @@ def picard_solve(
     grid = u0.grid
     n = config.n_nodes
     h = config.window_T / (n - 1)
-    times = t0 + h * np.arange(n)
+    times = h * np.arange(n)
     lags = np.arange(n).reshape((n,) + (1,) * grid.dim)
     E = np.exp(-config.nu * h * lags * grid.k_sq)  # E[d] = exp(-nu d h |k|^2), lag d's factor
     heat_flow = u0.coeffs * E[:, np.newaxis]
@@ -341,13 +334,12 @@ def picard_solve(
     if forcing.projected is not None:
         _require_same_grid(forcing.base_field.grid, grid)
         forcing_hat = np.stack([forcing.amplitude(t) * forcing.projected for t in times])
-    symbol = np.sqrt(grid.k_sq)  # (-Lap)^(1/2), the alpha of config.x_half
+    symbol = np.sqrt(grid.k_sq)  # (-Lap)^(1/2), the residual's alpha = 1/2
 
     current = heat_flow
     residual_history: list = []
     bad_streak = 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        F0 = projected_nonlinearity(grid, u0.coeffs, config.dealias)
+    F0 = projected_nonlinearity(grid, u0.coeffs, config.dealias)
 
     def nodes_F(nodes: np.ndarray) -> np.ndarray:
         # node 0 is u0 in every iterate, so its F is F0
@@ -355,21 +347,20 @@ def picard_solve(
         return np.concatenate([F0[np.newaxis], rest])
 
     for iteration in range(1, config.picard_max_iters + 1):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            g = nodes_F(current)
-            if forcing_hat is not None:
-                g += forcing_hat
-            half_hg = 0.5 * h * g
-            new = heat_flow.copy()
-            S = np.zeros_like(F0)
-            for j in range(1, n):
-                S = E[1] * (S + half_hg[j - 1]) + half_hg[j]
-                new[j] += S
-            diff = new - current
-            if np.isfinite(diff).all():  # its mean mode is 0, as u0's, F's and P f's are
-                residual = float(np.max(_lp(_ifft(diff * symbol, grid), grid, config.p)))
-            else:
-                residual = float("inf")
+        g = nodes_F(current)
+        if forcing_hat is not None:
+            g += forcing_hat
+        half_hg = 0.5 * h * g
+        new = heat_flow.copy()
+        S = np.zeros_like(F0)
+        for j in range(1, n):
+            S = E[1] * (S + half_hg[j - 1]) + half_hg[j]
+            new[j] += S
+        diff = new - current
+        if np.isfinite(diff).all():  # its mean mode is 0, as u0's, F's and P f's are
+            residual = float(np.max(_lp(_irfft(diff * symbol, grid), grid, config.p)))
+        else:
+            residual = float("inf")
         residual_history.append(residual)
         current = new
         if not np.isfinite(residual):
@@ -403,7 +394,7 @@ class WindowSearchReport:
 
 
 def adaptive_window(
-    u0: SpectralVectorField, config: SolverConfig, t0: float = 0.0
+    u0: SpectralVectorField, config: SolverConfig
 ) -> tuple[float, WindowSearchReport]:
     """Shrink the Picard window by halving until the iteration converges.
 
@@ -415,7 +406,7 @@ def adaptive_window(
     for _ in range(21):
         cfg = replace(config, window_T=T)
         try:
-            _, iterations, _ = picard_solve(u0, cfg, t0=t0)
+            _, iterations, _ = picard_solve(u0, cfg)
             attempts.append(WindowAttempt(T, True, iterations, "converged"))
             return T, WindowSearchReport(t_star=T, attempts=tuple(attempts))
         except (NotContracting, MaxIters) as exc:

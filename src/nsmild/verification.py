@@ -18,7 +18,7 @@ from .grid import (
     TWO_PI,
     SpectralVectorField,
     TorusGrid,
-    _ifft,
+    _irfft,
     _relative_max,
     _require_same_grid,
     dealias,
@@ -123,7 +123,7 @@ def _frac_samples(fields, alpha: float) -> np.ndarray:
     By linearity, the L_p norm of a difference of rows is the frac_norm of the difference.
     """
     coeffs = [u.coeffs if alpha == 0.0 else frac_power(alpha, u).coeffs for u in fields]
-    return _ifft(np.stack(coeffs), fields[0].grid)
+    return _irfft(np.stack(coeffs), fields[0].grid)
 
 
 def check_operator_identities(
@@ -220,12 +220,12 @@ def check_semigroup(
     for u in fields:
         ident = max(ident, _relative_max(heat_semigroup(0.0, nu, u).coeffs - u.coeffs,
                                          u.max_abs()))
-        x = _ifft(u.coeffs, u.grid)
+        x = _irfft(u.coeffs, u.grid)
         before = {p: float(_lp(x, u.grid, p)) for p in p_values}
         for t in times:
             ut = heat_semigroup(t, nu, u)
             invariance = max(invariance, ut.divergence_defect())
-            xt = _ifft(ut.coeffs, u.grid)
+            xt = _irfft(ut.coeffs, u.grid)
             for p in p_values:
                 rise = max(float(_lp(xt, u.grid, p)) - before[p], 0.0)
                 contraction_violation = max(contraction_violation, _relative_max(rise, before[p]))
@@ -282,7 +282,7 @@ def check_gradient_identity(fields: list, tol: float = 1e-10) -> CheckReport:
     ratios = []
     for u in fields:
         jacobian = _jacobian_entries(u, list(np.ndindex(u.grid.dim, u.grid.dim)))
-        half = _ifft(frac_power(0.5, u).coeffs, u.grid)
+        half = _irfft(frac_power(0.5, u).coeffs, u.grid)
         g2, gp = (float(_lp(jacobian, u.grid, p)) for p in (2.0, report_p))
         f2, fp = (float(_lp(half, u.grid, p)) for p in (2.0, report_p))
         worst = max(worst, _relative_max(g2 - f2, f2))
@@ -684,8 +684,8 @@ def _suite_trajectory(
     return march(embed(u0, make_grid(2, n_modes)), config, settings.trajectory_t_end)
 
 
-def _hoelder_report(traj: Trajectory) -> CheckReport:
-    """`hoelder_fit_trajectory`: the Hoelder fit of traj, or a failure that names why not.
+def _hoelder_report(traj: Trajectory, p: float) -> CheckReport:
+    """`hoelder_fit_trajectory`: the Hoelder fit of traj in L_p, or a failure that names why not.
 
     A trajectory that blew up is not fitted; a fit that cannot be made (too few
     nonzero increments, or HoelderFit rejecting beta outside (0, 1.05]) fails.
@@ -693,7 +693,7 @@ def _hoelder_report(traj: Trajectory) -> CheckReport:
     if traj.blowup:
         return CheckReport("hoelder_fit_trajectory", False, {"blowup": True})
     try:
-        fit = estimate_hoelder(traj)
+        fit = estimate_hoelder(traj, p=p)
     except ValueError as exc:
         return CheckReport("hoelder_fit_trajectory", False, {"fit_error": str(exc)})
     measurements = {"beta": fit.beta, "C": fit.C, "r_squared": fit.r_squared,
@@ -764,7 +764,7 @@ def run_verification_suite(settings: VerifySettings | None = None) -> list:
 
     # time regularity of a solver trajectory
     traj = _suite_trajectory(s, s.seed + 11000, s.trajectory_n_modes, s.trajectory_n_modes)
-    reports.append(_hoelder_report(traj))
+    reports.append(_hoelder_report(traj, s.p))
 
     # Lipschitz stability of the nonlinearity across resolutions: as in
     # estimate_bilinear_constant, the data are drawn on the coarsest grid and

@@ -670,6 +670,17 @@ class TestConfigErrorTable:
             ("run", dict(with_block("run"), solver={"picard_max_iters": -3}), "solver"),
             ("run", dict(with_block("run"), solver={"picard_tol": 0}), "solver"),
             ("run", dict(with_block("run"), solver={"picard_tol": -1.0}), "solver"),
+            ("run", {"grid": {"dim": 2, "n_modes": 16, "period": 1e-100},
+                     "run": {"t_end": 0.003}}, "initial.decay"),
+            ("run", {"grid": {"dim": 2, "n_modes": 16}, "initial": {"decay": 1e6},
+                     "run": {"t_end": 0.003}}, "initial.decay"),
+            ("run", dict(with_block("run"), forcing={"kind": "steady", "decay": 1e6}),
+             "forcing.decay"),
+            ("estimate", {"estimate": {"decay": 1e6, "ensemble_size": 2}}, "estimate.decay"),
+            ("verify", {"verify": {"spectrum_decay": 1e6, "ensemble_size": 2, "n_modes": 8,
+                                   "resolutions": [8, 16], "trajectory_n_modes": 16}},
+             "verify.spectrum_decay"),
+            ("verify", {"verify": {"trajectory_decay": 1e6}}, "verify.trajectory_decay"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):
@@ -739,3 +750,57 @@ class TestUsageErrors:
         assert "argument --seed: expected an integer >= 0, got '-1'" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+SMALL_VERIFY = {"ensemble_size": 2, "n_modes": 8, "resolutions": [8, 16],
+                "trajectory_n_modes": 16}
+
+
+class TestPrintedLines:
+    """Without --quiet each command prints its summary lines on stdout."""
+
+    def test_run_ok(self, tmp_path, capsys):
+        config = taylor_green_config(tmp_path, t_end=0.1, snapshot_every=10)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"run ok: 11 snapshots -> {out}\n"
+
+    def test_run_blow_up(self, tmp_path, capsys):
+        config = write_config(tmp_path / "blow.json", dict(
+            RUN_BASE, initial={"amplitude": 1e200}, run={"t_end": 0.01}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        rows = read_diagnostics(out / "diagnostics.csv")
+        assert capsys.readouterr().out == f"run blow-up: {len(rows)} snapshots -> {out}\n"
+
+    def test_verify(self, tmp_path, capsys):
+        config = write_config(tmp_path / "verify.json", {"verify": SMALL_VERIFY})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", config, "--out", str(out)]) == 0
+        reports = json.loads((out / "report.json").read_text())
+        tags = {None: "INFO", True: "PASS", False: "FAIL"}
+        lines = [f"{tags[r['passed']]:4s} {r['name']}" for r in reports]
+        lines.append("all asserted checks passed (16 reports)")
+        assert capsys.readouterr().out.splitlines() == lines
+
+    def test_estimate(self, tmp_path, capsys):
+        config = write_config(tmp_path / "est.json",
+                              {"estimate": {"ensemble_size": 2, "resolutions": [8, 16]}})
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", config, "--out", str(out)]) == 0
+        reports = json.loads((out / "report.json").read_text())
+        lines = [f"{r['name']}: {r['verdict']} ("
+                 + ", ".join(f"N={n}: {v:.6g}" for n, v in r["per_resolution"]) + ")"
+                 for r in reports]
+        assert len(lines) == 3
+        assert capsys.readouterr().out.splitlines() == lines
+
+    def test_oracle(self, tmp_path, capsys):
+        config = write_config(tmp_path / "oracle.json",
+                              {"oracle": {"n_modes": 32, "t_end": 0.2, "snapshot_every": 50}})
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", config, "--out", str(out)]) == 0
+        error = json.loads((out / "report.json").read_text())[0]["measurements"][
+            "max_relative_l2_error"]
+        assert capsys.readouterr().out == (
+            f"oracle max relative error {error:.3e} (tolerance 1.0e-10)\n")

@@ -1,0 +1,112 @@
+"""Input checks of the library: each bad input raises ValueError with a message that names it."""
+
+import numpy as np
+import pytest
+
+from nsmild import (
+    FracNormParams,
+    SolverConfig,
+    frac_power,
+    gradient_norm,
+    heat_semigroup,
+    make_grid,
+    march,
+    phi1,
+    random_divfree_field,
+    random_gradient_field,
+)
+from nsmild.grid import ForcingSpec
+from nsmild.io import _HEADER, SNAPSHOT_MAGIC, read_snapshot, write_snapshot
+from nsmild.solver import Trajectory, compute_diagnostics
+from nsmild.verification import _hoelder_fit, advection_ratio
+
+GRID = make_grid(2, 8)
+U = random_divfree_field(GRID, 1)
+V = random_divfree_field(GRID, 2)
+
+
+def snapshot_file(tmp_path, mutate):
+    """A snapshot of U written to disk, then its bytes passed through mutate."""
+    path = tmp_path / "u.nsms"
+    write_snapshot(path, U, 0.5)
+    path.write_bytes(mutate(path.read_bytes()))
+    return path
+
+
+def with_version(raw, version):
+    return _HEADER.pack(SNAPSHOT_MAGIC, version, 2, 8, 2 * np.pi, 0.5) + raw[_HEADER.size:]
+
+
+def trajectory_of_unequal_lengths():
+    row = compute_diagnostics(U, 0.0, SolverConfig())
+    return Trajectory(np.array([0.0, 0.1]), (), (row,))
+
+
+def hoelder_fit(times):
+    samples = np.zeros((len(times), 2) + GRID.shape)
+    return _hoelder_fit(times, samples, GRID, 2.0)
+
+
+CASES = {
+    "snapshot-truncated-header": (
+        lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: raw[:10])),
+        "truncated snapshot header"),
+    "snapshot-wrong-version": (
+        lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: with_version(raw, 2))),
+        "unsupported snapshot version 2"),
+    "snapshot-wrong-count": (
+        lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: raw[:-16])),
+        "expected 128 coefficients, got 127"),
+    "frac-norm-alpha-above-1": (lambda tmp: FracNormParams(1.5), "alpha must lie in [0, 1]"),
+    "frac-norm-alpha-below-0": (lambda tmp: FracNormParams(-0.1), "alpha must lie in [0, 1]"),
+    "heat-nu-0": (lambda tmp: heat_semigroup(0.1, 0.0, U), "viscosity must be positive"),
+    "heat-nu-negative": (lambda tmp: heat_semigroup(0.1, -1.0, U), "viscosity must be positive"),
+    "frac-power-above-1": (lambda tmp: frac_power(1.5, U), "alpha must lie in [-1, 1]"),
+    "frac-power-below-minus-1": (lambda tmp: frac_power(-1.5, U), "alpha must lie in [-1, 1]"),
+    "phi1-h-0": (lambda tmp: phi1(0.0, 1.0, U), "step size must be positive"),
+    "phi1-h-negative": (lambda tmp: phi1(-1e-3, 1.0, U), "step size must be positive"),
+    "gradient-norm-variant": (lambda tmp: gradient_norm(U, 2.0, "trace"),
+                              "variant must be full or diagonal"),
+    "forcing-steady-without-base": (lambda tmp: ForcingSpec("steady"),
+                                    "forcing kind 'steady' requires a base field"),
+    "forcing-hoelder-without-base": (lambda tmp: ForcingSpec("hoelder_modulated"),
+                                     "forcing kind 'hoelder_modulated' requires a base field"),
+    "trajectory-lengths": (lambda tmp: trajectory_of_unequal_lengths(),
+                           "times, diagnostics and any kept fields must have equal length"),
+    "advection-theta-0": (lambda tmp: advection_ratio(U, V, (0.0, 0.0, 0.75)),
+                          "theta and omega must lie in (0, 1]"),
+    "advection-omega-above-1": (lambda tmp: advection_ratio(U, V, (0.0, 0.75, 1.5)),
+                                "theta and omega must lie in (0, 1]"),
+    "hoelder-fit-9-snapshots": (lambda tmp: hoelder_fit(np.linspace(0.0, 1.0, 9)),
+                                "need at least 10 snapshots"),
+    "hoelder-fit-coincident-times": (lambda tmp: hoelder_fit([0.0] + [0.1] * 11),
+                                     "trajectory has coincident or unordered times"),
+    "march-t_end-0": (lambda tmp: march(U, SolverConfig(dt=1e-3), 0.0),
+                      "t_end must cover at least one step of dt = 0.001"),
+    "march-t_end-negative": (lambda tmp: march(U, SolverConfig(dt=1e-3), -1.0),
+                             "t_end must cover at least one step of dt = 0.001"),
+    "march-t_end-below-half-step": (lambda tmp: march(U, SolverConfig(dt=1e-3), 4e-4),
+                                    "t_end must cover at least one step of dt = 0.001"),
+    "march-t_end-half-step": (lambda tmp: march(U, SolverConfig(dt=1e-3), 5e-4),
+                              "t_end must cover at least one step of dt = 0.001"),
+    "march-t_end-nan": (lambda tmp: march(U, SolverConfig(dt=1e-3), float("nan")),
+                        "t_end must cover at least one step of dt = 0.001"),
+    "envelope-underflow-decay": (lambda tmp: random_divfree_field(GRID, 1, 1e6),
+                                 "spectrum_decay 1000000.0 on the box of period"),
+    "envelope-underflow-period": (
+        lambda tmp: random_gradient_field(make_grid(2, 8, 1e-100), 1, 4.0),
+        "on the box of period 1e-100 makes (1+|k|^2)^(-decay/2) zero on every mode"),
+}
+
+
+@pytest.mark.parametrize("call,fragment", CASES.values(), ids=CASES.keys())
+def test_raises_value_error_naming_the_input(tmp_path, call, fragment):
+    with pytest.raises(ValueError) as info:
+        call(tmp_path)
+    assert fragment in str(info.value)
+
+
+def test_envelope_check_ignores_amplitude():
+    """A zero amplitude gives the zero field; only the decay and the period can underflow."""
+    assert random_divfree_field(GRID, 1, 4.0, amplitude=0.0).max_abs() == 0.0
+    assert random_divfree_field(GRID, 1, 4.0, amplitude=1e-300).max_abs() > 0.0

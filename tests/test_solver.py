@@ -101,7 +101,7 @@ class TestParsevalDiagnostics:
         for seed in range(5):
             u = prepare_initial(random_divfree_field(grid, seed, amplitude=10.0 ** (seed - 2)))
             row = compute_diagnostics(u, 0.0, config)
-            x_half = frac_norm(u, config.x_half)
+            x_half = frac_norm(u, FracNormParams(0.5, config.p))
             norm_f = lp_norm(nonlinear_F(u, apply_dealias=dealias), 2.0)
             assert abs(row.norm_x_half - x_half) <= 1e-14 * x_half
             assert abs(row.norm_f - norm_f) <= 1e-14 * norm_f
@@ -120,7 +120,7 @@ class TestParsevalDiagnostics:
         for seed in range(3):
             u = prepare_initial(random_divfree_field(grid, seed))
             row = compute_diagnostics(u, 0.0, config)
-            assert row.norm_x_half == frac_norm(u, config.x_half)
+            assert row.norm_x_half == frac_norm(u, FracNormParams(0.5, config.p))
             assert row.norm_f == lp_norm(nonlinear_F(u), 3.0)
 
 
@@ -389,7 +389,7 @@ def reference_picard(u0, config):
                 if not diff.is_finite():
                     residual = float("inf")
                     break
-                residual = max(residual, frac_norm(diff, config.x_half))
+                residual = max(residual, frac_norm(diff, FracNormParams(0.5, config.p)))
         history.append(residual)
         current = new
         if not np.isfinite(residual):

@@ -37,3 +37,14 @@ def test_every_private_top_level_name_is_used():
             if not any(node.name in _names_read(other, node) for other in trees.values()):
                 dead.append(f"{name}:{node.lineno} {node.name}")
     assert dead == [], f"private definitions that nothing in src/ reads: {dead}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)  # __init__.py imports to re-export
+def test_every_imported_name_is_read(path):
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names} - {"annotations"}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read) == [], f"{path.name}: imports that nothing in it reads"

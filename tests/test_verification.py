@@ -35,7 +35,9 @@ from nsmild.verification import (
     CheckReport,
     EstimateReport,
     HoelderFit,
+    VerifySettings,
     _hoelder_fit,
+    _suite_trajectory,
     advection_ratio,
     check_energy_orthogonality,
     check_frac_power_composition,
@@ -43,6 +45,7 @@ from nsmild.verification import (
     _frac_samples,
     check_operator_identities,
     diagonal_dependence_scan,
+    run_verification_suite,
     taylor_green_residual,
 )
 
@@ -320,6 +323,19 @@ class TestHoelderFit:
         fit = estimate_hoelder(traj)
         assert 0.0 < fit.beta <= 1.05
         assert fit.r_squared >= 0.9
+
+
+class TestSuiteHoelderReport:
+    def test_fit_takes_the_suite_p(self):
+        s = VerifySettings(dim=2, n_modes=8, p=3.0, ensemble_size=2, resolutions=(8, 16),
+                           trajectory_n_modes=16)
+        report = next(r for r in run_verification_suite(s) if r.name == "hoelder_fit_trajectory")
+        traj = _suite_trajectory(s, s.seed + 11000, s.trajectory_n_modes, s.trajectory_n_modes)
+        fit = estimate_hoelder(traj, p=3.0)
+        assert report.measurements == {"beta": fit.beta, "C": fit.C,
+                                       "r_squared": fit.r_squared,
+                                       "sample_pairs": fit.sample_pairs}
+        assert fit.beta != estimate_hoelder(traj, p=2.0).beta
 
 
 class TestPairDistances:
