@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .grid import ForcingSpec, make_grid, random_divfree_field, zero_field
-from .solver import SolverConfig, SolverError, march, march_schedule, picard_solve
+from .solver import SolverConfig, SolverError, march, march_schedule, picard_solve, span_problem
 from .verification import (
     CheckReport,
     EnsembleSpec,
@@ -162,12 +162,9 @@ def settings(cfg: dict, block: str) -> dict:
 
 
 def _check_t_end(path: str, t_end: float, dt: float) -> None:
-    """The march from t = 0 needs a t_end that rounds to 1 to 2**53 steps of dt:
-    past 2**53 steps, t = m * dt can repeat a time."""
-    if not t_end / dt > 0.5:
-        raise ConfigError(f"{path}: must cover at least one step of dt = {dt}, got {t_end!r}")
-    if t_end / dt > 2**53:  # exactly when round(t_end / dt) > 2**53
-        raise ConfigError(f"{path}: must cover at most 2**53 steps of dt = {dt}, got {t_end!r}")
+    problem = span_problem(t_end, dt)
+    if problem is not None:
+        raise ConfigError(f"{path}: {problem}")
 
 
 def _random_field(grid, block: str, seed: int, decay: float, amplitude: float):

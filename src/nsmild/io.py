@@ -1,9 +1,16 @@
 """Persistence: binary field snapshots, diagnostics CSV, and run manifests.
 
-Snapshot layout (little-endian): magic "NSMS", u32 version = 1, u32 dim,
-u32 n_modes, f64 period, f64 time; then for each component in order, all
-coefficients in row-major lattice order as (f64 real, f64 imag) pairs.
-Writing and reading round-trip bit-exactly.
+Snapshot layout v2 (little-endian): magic "NSMS", u32 version = 2, u32 dim,
+u32 n_modes, f64 period, f64 time; then the half spectrum of a real field
+(`grid._half`, last-axis wavenumbers 0..n/2), shaped (dim,) + (n,)*(dim-1) +
+(n/2+1,), in row-major order as (f64 real, f64 imag) pairs. Layout v1 stored
+the full (dim,) + (n,)*dim lattice and stays readable.
+
+Reading returns the full lattice rebuilt from the stored half
+(`grid._full_spectrum`). The half round-trips bit for bit, so every physical
+sample of a read-back field equals the written field's; full-lattice
+coefficients differ from the written ones only by the written field's
+Hermitian defect (typically 3e-16 relative, up to 4e-15 for generated fields).
 """
 
 from __future__ import annotations
@@ -15,12 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import SpectralVectorField, make_grid
+from .grid import SpectralVectorField, _full_spectrum, _half, make_grid
 from .solver import Trajectory
 
 SNAPSHOT_MAGIC = b"NSMS"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 _HEADER = struct.Struct("<4sIIIdd")
+_WRITE_CHUNK_BYTES = 1 << 16
 
 CSV_COLUMNS = ("time", "energy", "enstrophy", "max_div", "norm_x_half", "norm_F")
 
@@ -30,30 +38,35 @@ def write_snapshot(path, field: SpectralVectorField, time: float) -> None:
     header = _HEADER.pack(
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.n_modes, grid.period, float(time)
     )
-    # written from the array's own buffer: no bytes copy of the field
-    body = np.ascontiguousarray(field.coeffs, dtype="<c16")
+    # the half spectrum is a strided view, copied out a few rows at a time: a copy
+    # of the whole half added 1 MiB to a 2D N=256 run's peak RSS
+    rows = _half(field.coeffs, grid).reshape(-1, grid.n_modes // 2 + 1)
+    step = max(1, _WRITE_CHUNK_BYTES // rows[0].nbytes)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(memoryview(body).cast("B"))
+        for start in range(0, len(rows), step):
+            fh.write(rows[start : start + step].astype("<c16"))
 
 
 def read_snapshot(path) -> tuple:
-    """Read a snapshot; returns (field, time). The grid is rebuilt from the header."""
+    """Read a snapshot of layout v1 or v2; returns (field, time), the field on the
+    full lattice rebuilt from the stored half and on the grid of the header."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated snapshot header")
     magic, version, dim, n_modes, period, time = _HEADER.unpack_from(raw)
     if magic != SNAPSHOT_MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != SNAPSHOT_VERSION:
+    if version not in (1, 2):
         raise ValueError(f"{path}: unsupported snapshot version {version}")
     grid = make_grid(dim, n_modes, period)
-    expected = dim * n_modes**dim
+    width = n_modes if version == 1 else n_modes // 2 + 1  # stored last-axis columns
+    expected = dim * n_modes ** (dim - 1) * width
     data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
     if data.size != expected:
         raise ValueError(f"{path}: expected {expected} coefficients, got {data.size}")
-    coeffs = data.reshape((dim,) + grid.shape).copy()
-    return SpectralVectorField(grid, coeffs), time
+    stored = data.reshape((dim,) + grid.shape[:-1] + (width,))
+    return SpectralVectorField(grid, _full_spectrum(_half(stored, grid), grid)), time
 
 
 def _fmt(x: float) -> str:

@@ -19,6 +19,7 @@ Physical-space values come from the grid's real inverse transform `_irfft`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -166,15 +167,15 @@ def projected_nonlinearity(grid, coeffs: np.ndarray, dealias: bool = True) -> np
     mask = _half(grid.dealias_mask, grid)
     k = _half(grid.k, grid)
     u_phys = np.moveaxis(_irfft(_half(coeffs, grid) * mask, grid), -d - 1, 0)
-    rows, cols = np.triu_indices(d)
-    products = np.empty((len(rows),) + u_phys.shape[1:])
-    for pair, (i, j) in enumerate(zip(rows, cols)):
+    pairs = tuple(combinations_with_replacement(range(d), 2))  # i <= j, row by row
+    products = np.empty((len(pairs),) + u_phys.shape[1:])
+    for pair, (i, j) in enumerate(pairs):
         np.multiply(u_phys[i], u_phys[j], out=products[pair])
     del u_phys
     products = _rfft(products, grid)
     div = np.zeros((d,) + products.shape[1:], dtype=np.complex128)
     term = np.empty(products.shape[1:], dtype=np.complex128)
-    for pair, (i, j) in enumerate(zip(rows, cols)):
+    for pair, (i, j) in enumerate(pairs):
         div[i] += np.multiply(k[j], products[pair], out=term)
         if i != j:
             div[j] += np.multiply(k[i], products[pair], out=term)

@@ -12,7 +12,8 @@ applies the factor of lag d as the d-th power of the one-node factor.
 
 `march` evaluates F(u) = -P (u . grad) u once per state: the same array
 feeds the diagnostics of a snapshot and the step that leaves it, which forms
-its right-hand side in place. The heat and h phi1 symbols are built once per
+its right-hand side in place; the blow-up check of a kept state reads the
+energy of its diagnostics row. The heat and h phi1 symbols are built once per
 march (`StepMultipliers`). At p = 2 the diagnostics norms are Parseval sums.
 Inside the solvers F is evaluated by `projected_nonlinearity`, without the
 input checks of `nonlinear_F`. The mean-zero divergence-free invariant is
@@ -248,6 +249,16 @@ def march_schedule(span: float, dt: float, every: int) -> tuple[int, int]:
     return steps, -(-steps // every) + 1
 
 
+def span_problem(t_end: float, dt: float) -> str | None:
+    """Why a march from t = 0 cannot end at t_end, or None. It needs t_end to round
+    to 1 to 2**53 steps of dt: past 2**53 steps, t = m * dt can repeat a time."""
+    if not t_end / dt > 0.5:  # exactly when round(t_end / dt) < 1, or t_end is NaN
+        return f"must cover at least one step of dt = {dt}, got {t_end}"
+    if t_end / dt > 2**53:  # exactly when round(t_end / dt) > 2**53, or t_end is inf
+        return f"must cover at most 2**53 steps of dt = {dt}, got {t_end}"
+    return None
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a runaway state sets blowup
 def march(
     u0: SpectralVectorField,
@@ -257,7 +268,8 @@ def march(
 ) -> Trajectory:
     """Repeated exponential-Euler stepping from 0 to t_end.
 
-    t_end is rounded to the nearest multiple of dt. Snapshots are kept every
+    t_end is rounded to the nearest multiple of dt, which must be 1 to 2**53
+    steps (`span_problem`; else ValueError). Snapshots are kept every
     config.snapshot_every steps plus the final state. A runaway trajectory
     (norm above 1e8 or non-finite) stops the march early and sets the blowup
     flag; it is recorded, not raised.
@@ -267,29 +279,35 @@ def march(
     the trajectory has `fields=()`, so memory holds O(1) fields however long
     the march is.
     """
-    if not t_end / config.dt > 0.5:  # exactly when round(t_end / dt) < 1, or t_end is NaN
-        raise ValueError(f"t_end must cover at least one step of dt = {config.dt}, got {t_end}")
+    problem = span_problem(t_end, config.dt)
+    if problem is not None:
+        raise ValueError(f"t_end {problem}")
     n_steps, _ = march_schedule(t_end, config.dt, config.snapshot_every)
     u = prepare_initial(u0)
 
     multipliers = StepMultipliers.build(u.grid, config)
     times, fields, diags = [], [], []
 
-    def keep(t: float, u: SpectralVectorField, F: SpectralVectorField) -> None:
+    def keep(t: float, u: SpectralVectorField, F: SpectralVectorField) -> DiagnosticsRow:
         diags.append(compute_diagnostics(u, t, config, F=F))
         if sink is None:
             fields.append(u)
         else:
             sink(len(times), t, u)
         times.append(t)
+        return diags[-1]
 
     blowup = False
     for m in range(n_steps + 1):
         # F(u) of every state: the step that leaves it needs it, or the final snapshot
         F = SpectralVectorField(u.grid, projected_nonlinearity(u.grid, u.coeffs, config.dealias))
         t_m = m * config.dt
-        if blowup or m % config.snapshot_every == 0 or m == n_steps:  # as march_schedule counts
-            keep(t_m, u, F)
+        scheduled = m % config.snapshot_every == 0 or m == n_steps  # as march_schedule counts
+        row = keep(t_m, u, F) if scheduled else None
+        if m > 0:  # a stepped state; a kept one's energy is in its row
+            blowup = bool(np.sqrt(energy(u) if row is None else row.energy) > BLOWUP_NORM)
+            if blowup and row is None:
+                keep(t_m, u, F)
         if blowup or m == n_steps:
             break
         try:
@@ -297,7 +315,6 @@ def march(
         except FieldBlowup:
             blowup = True
             break
-        blowup = bool(np.sqrt(energy(u)) > BLOWUP_NORM)
     return Trajectory(np.asarray(times), tuple(fields), tuple(diags), blowup=blowup)
 
 

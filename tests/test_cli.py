@@ -22,7 +22,14 @@ from nsmild.cli import (
     load_config,
     main,
 )
-from nsmild.io import read_snapshot, write_diagnostics_csv, write_snapshot
+from nsmild.grid import _full_spectrum, _half, _irfft, inverse_transform
+from nsmild.io import (
+    _HEADER,
+    SNAPSHOT_MAGIC,
+    read_snapshot,
+    write_diagnostics_csv,
+    write_snapshot,
+)
 from nsmild.solver import march, picard_solve
 from nsmild.verification import VerifySettings
 
@@ -423,11 +430,44 @@ class TestDeterminismAndSnapshots:
         back, t = read_snapshot(path)
         assert t == 0.375
         assert back.grid == grid
-        assert np.array_equal(back.coeffs, field.coeffs)
+        # the half spectrum round-trips; the rest of the lattice is its mirror
+        assert np.array_equal(back.coeffs, _full_spectrum(_half(field.coeffs, grid), grid))
+        assert np.array_equal(_irfft(back.coeffs, grid), _irfft(field.coeffs, grid))
         # bytes written twice are identical
         path2 = tmp_path / "field2.nsms"
         write_snapshot(path2, back, time=0.375)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_snapshot_stores_the_half_spectrum(self, tmp_path, dim, n):
+        path = tmp_path / "field.nsms"
+        write_snapshot(path, random_divfree_field(make_grid(dim, n), seed=3), time=0.0)
+        assert path.stat().st_size == _HEADER.size + 16 * dim * n ** (dim - 1) * (n // 2 + 1)
+
+    def test_layout_v1_stays_readable(self, tmp_path):
+        grid = make_grid(3, 8)
+        field = random_divfree_field(grid, seed=4)
+        path = tmp_path / "v1.nsms"
+        header = _HEADER.pack(SNAPSHOT_MAGIC, 1, 3, 8, grid.period, 0.25)
+        path.write_bytes(header + field.coeffs.astype("<c16").tobytes())
+        back, t = read_snapshot(path)
+        assert t == 0.25 and back.grid == grid
+        assert np.array_equal(back.coeffs, _full_spectrum(_half(field.coeffs, grid), grid))
+
+    def test_read_back_samples_are_bit_equal(self, tmp_path):
+        grid = make_grid(2, 32)
+        field = random_divfree_field(grid, seed=5)
+        write_snapshot(tmp_path / "u.nsms", field, time=0.0)
+        back, _ = read_snapshot(tmp_path / "u.nsms")
+        assert np.array_equal(inverse_transform(back).values, inverse_transform(field).values)
+        doc = dict(STREAMED_RUNS["picard"], grid={"dim": 2, "n_modes": 16})
+        out = tmp_path / "picard"
+        traj = write_in_memory_outputs(write_config(tmp_path / "c.json", doc), out)
+        assert len(traj.fields) == 11
+        for idx, field in enumerate(traj.fields):
+            back, t = read_snapshot(out / f"snapshot_{idx:06d}.nsms")
+            assert t == traj.times[idx]
+            assert np.array_equal(inverse_transform(back).values, inverse_transform(field).values)
 
     def test_snapshot_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.nsms"

@@ -52,11 +52,11 @@ CASES = {
         lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: raw[:10])),
         "truncated snapshot header"),
     "snapshot-wrong-version": (
-        lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: with_version(raw, 2))),
-        "unsupported snapshot version 2"),
+        lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: with_version(raw, 3))),
+        "unsupported snapshot version 3"),
     "snapshot-wrong-count": (
         lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: raw[:-16])),
-        "expected 128 coefficients, got 127"),
+        "expected 80 coefficients, got 79"),
     "frac-norm-alpha-above-1": (lambda tmp: FracNormParams(1.5), "alpha must lie in [0, 1]"),
     "frac-norm-alpha-below-0": (lambda tmp: FracNormParams(-0.1), "alpha must lie in [0, 1]"),
     "heat-nu-0": (lambda tmp: heat_semigroup(0.1, 0.0, U), "viscosity must be positive"),
@@ -91,6 +91,10 @@ CASES = {
                               "t_end must cover at least one step of dt = 0.001"),
     "march-t_end-nan": (lambda tmp: march(U, SolverConfig(dt=1e-3), float("nan")),
                         "t_end must cover at least one step of dt = 0.001"),
+    "march-t_end-inf": (lambda tmp: march(U, SolverConfig(dt=1e-3), float("inf")),
+                        "t_end must cover at most 2**53 steps of dt = 0.001, got inf"),
+    "march-t_end-1e300": (lambda tmp: march(U, SolverConfig(dt=1e-3), 1e300),
+                          "t_end must cover at most 2**53 steps of dt = 0.001, got 1e+300"),
     "envelope-underflow-decay": (lambda tmp: random_divfree_field(GRID, 1, 1e6),
                                  "spectrum_decay 1000000.0 on the box of period"),
     "envelope-underflow-period": (

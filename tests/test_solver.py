@@ -234,6 +234,29 @@ class TestMarch:
         for u, t, row in zip(traj.fields, traj.times, traj.diagnostics):
             assert row == compute_diagnostics(u, t, config)
 
+    def test_energy_measured_once_per_state(self, grid2, monkeypatch):
+        # one energy(u) per state, shared by its blow-up check and its row, plus
+        # energy(F) of every row's norm_F: 17 + 17 for 16 steps, every step kept
+        calls = []
+        original = operators.energy
+
+        def counted(u):
+            calls.append(1)
+            return original(u)
+
+        monkeypatch.setattr(operators, "energy", counted)
+        monkeypatch.setattr(solver, "energy", counted)
+        base = random_divfree_field(grid2, seed=11)
+        config = SolverConfig(
+            nu=1.0, dt=1e-2, forcing=ForcingSpec(kind="steady", base_field=base),
+            snapshot_every=1,
+        )
+        traj = march(random_divfree_field(grid2, seed=10), config, 16 * config.dt)
+        assert len(calls) == 34
+        monkeypatch.undo()
+        for u, t, row in zip(traj.fields, traj.times, traj.diagnostics):
+            assert row == compute_diagnostics(u, t, config)
+
     def test_without_dealiasing_states_stay_hermitian(self):
         # the Nyquist planes of the advection image are zeroed, so they stay empty
         grid = make_grid(2, 32)

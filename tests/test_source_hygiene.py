@@ -1,11 +1,15 @@
-"""Source conventions of src/nsmild: short lines, and no dead private names."""
+"""Source conventions of src/nsmild: short lines, no dead private names, and a README
+that names the snapshot version the writer writes."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "nsmild").glob("*.py"))
+from nsmild.io import SNAPSHOT_VERSION
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "nsmild").glob("*.py"))
 MAX_COLUMNS = 99
 
 
@@ -48,3 +52,10 @@ def test_every_imported_name_is_read(path):
                 for alias in node.names} - {"annotations"}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - read) == [], f"{path.name}: imports that nothing in it reads"
+
+
+def test_readme_names_the_written_snapshot_version():
+    lines = [line for line in (ROOT / "README.md").read_text().splitlines()
+             if line.startswith("Snapshot format")]
+    assert len(lines) == 1, "README has no single 'Snapshot format' line"
+    assert f"u32 version = {SNAPSHOT_VERSION}," in lines[0], lines[0]
