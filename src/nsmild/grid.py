@@ -118,18 +118,23 @@ def make_grid(dim: int, n_modes: int, period: float = TWO_PI) -> TorusGrid:
     return TorusGrid(dim=dim, n_modes=int(n_modes), period=float(period))
 
 
-def _fft(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return np.fft.fftn(values, axes=grid.spatial_axes) / grid.n_points
-
-
 def _half(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """The modes with last-axis wavenumber 0..n/2, which fix a Hermitian spectrum."""
     return coeffs[..., : grid.n_modes // 2 + 1]
 
 
 def _rfft(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Real samples -> half spectrum, normalized like `_fft`."""
-    return np.fft.rfftn(values, axes=grid.spatial_axes, norm="forward")
+    """Real samples -> exactly Hermitian half spectrum (zero mode = spatial mean).
+
+    The last-axis 0 and n/2 planes are the stored columns that hold both k and -k;
+    each becomes 0.5 (x + conj(x(-k))), which leaves an exactly Hermitian plane unchanged.
+    """
+    half = np.fft.rfftn(values, axes=grid.spatial_axes, norm="forward")
+    for column in (0, grid.n_modes // 2):  # one plane at a time: half the time of both at once
+        plane = half[..., column]
+        plane += _conj_reflect(plane, grid.spatial_axes[1:])
+        plane *= 0.5
+    return half
 
 
 def _irfft(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -250,11 +255,11 @@ def _require_mean_zero(u: SpectralVectorField, what: str) -> None:
 
 def forward_transform(u: PhysicalVectorField) -> SpectralVectorField:
     """Collocation samples -> Fourier coefficients (zero mode = spatial mean)."""
-    return SpectralVectorField(u.grid, _fft(u.values, u.grid))
+    return SpectralVectorField(u.grid, _full_spectrum(_rfft(u.values, u.grid), u.grid))
 
 
 def inverse_transform(u: SpectralVectorField) -> PhysicalVectorField:
-    """Fourier coefficients -> collocation samples (real part; fields are real)."""
+    """Hermitian Fourier coefficients -> collocation samples, read from the half spectrum."""
     return PhysicalVectorField(u.grid, _irfft(u.coeffs, u.grid))
 
 
@@ -323,17 +328,14 @@ def leray_symbol_apply(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _unit_phase_coeffs(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
-    """Unit-modulus coefficients with random phases, Hermitian to roundoff.
+    """Unit-modulus coefficients with random phases and exact Hermitian symmetry.
 
-    Obtained by normalizing the complex transform of real white noise, so
-    uhat(-k) = conj(uhat(k)) holds to roundoff, not exactly: `hermitian_defect`
-    of a generated field is typically 3e-16 and at most 4e-15 over 40 seeds.
+    The half spectrum of real white noise (`_rfft`), normalized, then mirrored once.
     """
-    noise = rng.standard_normal(grid.shape)
-    what = _fft(noise, grid)
+    what = _rfft(rng.standard_normal(grid.shape), grid)
     mag = np.abs(what)
     safe = np.where(mag > 0, mag, 1.0)
-    return np.where(mag > 0, what / safe, 1.0 + 0.0j)
+    return _full_spectrum(np.where(mag > 0, what / safe, 1.0 + 0.0j), grid)
 
 
 def _spectral_envelope(grid: TorusGrid, spectrum_decay: float, amplitude: float) -> np.ndarray:
@@ -356,10 +358,9 @@ def random_divfree_field(
 ) -> SpectralVectorField:
     """Random mean-zero divergence-free field with |uhat| ~ (1+|k|^2)^(-decay/2).
 
-    The projection symbol is applied to random-phase coefficients, so the
-    result is exactly divergence-free, and Hermitian only to roundoff
-    (`hermitian_defect` typically 3e-16, at most 4e-15 over 40 seeds at 2D and
-    3D N=16). Identical seeds give bitwise-identical coefficients.
+    The projection symbol is applied to exactly Hermitian random-phase
+    coefficients, so the result is divergence-free and `hermitian_defect` is 0.
+    Identical seeds give bitwise-identical coefficients.
     """
     rng = np.random.default_rng(seed)
     env = _spectral_envelope(grid, spectrum_decay, amplitude)

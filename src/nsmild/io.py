@@ -7,10 +7,8 @@ u32 n_modes, f64 period, f64 time; then the half spectrum of a real field
 the full (dim,) + (n,)*dim lattice and stays readable.
 
 Reading returns the full lattice rebuilt from the stored half
-(`grid._full_spectrum`). The half round-trips bit for bit, so every physical
-sample of a read-back field equals the written field's; full-lattice
-coefficients differ from the written ones only by the written field's
-Hermitian defect (typically 3e-16 relative, up to 4e-15 for generated fields).
+(`grid._full_spectrum`). The fields the package forms are exactly Hermitian, so
+they read back bit for bit; any field reads back with the written physical samples.
 """
 
 from __future__ import annotations
@@ -59,12 +57,17 @@ def read_snapshot(path) -> tuple:
         raise ValueError(f"{path}: bad magic {magic!r}")
     if version not in (1, 2):
         raise ValueError(f"{path}: unsupported snapshot version {version}")
-    grid = make_grid(dim, n_modes, period)
     width = n_modes if version == 1 else n_modes // 2 + 1  # stored last-axis columns
-    expected = dim * n_modes ** (dim - 1) * width
+    got = (len(raw) - _HEADER.size) / 16
+    # make_grid allocates what the header claims, so the body must fit it first; the count
+    # is a Python int, and make_grid rejects any other dim before it allocates
+    if dim in (2, 3) and got != (expected := dim * n_modes ** (dim - 1) * width):
+        raise ValueError(f"{path}: expected {expected} coefficients, got {got:.17g}")
+    try:
+        grid = make_grid(dim, n_modes, period)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-    if data.size != expected:
-        raise ValueError(f"{path}: expected {expected} coefficients, got {data.size}")
     stored = data.reshape((dim,) + grid.shape[:-1] + (width,))
     return SpectralVectorField(grid, _full_spectrum(_half(stored, grid), grid)), time
 

@@ -13,7 +13,8 @@ dealiasing on it evaluates -P div(u (x) u) with real transforms of the half
 spectrum; the grid's cutoff satisfies 3 * cutoff < n, so this is exact for
 divergence-free u on the retained modes. Without dealiasing it uses the
 advective form of `advect`, the reference, on the whole batch at once.
-Physical-space values come from the grid's real inverse transform `_irfft`.
+Physical-space values come from the grid's real inverse transform `_irfft` and
+return through its exactly Hermitian forward transform `_rfft`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from .grid import (
     DIV_TOL,
     SpectralVectorField,
-    _fft,
     _full_spectrum,
     _half,
     _irfft,
@@ -138,12 +138,11 @@ def _advect(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.ndarr
     u_phys = _irfft(u, grid)
     out = np.zeros_like(u_phys)
     for j, u_j in enumerate(np.moveaxis(u_phys, -d - 1, 0)):
-        dv_j = _irfft(1j * grid.k[j] * v, grid)
-        out += np.expand_dims(u_j, -d - 1) * dv_j
-    coeffs = _fft(out, grid)
+        out += np.expand_dims(u_j, -d - 1) * _irfft(1j * grid.k[j] * v, grid)
+    half = _rfft(out, grid)
     if apply_dealias:
-        coeffs = coeffs * grid.dealias_mask
-    return coeffs
+        half *= _half(grid.dealias_mask, grid)  # on the half: no full-lattice masked copy
+    return _full_spectrum(half, grid)
 
 
 def projected_nonlinearity(grid, coeffs: np.ndarray, dealias: bool = True) -> np.ndarray:

@@ -109,6 +109,10 @@ class EnsembleSpec:
     dim: int = 3
     spectrum_decay: float = 4.0
 
+    def __post_init__(self) -> None:
+        if self.size < 1:  # an empty ensemble would pass every estimate vacuously
+            raise ValueError(f"ensemble size must be >= 1, got {self.size}")
+
     def fields(self, grid: TorusGrid, count: int | None = None) -> list:
         count = self.size if count is None else count
         return [

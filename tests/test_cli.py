@@ -22,7 +22,7 @@ from nsmild.cli import (
     load_config,
     main,
 )
-from nsmild.grid import _full_spectrum, _half, _irfft, inverse_transform
+from nsmild.grid import inverse_transform
 from nsmild.io import (
     _HEADER,
     SNAPSHOT_MAGIC,
@@ -225,7 +225,7 @@ class TestRun:
         assert done.returncode == 2
         assert "RuntimeWarning" not in done.stderr
         assert (out / "diagnostics.csv").read_text().splitlines()[1:] == [
-            "0,inf,inf,5.9732276614041894e+183,inf,nan"
+            "0,inf,inf,4.5489064423857885e+183,inf,nan"
         ]
 
     def test_nonfinite_picard_residual_exits_4(self, tmp_path, capsys):
@@ -430,9 +430,8 @@ class TestDeterminismAndSnapshots:
         back, t = read_snapshot(path)
         assert t == 0.375
         assert back.grid == grid
-        # the half spectrum round-trips; the rest of the lattice is its mirror
-        assert np.array_equal(back.coeffs, _full_spectrum(_half(field.coeffs, grid), grid))
-        assert np.array_equal(_irfft(back.coeffs, grid), _irfft(field.coeffs, grid))
+        # a generated field is exactly Hermitian, so its mirror of the half is itself
+        assert np.array_equal(back.coeffs, field.coeffs)
         # bytes written twice are identical
         path2 = tmp_path / "field2.nsms"
         write_snapshot(path2, back, time=0.375)
@@ -445,14 +444,14 @@ class TestDeterminismAndSnapshots:
         assert path.stat().st_size == _HEADER.size + 16 * dim * n ** (dim - 1) * (n // 2 + 1)
 
     def test_layout_v1_stays_readable(self, tmp_path):
-        grid = make_grid(3, 8)
+        grid = make_grid(3, 16)
         field = random_divfree_field(grid, seed=4)
         path = tmp_path / "v1.nsms"
-        header = _HEADER.pack(SNAPSHOT_MAGIC, 1, 3, 8, grid.period, 0.25)
+        header = _HEADER.pack(SNAPSHOT_MAGIC, 1, 3, 16, grid.period, 0.25)
         path.write_bytes(header + field.coeffs.astype("<c16").tobytes())
         back, t = read_snapshot(path)
         assert t == 0.25 and back.grid == grid
-        assert np.array_equal(back.coeffs, _full_spectrum(_half(field.coeffs, grid), grid))
+        assert np.array_equal(back.coeffs, field.coeffs)
 
     def test_read_back_samples_are_bit_equal(self, tmp_path):
         grid = make_grid(2, 32)

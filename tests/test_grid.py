@@ -16,7 +16,7 @@ from nsmild import (
     dealias,
     embed,
 )
-from nsmild.grid import ForcingSpec, SpectralVectorField
+from nsmild.grid import ForcingSpec, SpectralVectorField, _conj_reflect, _rfft
 
 
 class TestMakeGrid:
@@ -82,10 +82,33 @@ class TestTransforms:
         spec = grid3.volume * np.sum(np.abs(u.coeffs) ** 2)
         np.testing.assert_allclose(quad, spec, rtol=1e-10)
 
-    def test_hermitian_symmetry_of_generated_fields(self, grid3):
-        for seed in range(5):
-            assert random_divfree_field(grid3, seed).hermitian_defect() < 1e-12
-            assert random_gradient_field(grid3, seed).hermitian_defect() < 1e-12
+    def test_hermitian_symmetry_of_generated_fields(self):
+        # exact: the half spectrum of real noise is mirrored once
+        for dim, n in [(2, 16), (2, 256), (3, 16), (3, 32)]:
+            grid = make_grid(dim, n)
+            for seed in range(10):
+                assert random_divfree_field(grid, seed).hermitian_defect() == 0.0
+                assert random_gradient_field(grid, seed).hermitian_defect() == 0.0
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 16)])
+    def test_forward_transform_is_exactly_hermitian(self, dim, n):
+        grid = make_grid(dim, n)
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            u = PhysicalVectorField(grid, rng.standard_normal((dim,) + grid.shape))
+            assert forward_transform(u).hermitian_defect() == 0.0
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 16)])
+    def test_rfft_planes_are_exactly_hermitian_under_batch_axes(self, dim, n):
+        # last-axis columns 0 and n/2 hold both k and -k; each must be its own mirror
+        grid = make_grid(dim, n)
+        values = np.random.default_rng(5).standard_normal((4, dim) + grid.shape)
+        half = _rfft(values, grid)
+        expected = np.fft.rfftn(values, axes=grid.spatial_axes, norm="forward")
+        assert np.max(np.abs(half - expected)) <= 1e-15 * np.max(np.abs(expected))
+        for col in (0, n // 2):
+            plane = half[..., col]
+            assert np.array_equal(plane, _conj_reflect(plane, grid.spatial_axes[1:]))
 
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (2, 256), (3, 16), (3, 32)])

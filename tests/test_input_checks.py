@@ -18,7 +18,7 @@ from nsmild import (
 from nsmild.grid import ForcingSpec
 from nsmild.io import _HEADER, SNAPSHOT_MAGIC, read_snapshot, write_snapshot
 from nsmild.solver import Trajectory, compute_diagnostics
-from nsmild.verification import _hoelder_fit, advection_ratio
+from nsmild.verification import EnsembleSpec, _hoelder_fit, advection_ratio
 
 GRID = make_grid(2, 8)
 U = random_divfree_field(GRID, 1)
@@ -33,8 +33,8 @@ def snapshot_file(tmp_path, mutate):
     return path
 
 
-def with_version(raw, version):
-    return _HEADER.pack(SNAPSHOT_MAGIC, version, 2, 8, 2 * np.pi, 0.5) + raw[_HEADER.size:]
+def with_header(raw, version=2, dim=2, n_modes=8, period=2 * np.pi):
+    return _HEADER.pack(SNAPSHOT_MAGIC, version, dim, n_modes, period, 0.5) + raw[_HEADER.size:]
 
 
 def trajectory_of_unequal_lengths():
@@ -52,11 +52,25 @@ CASES = {
         lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: raw[:10])),
         "truncated snapshot header"),
     "snapshot-wrong-version": (
-        lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: with_version(raw, 3))),
+        lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: with_header(raw, version=3))),
         "unsupported snapshot version 3"),
     "snapshot-wrong-count": (
         lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: raw[:-16])),
         "expected 80 coefficients, got 79"),
+    # the header is checked against the 80-coefficient body before a grid is built
+    "snapshot-huge-n_modes": (
+        lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: with_header(raw, n_modes=2**20))),
+        "u.nsms: expected 1099513724928 coefficients, got 80"),
+    "snapshot-dim-7": (
+        lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: with_header(raw, dim=7))),
+        "u.nsms: dim must be 2 or 3, got 7"),
+    "snapshot-period-nan": (
+        lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: with_header(raw, period=np.nan))),
+        "u.nsms: period must be positive, got nan"),
+    "ensemble-size-0": (lambda tmp: EnsembleSpec(size=0, seed=1),
+                        "ensemble size must be >= 1, got 0"),
+    "ensemble-size-negative": (lambda tmp: EnsembleSpec(size=-3),
+                               "ensemble size must be >= 1, got -3"),
     "frac-norm-alpha-above-1": (lambda tmp: FracNormParams(1.5), "alpha must lie in [0, 1]"),
     "frac-norm-alpha-below-0": (lambda tmp: FracNormParams(-0.1), "alpha must lie in [0, 1]"),
     "heat-nu-0": (lambda tmp: heat_semigroup(0.1, 0.0, U), "viscosity must be positive"),

@@ -264,8 +264,18 @@ class TestMarch:
         traj = march(random_divfree_field(grid, seed=3), config, 0.1)
         assert len(traj.fields) == 11
         for u in traj.fields:
-            assert u.hermitian_defect() <= 1e-12
+            assert u.hermitian_defect() == 0.0
             assert not np.any(u.coeffs[:, grid.nyquist_mask])
+
+    def test_forced_3d_states_are_exactly_hermitian(self):
+        grid = make_grid(3, 16)
+        base = prepare_initial(random_divfree_field(grid, seed=6))
+        config = SolverConfig(nu=0.5, dt=1e-2, snapshot_every=1,
+                              forcing=ForcingSpec("hoelder_modulated", base, 0.5))
+        traj = march(random_divfree_field(grid, seed=7), config, 0.05)
+        assert len(traj.fields) == 6 and not traj.blowup
+        for u in traj.fields:
+            assert u.hermitian_defect() == 0.0
 
     @pytest.mark.parametrize(
         "snapshot_every,amplitude,nu,dt",
@@ -319,6 +329,16 @@ class TestPicard:
         mtraj = march(u0, mconfig, 0.1)
         diff = spectral_l2_norm(ptraj.final_field - mtraj.final_field)
         assert diff <= 1e-4 * spectral_l2_norm(mtraj.final_field)
+
+    def test_nodes_are_exactly_hermitian(self, grid2):
+        u0 = normalized_x_half(random_divfree_field(grid2, seed=13), 0.1)
+        base = prepare_initial(random_divfree_field(grid2, seed=14))
+        config = SolverConfig(nu=1.0, window_T=0.1, n_nodes=17,
+                              forcing=ForcingSpec("hoelder_modulated", base, 0.5))
+        traj, iterations, _ = picard_solve(u0, config)
+        assert iterations > 1 and len(traj.fields) == 17
+        for u in traj.fields:
+            assert u.hermitian_defect() == 0.0
 
     def test_not_contracting_for_large_data(self, grid2):
         u0 = 50.0 * random_divfree_field(grid2, seed=12)

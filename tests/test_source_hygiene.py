@@ -1,5 +1,5 @@
-"""Source conventions of src/nsmild: short lines, no dead private names, and a README
-that names the snapshot version the writer writes."""
+"""Source conventions of src/nsmild: short lines, no dead private names, one forward
+transform, and a README that names the snapshot version the writer writes."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,7 @@ from nsmild.io import SNAPSHOT_VERSION
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "nsmild").glob("*.py"))
 MAX_COLUMNS = 99
+COMPLEX_FFTS = {"fft", "fftn", "fft2", "ifft", "ifftn", "ifft2"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -52,6 +53,23 @@ def test_every_imported_name_is_read(path):
                 for alias in node.names} - {"annotations"}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - read) == [], f"{path.name}: imports that nothing in it reads"
+
+
+def test_no_complex_fft():
+    """Real samples enter the spectrum only through grid._rfft (exactly Hermitian) and
+    leave it through grid._irfft, so a second, complex path must not come back."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr == "fft":
+                names = {node.attr}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names & COMPLEX_FFTS]
+    assert found == [], f"complex FFTs in src/nsmild: {found}"
 
 
 def test_readme_names_the_written_snapshot_version():
