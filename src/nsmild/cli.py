@@ -35,9 +35,9 @@ from .verification import (
 from .io import (
     RunManifest,
     write_diagnostics_csv,
+    write_half_snapshot,
     write_manifest,
     write_report_json,
-    write_snapshot,
 )
 
 EXIT_OK = 0
@@ -258,18 +258,19 @@ def cmd_run(config, out, seed=None, quiet=False) -> int:
     started = _utc_now()
     snapshots, outputs, solver_error = [], [], None
 
-    def write(index: int, t: float, field) -> None:
+    def write(index: int, t: float, coeffs) -> None:
         path = out / f"snapshot_{index:06d}.nsms"
-        write_snapshot(path, field, float(t))
+        write_half_snapshot(path, grid, coeffs, float(t))
         snapshots.append(str(path))
 
     try:
         if solver_cfg.scheme == "picard_window":
             traj, _, _ = picard_solve(u0, solver_cfg)
             for index, (t, field) in enumerate(zip(traj.times, traj.fields)):
-                write(index, t, field)
+                write(index, t, field.coeffs)
         else:
-            # each snapshot is written as the march keeps it, so no field is held
+            # each snapshot is written from the half state as the march keeps it,
+            # so no field is held or mirrored
             traj = march(u0, solver_cfg, t_end, sink=write)
     except SolverError as exc:
         iterations = len(getattr(exc, "residual_history", ()))

@@ -144,11 +144,12 @@ def _irfft(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 def _conj_reflect(coeffs: np.ndarray, axes: tuple) -> np.ndarray:
-    """conj(uhat(-k)) laid out on the same lattice as uhat(k)."""
-    out = np.conj(coeffs)
+    """conj(uhat(-k)) laid out on the same lattice as uhat(k), over the nonempty `axes`:
+    one gather per axis (slot i takes slot -i mod n), then a conjugate in place."""
     for ax in axes:
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
+        n = coeffs.shape[ax]
+        coeffs = np.take(coeffs, -np.arange(n) % n, axis=ax)
+    return np.conjugate(coeffs, out=coeffs)
 
 
 def _full_spectrum(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -159,6 +160,13 @@ def _full_spectrum(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
     # last-axis wavenumbers n/2+1..n-1 are the conjugates of n/2-1..1 at -k
     full[..., n // 2 + 1 :] = _conj_reflect(half[..., n // 2 - 1 : 0 : -1], grid.spatial_axes[:-1])
     return full
+
+
+def _half_sum(values: np.ndarray, grid: TorusGrid) -> float:
+    """Full-lattice sum of an even quantity, q(-k) = q(k), from its values on the half
+    spectrum: weight 1 on the last-axis 0 and n/2 planes (they hold k and -k), 2 elsewhere."""
+    columns = np.arange(grid.n_modes // 2 + 1)
+    return float(np.sum(values * np.where(columns % (grid.n_modes // 2) == 0, 1.0, 2.0)))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ u32 n_modes, f64 period, f64 time; then the half spectrum of a real field
 (n/2+1,), in row-major order as (f64 real, f64 imag) pairs. Layout v1 stored
 the full (dim,) + (n,)*dim lattice and stays readable.
 
-Reading returns the full lattice rebuilt from the stored half
+`write_half_snapshot` writes it from either layout, as `march` hands its sink the
+half. Reading returns the full lattice rebuilt from the stored half
 (`grid._full_spectrum`). The fields the package forms are exactly Hermitian, so
 they read back bit for bit; any field reads back with the written physical samples.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import SpectralVectorField, _full_spectrum, _half, make_grid
+from .grid import SpectralVectorField, TorusGrid, _full_spectrum, _half, make_grid
 from .solver import Trajectory
 
 SNAPSHOT_MAGIC = b"NSMS"
@@ -32,13 +33,17 @@ CSV_COLUMNS = ("time", "energy", "enstrophy", "max_div", "norm_x_half", "norm_F"
 
 
 def write_snapshot(path, field: SpectralVectorField, time: float) -> None:
-    grid = field.grid
+    write_half_snapshot(path, field.grid, field.coeffs, time)
+
+
+def write_half_snapshot(path, grid: TorusGrid, coeffs: np.ndarray, time: float) -> None:
+    """Write layout v2 from coefficients (dim,) + grid.shape or their half."""
     header = _HEADER.pack(
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.n_modes, grid.period, float(time)
     )
-    # the half spectrum is a strided view, copied out a few rows at a time: a copy
-    # of the whole half added 1 MiB to a 2D N=256 run's peak RSS
-    rows = _half(field.coeffs, grid).reshape(-1, grid.n_modes // 2 + 1)
+    # a half view of the full lattice is strided, so it is copied out a few rows at a
+    # time: a copy of the whole half added 1 MiB to a 2D N=256 run's peak RSS
+    rows = _half(coeffs, grid).reshape(-1, grid.n_modes // 2 + 1)
     step = max(1, _WRITE_CHUNK_BYTES // rows[0].nbytes)
     with open(path, "wb") as fh:
         fh.write(header)

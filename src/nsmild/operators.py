@@ -14,7 +14,10 @@ spectrum; the grid's cutoff satisfies 3 * cutoff < n, so this is exact for
 divergence-free u on the retained modes. Without dealiasing it uses the
 advective form of `advect`, the reference, on the whole batch at once.
 Physical-space values come from the grid's real inverse transform `_irfft` and
-return through its exactly Hermitian forward transform `_rfft`.
+return through its exactly Hermitian forward transform `_rfft`. The body
+`_half_nonlinearity` takes the full lattice or its half and returns the half,
+which the solvers carry; `projected_nonlinearity` mirrors it once, as `advect`
+mirrors `_half_advect`. Energy and enstrophy are weighted half sums (`_half_sum`).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .grid import (
     SpectralVectorField,
     _full_spectrum,
     _half,
+    _half_sum,
     _irfft,
     _require_mean_zero,
     _require_same_grid,
@@ -131,58 +135,67 @@ def advect(
 
 def _advect(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.ndarray:
     """The body of `advect` on coefficients shaped (..., dim) + grid.shape."""
+    return _full_spectrum(_half_advect(grid, u, v, apply_dealias), grid)
+
+
+def _half_advect(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.ndarray:
+    """The half spectrum of the image of coefficients (..., dim) + grid.shape or their
+    half; masks and derivatives are formed only on the half, the columns `_irfft` reads."""
     d = grid.dim
+    u, v, k = _half(u, grid), _half(v, grid), _half(grid.k, grid)
+    mask = _half(grid.dealias_mask, grid)
     if apply_dealias:
-        u = u * grid.dealias_mask
-        v = v * grid.dealias_mask
+        u, v = u * mask, v * mask
     u_phys = _irfft(u, grid)
     out = np.zeros_like(u_phys)
     for j, u_j in enumerate(np.moveaxis(u_phys, -d - 1, 0)):
-        out += np.expand_dims(u_j, -d - 1) * _irfft(1j * grid.k[j] * v, grid)
+        out += np.expand_dims(u_j, -d - 1) * _irfft(1j * k[j] * v, grid)
     half = _rfft(out, grid)
     if apply_dealias:
-        half *= _half(grid.dealias_mask, grid)  # on the half: no full-lattice masked copy
-    return _full_spectrum(half, grid)
+        half *= mask
+    return half
+
+
+def _half_nonlinearity(grid, coeffs: np.ndarray, dealias: bool) -> np.ndarray:
+    """`projected_nonlinearity` before its mirror, of the full lattice or its half."""
+    d = grid.dim
+    if not dealias:
+        out = -leray_symbol_apply(grid, _half_advect(grid, coeffs, coeffs, False)
+                                  * ~_half(grid.nyquist_mask, grid))
+        out[(...,) + (0,) * d] = 0.0
+        return out
+    mask = _half(grid.dealias_mask, grid)
+    k = _half(grid.k, grid)
+    u_phys = np.moveaxis(_irfft(_half(coeffs, grid) * mask, grid), -d - 1, 0)
+    product = np.empty(u_phys.shape[1:])
+    div = np.zeros((d,) + product.shape[:-1] + mask.shape[-1:], dtype=np.complex128)
+    term = np.empty_like(div[0])
+    for i, j in combinations_with_replacement(range(d), 2):  # i <= j, row by row
+        transform = _rfft(np.multiply(u_phys[i], u_phys[j], out=product), grid)
+        div[i] += np.multiply(k[j], transform, out=term)
+        if i != j:
+            div[j] += np.multiply(k[i], transform, out=term)
+        del transform
+    del u_phys, product, term
+    half = leray_symbol_apply(grid, np.moveaxis(np.multiply(div, mask, out=div), 0, -d - 1))
+    half *= -1j
+    half[(...,) + (0,) * d] = 0.0
+    return half
 
 
 def projected_nonlinearity(grid, coeffs: np.ndarray, dealias: bool = True) -> np.ndarray:
     """F(u) = -P (u . grad) u of coefficients (..., dim) + grid.shape, without input checks.
 
     Dealiased: -P div(u (x) u) on the two-thirds modes, every batch axis in one
-    pass of d real inverse and d(d+1)/2 real forward half-spectrum transforms;
-    for divergence-free u it equals the advective form to roundoff. Its arrays are
-    filled in place and freed once dead, bit-equal to fresh ones per operation,
-    so a call pages in little fresh memory. Otherwise: the advective form of
-    `advect`, every batch axis in one pass of its body, with the Nyquist
-    planes of the image zeroed so that states keep them empty. The zero mode
-    is pinned to 0. The caller vouches that u is divergence-free and
-    mean-zero; `nonlinear_F` checks both.
+    pass of d real inverse and d(d+1)/2 real forward half-spectrum transforms, each
+    product transformed and added into the divergence before the next is formed;
+    for divergence-free u it equals the advective form to roundoff. Otherwise: the
+    advective form of `advect`, every batch axis in one pass of its body, with the
+    Nyquist planes of the image zeroed so that states keep them empty. The zero
+    mode is pinned to 0. The caller vouches that u is divergence-free and
+    mean-zero; `nonlinear_F` checks both. The solvers call the half body directly.
     """
-    d = grid.dim
-    if not dealias:
-        out = -leray_symbol_apply(grid, _advect(grid, coeffs, coeffs, False) * ~grid.nyquist_mask)
-        out[(...,) + (0,) * d] = 0.0
-        return out
-    mask = _half(grid.dealias_mask, grid)
-    k = _half(grid.k, grid)
-    u_phys = np.moveaxis(_irfft(_half(coeffs, grid) * mask, grid), -d - 1, 0)
-    pairs = tuple(combinations_with_replacement(range(d), 2))  # i <= j, row by row
-    products = np.empty((len(pairs),) + u_phys.shape[1:])
-    for pair, (i, j) in enumerate(pairs):
-        np.multiply(u_phys[i], u_phys[j], out=products[pair])
-    del u_phys
-    products = _rfft(products, grid)
-    div = np.zeros((d,) + products.shape[1:], dtype=np.complex128)
-    term = np.empty(products.shape[1:], dtype=np.complex128)
-    for pair, (i, j) in enumerate(pairs):
-        div[i] += np.multiply(k[j], products[pair], out=term)
-        if i != j:
-            div[j] += np.multiply(k[i], products[pair], out=term)
-    del products, term
-    half = leray_symbol_apply(grid, np.moveaxis(np.multiply(div, mask, out=div), 0, -d - 1))
-    half *= -1j
-    half[(...,) + (0,) * d] = 0.0
-    return _full_spectrum(half, grid)
+    return _full_spectrum(_half_nonlinearity(grid, coeffs, dealias), grid)
 
 
 def nonlinear_F(u: SpectralVectorField, apply_dealias: bool = True) -> SpectralVectorField:
@@ -264,18 +277,34 @@ def _jacobian_entries(u: SpectralVectorField, pairs) -> np.ndarray:
     return out
 
 
+def _energy(grid, coeffs: np.ndarray) -> float:
+    """`energy` of coefficients (..., dim) + grid.shape or their half."""
+    return float(grid.volume * _half_sum(np.abs(_half(coeffs, grid)) ** 2, grid))
+
+
 def energy(u: SpectralVectorField) -> float:
     """Squared L_2 norm, volume-weighted sum of squared coefficient magnitudes."""
-    return float(u.grid.volume * np.sum(np.abs(u.coeffs) ** 2))
+    return _energy(u.grid, u.coeffs)
+
+
+def _enstrophy(grid, coeffs: np.ndarray) -> float:
+    """`enstrophy` of coefficients (..., dim) + grid.shape or their half."""
+    weighted = _half(grid.k_sq, grid) * np.abs(_half(coeffs, grid)) ** 2
+    return float(grid.volume * _half_sum(weighted, grid))
 
 
 def enstrophy(u: SpectralVectorField) -> float:
     """Squared gradient L_2 norm, |k|^2-weighted coefficient sum."""
-    return float(u.grid.volume * np.sum(u.grid.k_sq * np.abs(u.coeffs) ** 2))
+    return _enstrophy(u.grid, u.coeffs)
+
+
+def _max_div(grid, coeffs: np.ndarray) -> float:
+    """`max_pointwise_divergence` of coefficients (dim,) + grid.shape or their half."""
+    div = np.einsum("i...,i...->...", 1j * _half(grid.k, grid), _half(coeffs, grid))
+    return float(np.max(np.abs(_irfft(div, grid))))
 
 
 def max_pointwise_divergence(u: SpectralVectorField) -> float:
     """max_x |div u(x)| on the collocation lattice, the divergence formed only
     on the half spectrum `_irfft` reads (bit-equal to `_irfft` of the full one)."""
-    div = np.einsum("i...,i...->...", 1j * _half(u.grid.k, u.grid), _half(u.coeffs, u.grid))
-    return float(np.max(np.abs(_irfft(div, u.grid))))
+    return _max_div(u.grid, u.coeffs)

@@ -10,12 +10,19 @@ the one-node collapse of the integral. Heat factors are exact Fourier
 multipliers, so stiffness never limits the step; the Picard trapezoid sum
 applies the factor of lag d as the d-th power of the one-node factor.
 
+Both solvers carry only the half spectrum (`grid._half`) that fixes the real
+field u: states, F, the symbols and the forcing. Every operation of a step is
+modewise, so the half evolves exactly as the first n/2+1 last-axis columns of a
+full-lattice state would; a field is mirrored (`grid._full_spectrum`) only where
+it leaves a solver.
+
 `march` evaluates F(u) = -P (u . grad) u once per state: the same array
 feeds the diagnostics of a snapshot and the step that leaves it, which forms
-its right-hand side in place; the blow-up check of a kept state reads the
-energy of its diagnostics row. The heat and h phi1 symbols are built once per
-march (`StepMultipliers`). At p = 2 the diagnostics norms are Parseval sums.
-Inside the solvers F is evaluated by `projected_nonlinearity`, without the
+its right-hand side in F's buffer and the new state in the old state's; the
+blow-up check of a kept state reads the energy of its diagnostics row. The heat
+and h phi1 symbols are built once per march (`StepMultipliers`). Energies are
+weighted half sums; at p = 2 the diagnostics norms are Parseval sums.
+Inside the solvers F is evaluated by `_half_nonlinearity`, without the
 input checks of `nonlinear_F`. The mean-zero divergence-free invariant is
 owned where it enters: `prepare_initial` validates u0 and zeroes its mean
 mode, the kernel pins F's, and `ForcingSpec.projected` is P f0 with its mean
@@ -35,22 +42,23 @@ from .grid import (
     ForcingSpec,
     SpectralVectorField,
     TorusGrid,
+    _full_spectrum,
+    _half,
     _irfft,
     _require_mean_zero,
     _require_same_grid,
 )
 from .operators import (
     FracNormParams,
+    _energy,
+    _enstrophy,
+    _half_nonlinearity,
     _lp,
+    _max_div,
     _phi1_of,
-    energy,
-    enstrophy,
     frac_norm,
     lp_norm,
-    max_pointwise_divergence,
     nonlinear_F,
-    projected_nonlinearity,
-    spectral_l2_norm,
 )
 
 BLOWUP_NORM = 1e8
@@ -171,12 +179,21 @@ def compute_diagnostics(
     within 1e-14 relative of collocation; other p take the quadrature."""
     if F is None:
         F = nonlinear_F(u, apply_dealias=config.dealias)
-    enstrophy_u = enstrophy(u)
+    return _row(u.grid, u.coeffs, t, config, F.coeffs)
+
+
+def _row(grid: TorusGrid, u: np.ndarray, t: float, config: SolverConfig,
+         F: np.ndarray) -> DiagnosticsRow:
+    """`compute_diagnostics` of u and F = F(u), each the full lattice or its half;
+    at p != 2 both are mirrored for the collocation norms."""
+    enstrophy_u = _enstrophy(grid, u)
     if config.p == 2.0:
-        norms = float(np.sqrt(enstrophy_u)), spectral_l2_norm(F)
+        norms = float(np.sqrt(enstrophy_u)), float(np.sqrt(_energy(grid, F)))
     else:
-        norms = frac_norm(u, FracNormParams(0.5, config.p)), lp_norm(F, config.p)
-    return DiagnosticsRow(float(t), energy(u), enstrophy_u, max_pointwise_divergence(u), *norms)
+        u_full, F_full = (SpectralVectorField(grid, _full_spectrum(_half(x, grid), grid))
+                          for x in (u, F))
+        norms = frac_norm(u_full, FracNormParams(0.5, config.p)), lp_norm(F_full, config.p)
+    return DiagnosticsRow(float(t), _energy(grid, u), enstrophy_u, _max_div(grid, u), *norms)
 
 
 def prepare_initial(u0: SpectralVectorField) -> SpectralVectorField:
@@ -194,7 +211,8 @@ class StepMultipliers:
     """The symbols of one exponential-Euler step on one grid.
 
     heat = exp(-nu h |k|^2) and h_phi1 = h phi1(-nu h |k|^2); `build` checks
-    that config's forcing lives on `grid`. `march` builds them once, not every step.
+    that config's forcing lives on `grid`. `march` builds them once, not every step,
+    on the half spectrum (`_on`).
     """
 
     heat: np.ndarray
@@ -202,10 +220,26 @@ class StepMultipliers:
 
     @classmethod
     def build(cls, grid: TorusGrid, config: SolverConfig) -> "StepMultipliers":
+        return cls._on(grid, config, grid.k_sq)
+
+    @classmethod
+    def _on(cls, grid: TorusGrid, config: SolverConfig, k_sq: np.ndarray) -> "StepMultipliers":
         if config.forcing.projected is not None:
             _require_same_grid(config.forcing.base_field.grid, grid)
-        z = -config.nu * config.dt * grid.k_sq
+        z = -config.nu * config.dt * k_sq
         return cls(np.exp(z), config.dt * _phi1_of(z))
+
+
+def _step(u: np.ndarray, F: np.ndarray, t_m: float, config: SolverConfig,
+          multipliers: StepMultipliers) -> None:
+    """u <- heat u + h_phi1 (F + a(t_m) P f) in place, on the full lattice or the half;
+    bit-equal to the plain expression, as IEEE addition commutes."""
+    amplitude = config.forcing.amplitude(t_m)
+    if amplitude is not None:  # P f on u's last-axis columns, as leray_symbol_apply takes k
+        F += np.multiply(amplitude, config.forcing.projected[..., : u.shape[-1]])
+    F *= multipliers.h_phi1
+    u *= multipliers.heat
+    u += F
 
 
 def exp_euler_step(
@@ -227,15 +261,8 @@ def exp_euler_step(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if F_m is None:
             F_m = nonlinear_F(u_m, apply_dealias=config.dealias)
-        amplitude = config.forcing.amplitude(t_m)
-        if amplitude is None:
-            rhs = np.multiply(F_m.coeffs, multipliers.h_phi1)
-        else:  # (F + a P f) h_phi1, in place
-            rhs = np.multiply(amplitude, config.forcing.projected)
-            rhs += F_m.coeffs
-            rhs *= multipliers.h_phi1
-        coeffs = np.multiply(u_m.coeffs, multipliers.heat)
-        coeffs += rhs
+        coeffs = u_m.coeffs.copy()
+        _step(coeffs, F_m.coeffs.copy(), t_m, config, multipliers)
     u_next = SpectralVectorField(u_m.grid, coeffs)
     if not u_next.is_finite():
         raise FieldBlowup(f"non-finite field after step at t={t_m}")
@@ -264,7 +291,7 @@ def march(
     u0: SpectralVectorField,
     config: SolverConfig,
     t_end: float,
-    sink: Callable[[int, float, SpectralVectorField], None] | None = None,
+    sink: Callable[[int, float, np.ndarray], None] | None = None,
 ) -> Trajectory:
     """Repeated exponential-Euler stepping from 0 to t_end.
 
@@ -274,24 +301,26 @@ def march(
     (norm above 1e8 or non-finite) stops the march early and sets the blowup
     flag; it is recorded, not raised.
 
-    Without a sink the kept fields are returned in `Trajectory.fields`. With
-    one, each kept state goes to sink(index, t, u) as soon as it is kept and
-    the trajectory has `fields=()`, so memory holds O(1) fields however long
-    the march is.
+    Without a sink the kept states are mirrored into `Trajectory.fields`. With
+    one, each kept state goes to sink(index, t, half) as soon as it is kept, `half`
+    its contiguous half spectrum, and the trajectory has `fields=()`, so memory
+    holds O(1) fields however long the march is. `half` is the state buffer that
+    the next step overwrites: a sink that keeps it must copy it.
     """
     problem = span_problem(t_end, config.dt)
     if problem is not None:
         raise ValueError(f"t_end {problem}")
     n_steps, _ = march_schedule(t_end, config.dt, config.snapshot_every)
-    u = prepare_initial(u0)
+    grid = u0.grid
+    u = _half(prepare_initial(u0).coeffs, grid).copy()
 
-    multipliers = StepMultipliers.build(u.grid, config)
+    multipliers = StepMultipliers._on(grid, config, _half(grid.k_sq, grid))
     times, fields, diags = [], [], []
 
-    def keep(t: float, u: SpectralVectorField, F: SpectralVectorField) -> DiagnosticsRow:
-        diags.append(compute_diagnostics(u, t, config, F=F))
+    def keep(t: float, F: np.ndarray) -> DiagnosticsRow:
+        diags.append(_row(grid, u, t, config, F))
         if sink is None:
-            fields.append(u)
+            fields.append(SpectralVectorField(grid, _full_spectrum(u, grid)))
         else:
             sink(len(times), t, u)
         times.append(t)
@@ -300,19 +329,19 @@ def march(
     blowup = False
     for m in range(n_steps + 1):
         # F(u) of every state: the step that leaves it needs it, or the final snapshot
-        F = SpectralVectorField(u.grid, projected_nonlinearity(u.grid, u.coeffs, config.dealias))
+        F = _half_nonlinearity(grid, u, config.dealias)
         t_m = m * config.dt
         scheduled = m % config.snapshot_every == 0 or m == n_steps  # as march_schedule counts
-        row = keep(t_m, u, F) if scheduled else None
+        row = keep(t_m, F) if scheduled else None
         if m > 0:  # a stepped state; a kept one's energy is in its row
-            blowup = bool(np.sqrt(energy(u) if row is None else row.energy) > BLOWUP_NORM)
+            blowup = bool(np.sqrt(_energy(grid, u) if row is None else row.energy) > BLOWUP_NORM)
             if blowup and row is None:
-                keep(t_m, u, F)
+                keep(t_m, F)
         if blowup or m == n_steps:
             break
-        try:
-            u = exp_euler_step(u, t_m, config, F_m=F, multipliers=multipliers)
-        except FieldBlowup:
+        _step(u, F, t_m, config, multipliers)
+        del F  # dead once stepped: the next state's F is formed without it
+        if not np.isfinite(u.view(np.float64)).all():
             blowup = True
             break
     return Trajectory(np.asarray(times), tuple(fields), tuple(diags), blowup=blowup)
@@ -325,11 +354,12 @@ def picard_solve(
     """Fixed-point iteration for the integral equation on [0, window_T].
 
     The window has config.n_nodes uniform nodes; an iterate is one array of
-    shape (n_nodes, dim) + grid.shape, and F of nodes 1.. is one kernel call,
-    as is F of the converged window for its diagnostics. Node 0 stays u0, so
-    its F is evaluated once per solve. The time integral uses the trapezoidal rule
-    in s, applied by the recurrence S_j = E (S_{j-1} + (h/2) g_{j-1}) +
-    (h/2) g_j with E = exp(-nu h |k|^2), so the heat factor of lag d is E^d.
+    the nodes' half spectra, and F of nodes 1.. is one kernel call, as is F of the
+    converged window for its diagnostics. Node 0 stays u0, so its F is evaluated
+    once per solve. P f is added node by node, and only kept nodes are mirrored.
+    The time integral uses the trapezoidal rule in s, applied by the recurrence
+    S_j = E (S_{j-1} + (h/2) g_{j-1}) + (h/2) g_j with E = exp(-nu h |k|^2), so
+    the heat factor of lag d is E^d.
     The first iterate is the heat flow of u0, and the update is repeated
     until the maximum nodewise change, measured in the alpha = 1/2
     fractional norm, drops below picard_tol.
@@ -344,29 +374,30 @@ def picard_solve(
     n = config.n_nodes
     h = config.window_T / (n - 1)
     times = h * np.arange(n)
+    k_sq = _half(grid.k_sq, grid)
     lags = np.arange(n).reshape((n,) + (1,) * grid.dim)
-    E = np.exp(-config.nu * h * lags * grid.k_sq)  # E[d] = exp(-nu d h |k|^2), lag d's factor
-    heat_flow = u0.coeffs * E[:, np.newaxis]
-    forcing, forcing_hat = config.forcing, None
+    E = np.exp(-config.nu * h * lags * k_sq)  # E[d] = exp(-nu d h |k|^2), lag d's factor
+    heat_flow = _half(u0.coeffs, grid) * E[:, np.newaxis]
+    forcing = config.forcing
     if forcing.projected is not None:
         _require_same_grid(forcing.base_field.grid, grid)
-        forcing_hat = np.stack([forcing.amplitude(t) * forcing.projected for t in times])
-    symbol = np.sqrt(grid.k_sq)  # (-Lap)^(1/2), the residual's alpha = 1/2
+    symbol = np.sqrt(k_sq)  # (-Lap)^(1/2), the residual's alpha = 1/2
 
     current = heat_flow
     residual_history: list = []
     bad_streak = 0
-    F0 = projected_nonlinearity(grid, u0.coeffs, config.dealias)
+    F0 = _half_nonlinearity(grid, u0.coeffs, config.dealias)
 
     def nodes_F(nodes: np.ndarray) -> np.ndarray:
         # node 0 is u0 in every iterate, so its F is F0
-        rest = projected_nonlinearity(grid, nodes[1:], config.dealias)
+        rest = _half_nonlinearity(grid, nodes[1:], config.dealias)
         return np.concatenate([F0[np.newaxis], rest])
 
     for iteration in range(1, config.picard_max_iters + 1):
         g = nodes_F(current)
-        if forcing_hat is not None:
-            g += forcing_hat
+        if forcing.projected is not None:  # node by node: no stack of n copies of P f
+            for g_j, t in zip(g, times):
+                g_j += forcing.amplitude(t) * _half(forcing.projected, grid)
         half_hg = 0.5 * h * g
         new = heat_flow.copy()
         S = np.zeros_like(F0)
@@ -384,10 +415,10 @@ def picard_solve(
             raise NotContracting(residual_history)
         if residual < config.picard_tol:
             kept = [j for j in range(n) if j % config.snapshot_every == 0 or j == n - 1]
-            fields = tuple(SpectralVectorField(grid, current[j]) for j in kept)
+            fields = tuple(SpectralVectorField(grid, _full_spectrum(current[j], grid))
+                           for j in kept)
             F = nodes_F(current)
-            diags = tuple(compute_diagnostics(u, times[j], config, SpectralVectorField(grid, F[j]))
-                          for u, j in zip(fields, kept))
+            diags = tuple(_row(grid, current[j], times[j], config, F[j]) for j in kept)
             return Trajectory(times[kept], fields, diags), iteration, residual_history
         worse = len(residual_history) >= 2 and residual >= residual_history[-2]
         bad_streak = bad_streak + 1 if worse else 0

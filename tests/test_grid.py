@@ -111,6 +111,34 @@ class TestTransforms:
             assert np.array_equal(plane, _conj_reflect(plane, grid.spatial_axes[1:]))
 
 
+    @staticmethod
+    def rolled_reflection(coeffs, axes):
+        """The reflection as it was written: conjugate, then flip and roll by one per axis."""
+        out = np.conj(coeffs)
+        for ax in axes:
+            out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
+        return out
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_conj_reflect_is_the_rolled_reflection_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        shape = (3, dim) + (8,) * dim  # two batch axes
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        original = data.copy()
+        views = {
+            "contiguous": data,
+            "strided": data[..., ::2],
+            "negative-stride": data[:, :, ::-1],
+            "half": data[..., :5],
+            "reversed-half-columns": data[..., 3:0:-1],
+        }
+        for name, view in views.items():
+            for axes in (tuple(range(-dim, 0)), tuple(range(-dim, -1)), (-1,)):
+                got = _conj_reflect(view, axes)
+                expected = self.rolled_reflection(view, axes)
+                assert got.tobytes() == expected.tobytes(), (name, axes)
+        assert np.array_equal(data, original)  # the input is not written
+
     @pytest.mark.parametrize("dim,n", [(2, 32), (2, 256), (3, 16), (3, 32)])
     def test_real_inverse_matches_complex_inverse(self, dim, n):
         # the inverse transform reads only the half spectrum (irfftn)

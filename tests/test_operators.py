@@ -253,6 +253,36 @@ class TestMultipliersBitForBit:
         assert np.array_equal(got, expected)
 
 
+class TestHalfAdvect:
+    """`advect` masks and differentiates only the half; the same bits as the full lattice."""
+
+    @staticmethod
+    def full_lattice_advect(grid, u, v, apply_dealias):
+        """The advective body with masks and derivatives on the full lattice."""
+        d = grid.dim
+        if apply_dealias:
+            u = u * grid.dealias_mask
+            v = v * grid.dealias_mask
+        u_phys = _irfft(u, grid)
+        out = np.zeros_like(u_phys)
+        for j, u_j in enumerate(np.moveaxis(u_phys, -d - 1, 0)):
+            out += np.expand_dims(u_j, -d - 1) * _irfft(1j * grid.k[j] * v, grid)
+        half = _rfft(out, grid)
+        if apply_dealias:
+            half *= _half(grid.dealias_mask, grid)
+        return _full_spectrum(half, grid)
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (3, 16)])
+    @pytest.mark.parametrize("apply_dealias", [True, False])
+    def test_equals_the_full_lattice_formula(self, dim, n, apply_dealias):
+        grid = make_grid(dim, n)
+        for seed in range(3):
+            u = random_divfree_field(grid, seed)
+            v = random_gradient_field(grid, seed + 10)
+            expected = self.full_lattice_advect(grid, u.coeffs, v.coeffs, apply_dealias)
+            assert np.array_equal(advect(u, v, apply_dealias).coeffs, expected)
+
+
 class TestNonlinearF:
     def test_taylor_green_annihilated(self, grid2):
         # convective term is grad(-1/4 (cos 2x + cos 2y)), killed by projection

@@ -1,6 +1,8 @@
 """Mild-form solvers: exponential Euler stepping, Picard windows, adaptive
 window search, and trajectory invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,8 @@ from nsmild import (
     zero_field,
 )
 from nsmild import operators, solver
-from nsmild.grid import ForcingSpec, SpectralVectorField, make_grid
+from nsmild.grid import ForcingSpec, SpectralVectorField, _half, _irfft, make_grid
+from nsmild.operators import _lp
 from nsmild.solver import (
     SolverError,
     StepMultipliers,
@@ -210,10 +213,10 @@ class TestMarch:
 
     def test_nonlinearity_evaluated_once_per_state(self, grid2, monkeypatch):
         calls = []
-        # every path to F: the march's own call, and nonlinear_F (compute_diagnostics
-        # without F=, exp_euler_step without F_m=) through the operators module
-        patched = ((solver, "projected_nonlinearity"), (operators, "projected_nonlinearity"),
-                   (operators, "advect"))
+        # every path to F goes through the half kernel: the march's own call, and
+        # nonlinear_F (compute_diagnostics without F=, exp_euler_step without F_m=)
+        # through the operators module
+        patched = ((solver, "_half_nonlinearity"), (operators, "_half_nonlinearity"))
         for module, name in patched:
             original = getattr(module, name)
 
@@ -238,14 +241,14 @@ class TestMarch:
         # one energy(u) per state, shared by its blow-up check and its row, plus
         # energy(F) of every row's norm_F: 17 + 17 for 16 steps, every step kept
         calls = []
-        original = operators.energy
+        original = operators._energy
 
-        def counted(u):
+        def counted(*args):
             calls.append(1)
-            return original(u)
+            return original(*args)
 
-        monkeypatch.setattr(operators, "energy", counted)
-        monkeypatch.setattr(solver, "energy", counted)
+        monkeypatch.setattr(operators, "_energy", counted)
+        monkeypatch.setattr(solver, "_energy", counted)
         base = random_divfree_field(grid2, seed=11)
         config = SolverConfig(
             nu=1.0, dt=1e-2, forcing=ForcingSpec(kind="steady", base_field=base),
@@ -286,14 +289,16 @@ class TestMarch:
         config = SolverConfig(nu=nu, dt=dt, snapshot_every=snapshot_every)
         kept = march(u0, config, 1.0)
         received = []
-        streamed = march(u0, config, 1.0, sink=lambda i, t, u: received.append((i, t, u)))
+        # the sink receives the march's half state buffer, which the next step overwrites
+        streamed = march(u0, config, 1.0,
+                         sink=lambda i, t, half: received.append((i, t, half.copy())))
         assert streamed.fields == ()
         assert np.array_equal(streamed.times, kept.times)
         assert streamed.diagnostics == kept.diagnostics
         assert streamed.blowup == kept.blowup == (amplitude > 1)
         assert [(i, t) for i, t, _ in received] == list(enumerate(kept.times))
-        for (_, _, u), field in zip(received, kept.fields):
-            assert np.array_equal(u.coeffs, field.coeffs)
+        for (_, _, half), field in zip(received, kept.fields):
+            assert np.array_equal(half, _half(field.coeffs, grid2))
 
 
 class TestPicard:
@@ -493,6 +498,173 @@ class TestPicardRecurrence:
         assert iterations == ref_iterations
         for u, ref in zip(traj.fields, ref_nodes):
             assert np.max(np.abs(u.coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def full_lattice_row(grid, u, F, t, config):
+    """A diagnostics row from full-lattice sums, as rows were formed before the half."""
+    energy = grid.volume * float(np.sum(np.abs(u) ** 2))
+    enstrophy = grid.volume * float(np.sum(grid.k_sq * np.abs(u) ** 2))
+    div = np.einsum("i...,i...->...", 1j * grid.k, u)
+    max_div = float(np.max(np.abs(_irfft(div, grid))))
+    if config.p == 2.0:
+        norms = np.sqrt(enstrophy), np.sqrt(grid.volume * float(np.sum(np.abs(F) ** 2)))
+    else:
+        norms = (frac_norm(SpectralVectorField(grid, u), FracNormParams(0.5, config.p)),
+                 lp_norm(SpectralVectorField(grid, F), config.p))
+    return (t, energy, enstrophy, max_div) + norms
+
+
+def full_lattice_march(u0, config, t_end):
+    """The exponential-Euler loop with every state, F and symbol on the full lattice.
+    Returns (times, kept coefficients, rows as tuples); for runs that do not blow up."""
+    grid = u0.grid
+    u = prepare_initial(u0).coeffs
+    multipliers = StepMultipliers.build(grid, config)
+    n_steps, _ = march_schedule(t_end, config.dt, config.snapshot_every)
+    times, fields, rows = [], [], []
+    for m in range(n_steps + 1):
+        F = operators.projected_nonlinearity(grid, u, config.dealias)
+        t = m * config.dt
+        if m % config.snapshot_every == 0 or m == n_steps:
+            times.append(t)
+            fields.append(u)
+            rows.append(full_lattice_row(grid, u, F, t, config))
+        if m == n_steps:
+            break
+        a = config.forcing.amplitude(t)
+        rhs = F if a is None else a * config.forcing.projected + F
+        u = u * multipliers.heat + rhs * multipliers.h_phi1
+    return times, fields, rows
+
+
+def full_lattice_picard(u0, config):
+    """The Picard loop with full-lattice nodes and the forcing stacked per node.
+    Returns (nodes, iterations, residual history); for windows that converge."""
+    u0 = prepare_initial(u0)
+    grid = u0.grid
+    n = config.n_nodes
+    h = config.window_T / (n - 1)
+    times = h * np.arange(n)
+    lags = np.arange(n).reshape((n,) + (1,) * grid.dim)
+    E = np.exp(-config.nu * h * lags * grid.k_sq)
+    heat_flow = u0.coeffs * E[:, np.newaxis]
+    forcing = config.forcing
+    forcing_hat = None
+    if forcing.projected is not None:
+        forcing_hat = np.stack([forcing.amplitude(t) * forcing.projected for t in times])
+    symbol = np.sqrt(grid.k_sq)
+    current, history = heat_flow, []
+    for iteration in range(1, config.picard_max_iters + 1):
+        g = operators.projected_nonlinearity(grid, current, config.dealias)
+        if forcing_hat is not None:
+            g += forcing_hat
+        half_hg = 0.5 * h * g
+        new = heat_flow.copy()
+        S = np.zeros_like(g[0])
+        for j in range(1, n):
+            S = E[1] * (S + half_hg[j - 1]) + half_hg[j]
+            new[j] += S
+        residual = float(np.max(_lp(_irfft((new - current) * symbol, grid), grid, config.p)))
+        history.append(residual)
+        current = new
+        if residual < config.picard_tol:
+            return current, iteration, history
+    raise AssertionError(f"reference window did not converge: {history}")
+
+
+def assert_rows_match(rows, reference, p):
+    """time and max_div equal; the half sums within 1e-14 relative; collocation equal."""
+    for row, ref in zip(rows, reference):
+        got = (row.time, row.energy, row.enstrophy, row.max_div, row.norm_x_half, row.norm_f)
+        assert got[0] == ref[0] and got[3] == ref[3]
+        summed = (1, 2, 4, 5) if p == 2.0 else (1, 2)
+        for column in summed:
+            assert abs(got[column] - ref[column]) <= 1e-14 * abs(ref[column]), column
+        if p != 2.0:
+            assert got[4:] == ref[4:]
+
+
+HALF_CASES = {
+    "forced-2d-64": dict(dim=2, n=64, kind="steady"),
+    "hoelder-3d-16": dict(dim=3, n=16, kind="hoelder_modulated"),
+    "undealiased-2d-32": dict(dim=2, n=32, kind="steady", dealias=False),
+    "p3-2d-32": dict(dim=2, n=32, kind="hoelder_modulated", p=3.0),
+}
+
+
+def half_case(dim, n, kind, **settings):
+    grid = make_grid(dim, n)
+    u0 = normalized_x_half(random_divfree_field(grid, seed=41), 0.1)
+    base = prepare_initial(random_divfree_field(grid, seed=42, amplitude=0.5))
+    return u0, dict(nu=0.5, forcing=ForcingSpec(kind, base, exponent=0.5), **settings)
+
+
+class TestHalfSpectrumSolvers:
+    """Both solvers carry the half spectrum and agree with the full-lattice loops:
+    kept fields, times, max_div and Picard residuals exactly, the energies at 1e-14."""
+
+    @pytest.mark.parametrize("case", HALF_CASES.values(), ids=HALF_CASES.keys())
+    def test_march_is_the_full_lattice_march(self, case):
+        u0, settings = half_case(**case)
+        config = SolverConfig(dt=1e-2, snapshot_every=2, **settings)
+        traj = march(u0, config, 0.09)
+        times, fields, rows = full_lattice_march(u0, config, 0.09)
+        assert not traj.blowup and list(traj.times) == times and len(times) == 6
+        for u, ref in zip(traj.fields, fields):
+            assert np.array_equal(u.coeffs, ref)
+        assert_rows_match(traj.diagnostics, rows, config.p)
+
+    @pytest.mark.parametrize("case", HALF_CASES.values(), ids=HALF_CASES.keys())
+    def test_picard_is_the_full_lattice_picard(self, case):
+        u0, settings = half_case(**case)
+        config = SolverConfig(window_T=0.1, n_nodes=9, snapshot_every=3, **settings)
+        traj, iterations, history = picard_solve(u0, config)
+        nodes, ref_iterations, ref_history = full_lattice_picard(u0, config)
+        assert iterations == ref_iterations > 1 and history == ref_history
+        kept = [0, 3, 6, 8]
+        assert list(traj.times) == [config.window_T / 8 * j for j in kept]
+        F = operators.projected_nonlinearity(u0.grid, nodes, config.dealias)
+        rows = [full_lattice_row(u0.grid, nodes[j], F[j], traj.times[i], config)
+                for i, j in enumerate(kept)]
+        for u, j in zip(traj.fields, kept):
+            assert np.array_equal(u.coeffs, nodes[j])
+        assert_rows_match(traj.diagnostics, rows, config.p)
+
+    def test_sink_march_memory_in_half_states(self):
+        # the march holds its state, F and the kernel's temporaries as half spectra and
+        # transforms one product at a time; the full-lattice march peaked at 10.9
+        grid = make_grid(2, 256)
+        base = prepare_initial(random_divfree_field(grid, seed=2))
+        u0 = random_divfree_field(grid, seed=1)
+        config = SolverConfig(dt=1e-3, forcing=ForcingSpec("steady", base))
+        half_state = grid.dim * grid.n_modes * (grid.n_modes // 2 + 1) * 16
+        tracemalloc.start()
+        try:
+            march(u0, config, 4e-3, sink=lambda i, t, half: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.0 * half_state, peak / half_state
+
+    def test_picard_forcing_is_not_stacked(self):
+        # P f enters node by node: the forced solve peaks at most a few fields above
+        # the unforced one, where a stack of 33 copies would add 33 full fields
+        grid = make_grid(2, 64)
+        u0 = normalized_x_half(random_divfree_field(grid, seed=43), 0.01)
+        base = prepare_initial(random_divfree_field(grid, seed=44, amplitude=0.01))
+        peaks = {}
+        for kind in ("zero", "steady"):
+            spec = ForcingSpec() if kind == "zero" else ForcingSpec(kind, base)
+            config = SolverConfig(window_T=0.05, n_nodes=33, forcing=spec)
+            tracemalloc.start()
+            try:
+                _, iterations, history = picard_solve(u0, config)
+                peaks[kind] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (iterations, history) == full_lattice_picard(u0, config)[1:]
+        field_bytes = grid.dim * grid.n_points * 16
+        assert peaks["steady"] - peaks["zero"] <= 4 * field_bytes, peaks
 
 
 class TestAdaptiveWindow:

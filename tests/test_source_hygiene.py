@@ -1,5 +1,5 @@
 """Source conventions of src/nsmild: short lines, no dead private names, one forward
-transform, and a README that names the snapshot version the writer writes."""
+transform, no np.roll, and a README that names the snapshot version the writer writes."""
 
 import ast
 from pathlib import Path
@@ -70,6 +70,22 @@ def test_no_complex_fft():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names & COMPLEX_FFTS]
     assert found == [], f"complex FFTs in src/nsmild: {found}"
+
+
+def test_no_roll():
+    """Reflections gather once per axis (grid._conj_reflect); np.roll copies the whole
+    array per axis, and on a strided view it is slow, so it must not come back."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "roll"]
+    assert found == [], f"np.roll in src/nsmild: {found}"
 
 
 def test_readme_names_the_written_snapshot_version():
