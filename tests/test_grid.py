@@ -272,6 +272,15 @@ class TestRandomFields:
         b = random_divfree_field(grid3, seed=5, amplitude=2.0)
         np.testing.assert_allclose(b.coeffs, 2.0 * a.coeffs, rtol=1e-15)
 
+    @pytest.mark.parametrize("dim,n", [(2, 32), (2, 256), (3, 16), (3, 32)])
+    def test_divergence_coeffs_equal_complex_symbol_formula(self, dim, n):
+        # (k . uhat) times i, without a complex copy of k, equals (i k) . uhat
+        grid = make_grid(dim, n)
+        for seed in range(3):
+            for u in (random_divfree_field(grid, seed), random_gradient_field(grid, seed)):
+                expected = np.einsum("i...,i...->...", 1j * grid.k, u.coeffs)
+                assert np.array_equal(u.divergence_coeffs(), expected)
+
 
 class TestEmbed:
     def test_same_polynomial(self):

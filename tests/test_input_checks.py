@@ -18,7 +18,7 @@ from nsmild import (
 from nsmild.grid import ForcingSpec
 from nsmild.io import _HEADER, SNAPSHOT_MAGIC, read_snapshot, write_snapshot
 from nsmild.solver import Trajectory, compute_diagnostics
-from nsmild.verification import EnsembleSpec, _hoelder_fit, advection_ratio
+from nsmild.verification import EnsembleSpec, VerifySettings, _hoelder_fit, advection_ratio
 
 GRID = make_grid(2, 8)
 U = random_divfree_field(GRID, 1)
@@ -71,6 +71,11 @@ CASES = {
                         "ensemble size must be >= 1, got 0"),
     "ensemble-size-negative": (lambda tmp: EnsembleSpec(size=-3),
                                "ensemble size must be >= 1, got -3"),
+    # the suite advects field 0 by field 1
+    "verify-ensemble-size-0": (lambda tmp: VerifySettings(ensemble_size=0),
+                               "ensemble_size must be >= 2, got 0"),
+    "verify-ensemble-size-1": (lambda tmp: VerifySettings(ensemble_size=1),
+                               "ensemble_size must be >= 2, got 1"),
     "frac-norm-alpha-above-1": (lambda tmp: FracNormParams(1.5), "alpha must lie in [0, 1]"),
     "frac-norm-alpha-below-0": (lambda tmp: FracNormParams(-0.1), "alpha must lie in [0, 1]"),
     "heat-nu-0": (lambda tmp: heat_semigroup(0.1, 0.0, U), "viscosity must be positive"),

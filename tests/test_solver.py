@@ -1,8 +1,6 @@
 """Mild-form solvers: exponential Euler stepping, Picard windows, adaptive
 window search, and trajectory invariants."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -630,7 +628,7 @@ class TestHalfSpectrumSolvers:
             assert np.array_equal(u.coeffs, nodes[j])
         assert_rows_match(traj.diagnostics, rows, config.p)
 
-    def test_sink_march_memory_in_half_states(self):
+    def test_sink_march_memory_in_half_states(self, traced_peak):
         # the march holds its state, F and the kernel's temporaries as half spectra and
         # transforms one product at a time; the full-lattice march peaked at 10.9
         grid = make_grid(2, 256)
@@ -638,15 +636,10 @@ class TestHalfSpectrumSolvers:
         u0 = random_divfree_field(grid, seed=1)
         config = SolverConfig(dt=1e-3, forcing=ForcingSpec("steady", base))
         half_state = grid.dim * grid.n_modes * (grid.n_modes // 2 + 1) * 16
-        tracemalloc.start()
-        try:
-            march(u0, config, 4e-3, sink=lambda i, t, half: None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(march, u0, config, 4e-3, sink=lambda i, t, half: None)
         assert peak <= 6.0 * half_state, peak / half_state
 
-    def test_picard_forcing_is_not_stacked(self):
+    def test_picard_forcing_is_not_stacked(self, traced_peak):
         # P f enters node by node: the forced solve peaks at most a few fields above
         # the unforced one, where a stack of 33 copies would add 33 full fields
         grid = make_grid(2, 64)
@@ -656,12 +649,7 @@ class TestHalfSpectrumSolvers:
         for kind in ("zero", "steady"):
             spec = ForcingSpec() if kind == "zero" else ForcingSpec(kind, base)
             config = SolverConfig(window_T=0.05, n_nodes=33, forcing=spec)
-            tracemalloc.start()
-            try:
-                _, iterations, history = picard_solve(u0, config)
-                peaks[kind] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            (_, iterations, history), peaks[kind] = traced_peak(picard_solve, u0, config)
             assert (iterations, history) == full_lattice_picard(u0, config)[1:]
         field_bytes = grid.dim * grid.n_points * 16
         assert peaks["steady"] - peaks["zero"] <= 4 * field_bytes, peaks

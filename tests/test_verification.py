@@ -15,6 +15,7 @@ from nsmild import (
     check_resolvent_divfree,
     check_semigroup,
     compare_oracle,
+    embed,
     estimate_bilinear_constant,
     estimate_hoelder,
     estimate_norm_equivalence,
@@ -27,10 +28,12 @@ from nsmild import (
     random_gradient_field,
     taylor_green,
     spectral_l2_norm,
+    zero_field,
 )
 from nsmild.grid import PhysicalVectorField, make_grid
 from nsmild.operators import FracNormParams, frac_norm, gradient_norm, lp_norm, nonlinear_F
 from nsmild.solver import Trajectory, compute_diagnostics
+from nsmild import verification
 from nsmild.verification import (
     CheckReport,
     EstimateReport,
@@ -39,6 +42,7 @@ from nsmild.verification import (
     _hoelder_fit,
     _suite_trajectory,
     advection_ratio,
+    ensemble_estimates,
     check_energy_orthogonality,
     check_frac_power_composition,
     check_gradient_identity,
@@ -108,6 +112,58 @@ def reference_assumption_F(traj1, traj2, p, beta=None):
             pairs += 1
     return {"max_ratio": max_r, "beta": float(beta), "pairs": pairs,
             "skipped_degenerate": skipped, "finite": bool(np.isfinite(max_r))}
+
+
+def reference_bilinear_constant(ensemble, exponents, p, resolutions):
+    """`estimate_bilinear_constant`'s per_resolution as a loop over resolutions, then pairs,
+    all 2 size fields drawn first and each ratio taken by `advection_ratio`."""
+    resolutions = tuple(sorted(resolutions))
+    fields = ensemble.fields(make_grid(ensemble.dim, resolutions[0]), 2 * ensemble.size)
+    pairs = list(zip(fields[0::2], fields[1::2]))
+    per_resolution = []
+    for n in resolutions:
+        grid = make_grid(ensemble.dim, n)
+        worst = 0.0
+        for u, v in pairs:
+            worst = max(worst, advection_ratio(embed(u, grid), embed(v, grid), exponents, p))
+        per_resolution.append((n, worst))
+    return tuple(per_resolution)
+
+
+def reference_norm_equivalence(ensemble, gamma, p, resolutions):
+    """`estimate_norm_equivalence`'s two per_resolution tuples as a loop over resolutions,
+    then fields, each norm taken by `frac_norm`."""
+    resolutions = tuple(sorted(resolutions))
+    fields = ensemble.fields(make_grid(ensemble.dim, resolutions[0]))
+    upper_rows, lower_rows = [], []
+    for n in resolutions:
+        grid = make_grid(ensemble.dim, n)
+        up = 0.0
+        down = 0.0
+        for u in fields:
+            ue = embed(u, grid)
+            ng = frac_norm(ue, FracNormParams(gamma, p))
+            nh = frac_norm(ue, FracNormParams(0.5, p))
+            if ng == 0 or nh == 0:
+                continue
+            up = max(up, ng / nh)
+            down = max(down, nh / ng)
+        upper_rows.append((n, up))
+        lower_rows.append((n, down))
+    return tuple(upper_rows), tuple(lower_rows)
+
+
+def count_draws(monkeypatch):
+    """Count the suite's and the estimates' draws of divergence-free fields by (dim, n_modes)."""
+    counts = {}
+    draw = verification.random_divfree_field
+
+    def counted(grid, *args, **kwargs):
+        counts[grid.dim, grid.n_modes] = counts.get((grid.dim, grid.n_modes), 0) + 1
+        return draw(grid, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "random_divfree_field", counted)
+    return counts
 
 
 def count_inverse_transforms(monkeypatch):
@@ -238,6 +294,87 @@ class TestBilinearEstimate:
         upper, lower = estimate_norm_equivalence(ens, 0.75, 2.0, (16, 32))
         assert isinstance(upper, EstimateReport) and isinstance(lower, EstimateReport)
         assert upper.max_ratio > 0 and lower.max_ratio > 0
+
+
+class TestEnsembleEstimatesOnePass:
+    @pytest.mark.parametrize("size", [3, 5])
+    @pytest.mark.parametrize("triple,p", [((0.0, 0.75, 0.75), 2.0), ((0.0, 0.5, 1.0), 2.0),
+                                          ((0.0, 0.75, 0.75), 3.0)])
+    def test_equal_to_reference_loops(self, size, triple, p):
+        ens = EnsembleSpec(size=size, seed=11)
+        resolutions = (16, 32)
+        bilinear = estimate_bilinear_constant(ens, triple, p, resolutions)
+        upper, lower = estimate_norm_equivalence(ens, 0.75, p, resolutions)
+        assert bilinear.per_resolution == reference_bilinear_constant(ens, triple, p, resolutions)
+        assert (upper.per_resolution, lower.per_resolution) == reference_norm_equivalence(
+            ens, 0.75, p, resolutions)
+        assert ensemble_estimates(ens, [triple], 0.75, p, resolutions) == [bilinear, upper, lower]
+
+    def test_each_field_drawn_once(self, monkeypatch):
+        counts = count_draws(monkeypatch)
+        ens = EnsembleSpec(size=3, seed=2)
+        ensemble_estimates(ens, [(0.0, 0.75, 0.75), (0.0, 0.5, 0.5)], 0.75, 2.0, (8, 16))
+        assert counts == {(3, 8): 2 * ens.size}
+
+    def test_zero_norm_member(self):
+        class WithZeroMember(EnsembleSpec):
+            def field(self, grid, i):
+                return zero_field(grid) if i == 1 else super().field(grid, i)
+
+        ens = WithZeroMember(size=2, seed=3)
+        with pytest.raises(ValueError, match="zero-norm field in advection ratio"):
+            estimate_bilinear_constant(ens, resolutions=(8, 16))
+        # the norm ratios skip it
+        upper, _ = estimate_norm_equivalence(ens, 0.75, 2.0, (8, 16))
+        assert upper.per_resolution == reference_norm_equivalence(ens, 0.75, 2.0, (8, 16))[0]
+
+
+class TestSuiteOnePass:
+    def test_equal_to_list_checks_with_one_draw_per_field(self, monkeypatch):
+        # 52 fields reach past the suite's subsets of 20 and 50; the estimates draw on N=8
+        s = VerifySettings(dim=3, n_modes=10, ensemble_size=52, resolutions=(8, 16),
+                           trajectory_n_modes=16)
+        counts = count_draws(monkeypatch)
+        reports = {r.name: r for r in run_verification_suite(s)}
+        assert counts[3, 10] == s.ensemble_size and counts[3, 8] == 2 * s.ensemble_size
+        monkeypatch.undo()
+        grid = make_grid(3, 10)
+        ens = EnsembleSpec(s.ensemble_size, s.seed, s.dim, s.spectrum_decay)
+        fields = ens.fields(grid)
+        grads = [random_gradient_field(grid, s.seed + 5000 + i, s.spectrum_decay)
+                 for i in range(20)]
+        tol = s.tolerance_identity
+        expected = [
+            check_operator_identities(fields, grads, s.lambdas, (0.1, 0.3), s.nu, tol),
+            check_resolvent_divfree(s.lambdas, fields, tol),
+            check_semigroup(fields, s.times, s.nu, (2.0, 4.0), tol),
+            check_frac_power_composition(fields[:20], tol),
+            check_energy_orthogonality(fields[:20], s.tolerance_energy_orth),
+            check_gradient_identity(fields, s.tolerance_gradient),
+            diagonal_dependence_scan(fields[:50]),
+        ]
+        for report in expected:
+            assert reports[report.name] == report, report.name
+        for name, exponents in (("advection_bound_estimate", (0.0, 0.75, 0.75)),
+                                ("advection_bound_half_half", (0.0, 0.5, 0.5))):
+            report = estimate_bilinear_constant(ens, exponents, s.p, s.resolutions)
+            assert reports[name].measurements == asdict(report), name
+        upper, lower = estimate_norm_equivalence(ens, 0.75, s.p, s.resolutions)
+        assert reports["norm_equivalence_upper"].measurements == asdict(upper)
+        assert reports["norm_equivalence_lower"].measurements == asdict(lower)
+        ortho = check_gradient_orthogonality(advect(fields[0], fields[1]), 20, s.seed + 9000)
+        measured = reports["gradient_orthogonality_advect"].measurements
+        assert measured == {"max_normalized_inner_product": ortho}
+
+    def test_memory_does_not_grow_with_ensemble_size(self, traced_peak):
+        """The suite's traced peak at 16 fields is within one field of its peak at 4."""
+        field_bytes = random_divfree_field(make_grid(3, 16), 0).coeffs.nbytes
+        peaks = {}
+        for size in (4, 16):
+            s = VerifySettings(n_modes=16, resolutions=(8, 16), trajectory_n_modes=16,
+                               ensemble_size=size)
+            _, peaks[size] = traced_peak(run_verification_suite, s)
+        assert peaks[16] - peaks[4] < field_bytes, (peaks, field_bytes)
 
 
 class TestGradientOrthogonality:
