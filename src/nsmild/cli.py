@@ -175,8 +175,8 @@ def _random_field(grid, block: str, seed: int, decay: float, amplitude: float):
 
 def load_config(path) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
@@ -238,6 +238,16 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _out_dir(out) -> Path:
+    """Make the --out directory: each command's first step after its config checks."""
+    out = Path(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at out or above it, or no permission
+        raise ConfigError(f"--out: {exc}") from exc
+    return out
+
+
 def cmd_run(config, out, seed=None, quiet=False) -> int:
     """Run a simulation and write diagnostics.csv, snapshots, and manifest.json."""
     cfg = load_config(config)
@@ -252,8 +262,7 @@ def cmd_run(config, out, seed=None, quiet=False) -> int:
         raise ConfigError(f"run.t_end: must equal solver.window_T = {solver_cfg.window_T} "
                           f"with scheme picard_window, got {t_end!r}")
 
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out)
     started = _utc_now()
     snapshots, outputs, solver_error = [], [], None
 
@@ -298,12 +307,6 @@ def cmd_run(config, out, seed=None, quiet=False) -> int:
     return EXIT_BLOWUP if traj.blowup else EXIT_OK
 
 
-def _write_reports(out, reports) -> None:
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report_json(out / "report.json", reports)
-
-
 _TAGS = {None: "INFO", True: "PASS", False: "FAIL"}
 
 
@@ -323,8 +326,9 @@ def cmd_verify(config, out, seed=None, quiet=False) -> int:
     _check_suite_trajectory(values)
     if seed is not None:
         values["seed"] = seed
+    out = _out_dir(out)
     reports = run_verification_suite(VerifySettings(**values))
-    _write_reports(out, reports)
+    write_report_json(out / "report.json", reports)
     if not quiet:
         for r in reports:
             print(f"{_TAGS[r.passed]:4s} {r.name}")
@@ -344,8 +348,9 @@ def cmd_estimate(config, out, seed=None, quiet=False) -> int:
     ens = EnsembleSpec(est["ensemble_size"], ens_seed, est["dim"], est["decay"])
     p, resolutions = est["p"], est["resolutions"]
     triple = (0.0, est["theta"], est["omega"])
+    out = _out_dir(out)
     bilinear, upper, lower = ensemble_estimates(ens, [triple], 0.75, p, resolutions)
-    _write_reports(out, [bilinear, upper, lower])
+    write_report_json(out / "report.json", [bilinear, upper, lower])
     if not quiet:
         for rep in (bilinear, upper, lower):
             rows = ", ".join(f"N={n}: {r:.6g}" for n, r in rep.per_resolution)
@@ -357,7 +362,7 @@ def cmd_oracle(config, out, quiet=False) -> int:
     """March the closed-form vortex and compare against its analytic decay."""
     o = settings(load_config(config) if config else {}, "oracle")
     _check_t_end("oracle.t_end", o["t_end"], o["dt"])
-
+    out = _out_dir(out)
     residual, max_err, errors, times = closed_form_vortex(
         o["n_modes"], o["nu"], o["dt"], o["t_end"], o["snapshot_every"]
     )
@@ -373,7 +378,7 @@ def cmd_oracle(config, out, quiet=False) -> int:
             "times": [float(t) for t in times],
         },
     )
-    _write_reports(out, [report])
+    write_report_json(out / "report.json", [report])
     if not quiet:
         print(f"oracle max relative error {max_err:.3e} (tolerance {tolerance:.1e})")
     return EXIT_OK if report.passed else EXIT_VERIFY

@@ -417,9 +417,9 @@ def embed(u: SpectralVectorField, fine: TorusGrid) -> SpectralVectorField:
 class ForcingSpec:
     """Time-dependent forcing: zero, steady, or t^exponent times a base field.
 
-    The base field must be divergence-free and mean-zero. `projected` is P f0
-    with its mean mode set to 0, as `prepare_initial` sets u0's, so the solver
-    stays exactly on the mean-zero divergence-free subspace; None for zero.
+    The base field must be divergence-free and mean-zero. `projected` is the half
+    (`_half`) of P f0 with its mean mode set to 0, as `prepare_initial` sets u0's, so
+    the solvers stay exactly on the mean-zero divergence-free subspace; None for zero.
     """
 
     kind: str = "zero"
@@ -438,8 +438,9 @@ class ForcingSpec:
             if self.base_field.divergence_defect() > DIVFREE_TOL:
                 raise ValueError("forcing base field must be divergence-free")
             _require_mean_zero(self.base_field, "forcing base")
-            projected = leray_symbol_apply(self.base_field.grid, self.base_field.coeffs)
-            projected[(slice(None),) + (0,) * self.base_field.grid.dim] = 0.0
+            grid = self.base_field.grid
+            projected = leray_symbol_apply(grid, _half(self.base_field.coeffs, grid))
+            projected[(slice(None),) + (0,) * grid.dim] = 0.0
         object.__setattr__(self, "projected", projected)
 
     def amplitude(self, t: float) -> float | None:

@@ -130,17 +130,13 @@ def advect(
     The result is generally not divergence-free.
     """
     _require_same_grid(u.grid, v.grid)
-    return SpectralVectorField(u.grid, _advect(u.grid, u.coeffs, v.coeffs, apply_dealias))
-
-
-def _advect(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.ndarray:
-    """The body of `advect` on coefficients shaped (..., dim) + grid.shape."""
-    return _full_spectrum(_half_advect(grid, u, v, apply_dealias), grid)
+    half = _half_advect(u.grid, u.coeffs, v.coeffs, apply_dealias)
+    return SpectralVectorField(u.grid, _full_spectrum(half, u.grid))
 
 
 def _half_advect(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.ndarray:
-    """The half spectrum of the image of coefficients (..., dim) + grid.shape or their
-    half; masks and derivatives are formed only on the half, the columns `_irfft` reads."""
+    """`advect` of coefficients (..., dim) + grid.shape or their half, before its mirror;
+    masks and derivatives are formed only on the half, the columns `_irfft` reads."""
     d = grid.dim
     u, v, k = _half(u, grid), _half(v, grid), _half(grid.k, grid)
     mask = _half(grid.dealias_mask, grid)

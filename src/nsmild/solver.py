@@ -19,15 +19,15 @@ it leaves a solver.
 `march` evaluates F(u) = -P (u . grad) u once per state: the same array
 feeds the diagnostics of a snapshot and the step that leaves it, which forms
 its right-hand side in F's buffer and the new state in the old state's; the
-blow-up check of a kept state reads the energy of its diagnostics row. The heat
-and h phi1 symbols are built once per march (`StepMultipliers`). Energies are
-weighted half sums; at p = 2 the diagnostics norms are Parseval sums.
+blow-up check of a kept state reads the energy of its diagnostics row. The step
+symbols are built once per march; `exp_euler_step` is one `_step` of a field.
+Energies are weighted half sums; at p = 2 the diagnostics norms are Parseval sums.
 Inside the solvers F is evaluated by `_half_nonlinearity`, without the
 input checks of `nonlinear_F`. The mean-zero divergence-free invariant is
 owned where it enters: `prepare_initial` validates u0 and zeroes its mean
-mode, the kernel pins F's, and `ForcingSpec.projected` is P f0 with its mean
-mode zeroed, so every later state is divergence-free with a mean mode of
-exactly 0.
+mode, the kernel pins F's, and `ForcingSpec.projected` is the half of P f0 with
+its mean mode zeroed, so every later state is divergence-free with a mean mode
+of exactly 0.
 """
 
 from __future__ import annotations
@@ -49,15 +49,12 @@ from .grid import (
     _require_same_grid,
 )
 from .operators import (
-    FracNormParams,
     _energy,
     _enstrophy,
     _half_nonlinearity,
     _lp,
     _max_div,
     _phi1_of,
-    frac_norm,
-    lp_norm,
     nonlinear_F,
 )
 
@@ -167,32 +164,25 @@ class Trajectory:
                 raise AssertionError(f"field at t={t} has a nonzero mean mode")
 
 
-def compute_diagnostics(
-    u: SpectralVectorField,
-    t: float,
-    config: SolverConfig,
-    F: SpectralVectorField | None = None,
-) -> DiagnosticsRow:
-    """One diagnostics row; F is F(u) when the caller has already evaluated it.
+def compute_diagnostics(u: SpectralVectorField, t: float, config: SolverConfig) -> DiagnosticsRow:
+    """One diagnostics row of u, with F(u) evaluated by `nonlinear_F`.
 
     At p = 2 the norms are Parseval sums, sqrt(enstrophy) and sqrt(energy(F)),
     within 1e-14 relative of collocation; other p take the quadrature."""
-    if F is None:
-        F = nonlinear_F(u, apply_dealias=config.dealias)
+    F = nonlinear_F(u, apply_dealias=config.dealias)
     return _row(u.grid, u.coeffs, t, config, F.coeffs)
 
 
 def _row(grid: TorusGrid, u: np.ndarray, t: float, config: SolverConfig,
          F: np.ndarray) -> DiagnosticsRow:
-    """`compute_diagnostics` of u and F = F(u), each the full lattice or its half;
-    at p != 2 both are mirrored for the collocation norms."""
+    """`compute_diagnostics` of u and F = F(u), each the full lattice or its half; at p != 2
+    the norms are those of `frac_norm` and `lp_norm`, bit for bit, read from the halves."""
     enstrophy_u = _enstrophy(grid, u)
     if config.p == 2.0:
         norms = float(np.sqrt(enstrophy_u)), float(np.sqrt(_energy(grid, F)))
     else:
-        u_full, F_full = (SpectralVectorField(grid, _full_spectrum(_half(x, grid), grid))
-                          for x in (u, F))
-        norms = frac_norm(u_full, FracNormParams(0.5, config.p)), lp_norm(F_full, config.p)
+        x_half = _half(u, grid) * np.sqrt(_half(grid.k_sq, grid))
+        norms = tuple(float(_lp(_irfft(x, grid), grid, config.p)) for x in (x_half, F))
     return DiagnosticsRow(float(t), _energy(grid, u), enstrophy_u, _max_div(grid, u), *norms)
 
 
@@ -206,64 +196,42 @@ def prepare_initial(u0: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(u0.grid, coeffs)
 
 
-@dataclass(frozen=True)
-class StepMultipliers:
-    """The symbols of one exponential-Euler step on one grid.
-
-    heat = exp(-nu h |k|^2) and h_phi1 = h phi1(-nu h |k|^2); `build` checks
-    that config's forcing lives on `grid`. `march` builds them once, not every step,
-    on the half spectrum (`_on`).
-    """
-
-    heat: np.ndarray
-    h_phi1: np.ndarray
-
-    @classmethod
-    def build(cls, grid: TorusGrid, config: SolverConfig) -> "StepMultipliers":
-        return cls._on(grid, config, grid.k_sq)
-
-    @classmethod
-    def _on(cls, grid: TorusGrid, config: SolverConfig, k_sq: np.ndarray) -> "StepMultipliers":
-        if config.forcing.projected is not None:
-            _require_same_grid(config.forcing.base_field.grid, grid)
-        z = -config.nu * config.dt * k_sq
-        return cls(np.exp(z), config.dt * _phi1_of(z))
+def _step_symbols(grid: TorusGrid, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(heat, h_phi1) = (exp(-nu h |k|^2), h phi1(-nu h |k|^2)) on the half spectrum,
+    after checking that config's forcing lives on `grid`."""
+    if config.forcing.projected is not None:
+        _require_same_grid(config.forcing.base_field.grid, grid)
+    z = -config.nu * config.dt * _half(grid.k_sq, grid)
+    return np.exp(z), config.dt * _phi1_of(z)
 
 
 def _step(u: np.ndarray, F: np.ndarray, t_m: float, config: SolverConfig,
-          multipliers: StepMultipliers) -> None:
-    """u <- heat u + h_phi1 (F + a(t_m) P f) in place, on the full lattice or the half;
+          heat: np.ndarray, h_phi1: np.ndarray) -> None:
+    """u <- heat u + h_phi1 (F + a(t_m) P f) in place, on the half spectrum;
     bit-equal to the plain expression, as IEEE addition commutes."""
     amplitude = config.forcing.amplitude(t_m)
-    if amplitude is not None:  # P f on u's last-axis columns, as leray_symbol_apply takes k
-        F += np.multiply(amplitude, config.forcing.projected[..., : u.shape[-1]])
-    F *= multipliers.h_phi1
-    u *= multipliers.heat
+    if amplitude is not None:
+        F += np.multiply(amplitude, config.forcing.projected)
+    F *= h_phi1
+    u *= heat
     u += F
 
 
-def exp_euler_step(
-    u_m: SpectralVectorField,
-    t_m: float,
-    config: SolverConfig,
-    F_m: SpectralVectorField | None = None,
-    multipliers: StepMultipliers | None = None,
-) -> SpectralVectorField:
-    """One exponential-Euler step of size config.dt.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite step raises
+def exp_euler_step(u_m: SpectralVectorField, t_m: float, config: SolverConfig
+                   ) -> SpectralVectorField:
+    """One exponential-Euler step of size config.dt, as `march` takes it.
 
     u_{m+1} = exp(h nu Lap) u_m + h phi1(h nu Lap) [F(u_m) + P f(t_m)].
-    F_m is F(u_m) when the caller has it; without it u_m is checked and F
-    evaluated by `nonlinear_F`. `multipliers` are built when not given.
-    Raises FieldBlowup when the result is not finite.
+    u_m is checked and F evaluated by `nonlinear_F`. Raises FieldBlowup when
+    the result is not finite.
     """
-    if multipliers is None:
-        multipliers = StepMultipliers.build(u_m.grid, config)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if F_m is None:
-            F_m = nonlinear_F(u_m, apply_dealias=config.dealias)
-        coeffs = u_m.coeffs.copy()
-        _step(coeffs, F_m.coeffs.copy(), t_m, config, multipliers)
-    u_next = SpectralVectorField(u_m.grid, coeffs)
+    grid = u_m.grid
+    symbols = _step_symbols(grid, config)
+    F = _half(nonlinear_F(u_m, apply_dealias=config.dealias).coeffs, grid)
+    u = _half(u_m.coeffs, grid).copy()
+    _step(u, F, t_m, config, *symbols)
+    u_next = SpectralVectorField(grid, _full_spectrum(u, grid))
     if not u_next.is_finite():
         raise FieldBlowup(f"non-finite field after step at t={t_m}")
     return u_next
@@ -314,7 +282,7 @@ def march(
     grid = u0.grid
     u = _half(prepare_initial(u0).coeffs, grid).copy()
 
-    multipliers = StepMultipliers._on(grid, config, _half(grid.k_sq, grid))
+    symbols = _step_symbols(grid, config)
     times, fields, diags = [], [], []
 
     def keep(t: float, F: np.ndarray) -> DiagnosticsRow:
@@ -339,7 +307,7 @@ def march(
                 keep(t_m, F)
         if blowup or m == n_steps:
             break
-        _step(u, F, t_m, config, multipliers)
+        _step(u, F, t_m, config, *symbols)
         del F  # dead once stepped: the next state's F is formed without it
         if not np.isfinite(u.view(np.float64)).all():
             blowup = True
@@ -397,7 +365,7 @@ def picard_solve(
         g = nodes_F(current)
         if forcing.projected is not None:  # node by node: no stack of n copies of P f
             for g_j, t in zip(g, times):
-                g_j += forcing.amplitude(t) * _half(forcing.projected, grid)
+                g_j += forcing.amplitude(t) * forcing.projected
         half_hg = 0.5 * h * g
         new = heat_flow.copy()
         S = np.zeros_like(F0)

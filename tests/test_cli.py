@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsmild import make_grid, random_divfree_field
+from nsmild import cli, make_grid, random_divfree_field
 from nsmild.cli import (
     SCHEMA,
     build_grid,
@@ -93,6 +93,16 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(bad), "--out", str(out), "--quiet"]) == 1
         assert not out.exists()
+
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bad), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {bad}: 'utf-8' codec can't")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
 
     def test_unreadable_config_exits_1(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -783,6 +793,28 @@ class TestUsageErrors:
         assert "argument --seed: expected an integer >= 0, got '-1'" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestUnusableOut:
+    """An --out that cannot be a directory exits 1 with one line, before any work."""
+
+    @pytest.mark.parametrize("under_a_file", [False, True], ids=["is-a-file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["run", "verify", "estimate", "oracle"])
+    def test_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch, command,
+                                     under_a_file):
+        for work in ("march", "picard_solve", "run_verification_suite",
+                     "ensemble_estimates", "closed_form_vortex"):
+            monkeypatch.setattr(cli, work, lambda *args, _w=work, **kw: pytest.fail(_w))
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "out" if under_a_file else blocker
+        argv = [command, "--out", str(out), "--quiet"]
+        if command == "run":
+            argv += ["--config", taylor_green_config(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out: ") and err.count("\n") == 1
+        assert "Traceback" not in err and blocker.read_text() == ""
 
 
 SMALL_VERIFY = {"ensemble_size": 2, "n_modes": 8, "resolutions": [8, 16],

@@ -31,7 +31,7 @@ from nsmild import (
 )
 from nsmild.grid import _full_spectrum, _half, _irfft, _rfft, leray_symbol_apply
 from nsmild.operators import (
-    _advect,
+    _half_advect,
     _lp,
     _phi1_of,
     apply_shifted_laplacian,
@@ -220,7 +220,7 @@ class TestAdvect:
 
 
 class TestMultipliersBitForBit:
-    """Each wrapper is u.coeffs times its symbol, and `_advect` serves any batch shape."""
+    """Each wrapper is u.coeffs times its symbol, and `_half_advect` serves any batch shape."""
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
     def test_wrappers_multiply_by_their_symbols(self, dim, n):
@@ -248,7 +248,7 @@ class TestMultipliersBitForBit:
         vs = [random_divfree_field(grid, seed) for seed in range(10, 14)]
         batch = lambda fields: np.stack([f.coeffs for f in fields]).reshape(
             (2, 2, dim) + grid.shape)
-        got = _advect(grid, batch(us), batch(vs), apply_dealias)
+        got = _full_spectrum(_half_advect(grid, batch(us), batch(vs), apply_dealias), grid)
         expected = batch([advect(u, v, apply_dealias) for u, v in zip(us, vs)])
         assert np.array_equal(got, expected)
 

@@ -24,11 +24,17 @@ from nsmild import (
     zero_field,
 )
 from nsmild import operators, solver
-from nsmild.grid import ForcingSpec, SpectralVectorField, _half, _irfft, make_grid
-from nsmild.operators import _lp
+from nsmild.grid import (
+    ForcingSpec,
+    SpectralVectorField,
+    _half,
+    _irfft,
+    leray_symbol_apply,
+    make_grid,
+)
+from nsmild.operators import _lp, _phi1_of
 from nsmild.solver import (
     SolverError,
-    StepMultipliers,
     compute_diagnostics,
     march_schedule,
     prepare_initial,
@@ -38,6 +44,23 @@ from nsmild.verification import taylor_green
 
 def normalized_x_half(u, target=0.1, p=2.0):
     return (target / frac_norm(u, FracNormParams(0.5, p))) * u
+
+
+def full_lattice_symbols(grid, config):
+    """(heat, h_phi1) of one step on the full lattice: exp(-nu h |k|^2), h phi1(-nu h |k|^2)."""
+    z = -config.nu * config.dt * grid.k_sq
+    return np.exp(z), config.dt * _phi1_of(z)
+
+
+def full_lattice_projected(forcing):
+    """P f0 on the full lattice with its mean mode zeroed, or None for zero forcing;
+    `ForcingSpec.projected` holds its half."""
+    if forcing.projected is None:
+        return None
+    grid = forcing.base_field.grid
+    projected = leray_symbol_apply(grid, forcing.base_field.coeffs)
+    projected[(slice(None),) + (0,) * grid.dim] = 0.0
+    return projected
 
 
 class TestExpEulerStep:
@@ -79,16 +102,28 @@ class TestStepBitIdentity:
         base = None if kind == "zero" else prepare_initial(random_divfree_field(grid, seed=21))
         config = SolverConfig(dt=1e-2, forcing=ForcingSpec(kind=kind, base_field=base,
                                                            exponent=0.5))
-        multipliers = StepMultipliers.build(grid, config)
+        heat, h_phi1 = full_lattice_symbols(grid, config)
+        projected = full_lattice_projected(config.forcing)
         for seed, t in ((1, 0.0), (2, 0.37)):
             u = prepare_initial(random_divfree_field(grid, seed))
             F = nonlinear_F(u)
             a = config.forcing.amplitude(t)
-            rhs = F.coeffs if a is None else F.coeffs + a * config.forcing.projected
-            expected = u.coeffs * multipliers.heat + rhs * multipliers.h_phi1
-            got = exp_euler_step(u, t, config, F_m=F, multipliers=multipliers)
-            np.testing.assert_array_equal(got.coeffs, expected)
+            rhs = F.coeffs if a is None else F.coeffs + a * projected
+            expected = u.coeffs * heat + rhs * h_phi1
             np.testing.assert_array_equal(exp_euler_step(u, t, config).coeffs, expected)
+
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "undealiased"])
+    @pytest.mark.parametrize("kind", ["zero", "steady", "hoelder_modulated"])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16), (2, 48)])
+    def test_is_the_first_step_of_march(self, dim, n, kind, dealias):
+        grid = make_grid(dim, n)
+        base = None if kind == "zero" else prepare_initial(random_divfree_field(grid, seed=22))
+        config = SolverConfig(dt=1e-2, dealias=dealias,
+                              forcing=ForcingSpec(kind=kind, base_field=base, exponent=0.5))
+        u0 = random_divfree_field(grid, seed=23)
+        final = march(u0, config, config.dt).final_field
+        step = exp_euler_step(prepare_initial(u0), 0.0, config)
+        assert step.grid == final.grid and np.array_equal(step.coeffs, final.coeffs)
 
 
 class TestParsevalDiagnostics:
@@ -108,7 +143,7 @@ class TestParsevalDiagnostics:
             assert abs(row.norm_f - norm_f) <= 1e-14 * norm_f
 
     def test_p2_takes_no_collocation_norm(self, grid2, monkeypatch):
-        for name in ("frac_norm", "lp_norm"):
+        for name in ("_irfft", "_lp"):
             monkeypatch.setattr(solver, name, lambda *args, _n=name: pytest.fail(f"{_n} called"))
         u = prepare_initial(random_divfree_field(grid2, seed=3))
         row = compute_diagnostics(u, 0.0, SolverConfig(p=2.0))
@@ -212,8 +247,7 @@ class TestMarch:
     def test_nonlinearity_evaluated_once_per_state(self, grid2, monkeypatch):
         calls = []
         # every path to F goes through the half kernel: the march's own call, and
-        # nonlinear_F (compute_diagnostics without F=, exp_euler_step without F_m=)
-        # through the operators module
+        # nonlinear_F (compute_diagnostics, exp_euler_step) through the operators module
         patched = ((solver, "_half_nonlinearity"), (operators, "_half_nonlinearity"))
         for module, name in patched:
             original = getattr(module, name)
@@ -391,8 +425,9 @@ class TestForcingMeanMode:
 
     def test_projected_base_is_the_mean_free_projection(self, grid2):
         spec = forcing_with_tiny_mean(grid2)
-        expected = operators.leray_project(spec.base_field).coeffs
+        expected = _half(operators.leray_project(spec.base_field).coeffs, grid2).copy()
         expected[:, 0, 0] = 0.0
+        assert spec.projected.shape == expected.shape == (2, 32, 17)
         assert np.array_equal(spec.projected, expected)
         assert ForcingSpec().projected is None
 
@@ -410,8 +445,8 @@ def reference_picard(u0, config):
     h = config.window_T / (n - 1)
     E = [np.exp(-config.nu * h * d * grid.k_sq) for d in range(n)]
     heat_flow = [u0.coeffs * E[j] for j in range(n)]
-    forcing = config.forcing
-    forcing_hat = [None if forcing.projected is None else forcing.amplitude(t) * forcing.projected
+    forcing, projected = config.forcing, full_lattice_projected(config.forcing)
+    forcing_hat = [None if projected is None else forcing.amplitude(t) * projected
                    for t in h * np.arange(n)]
     current = list(heat_flow)
     history = []
@@ -517,7 +552,8 @@ def full_lattice_march(u0, config, t_end):
     Returns (times, kept coefficients, rows as tuples); for runs that do not blow up."""
     grid = u0.grid
     u = prepare_initial(u0).coeffs
-    multipliers = StepMultipliers.build(grid, config)
+    heat, h_phi1 = full_lattice_symbols(grid, config)
+    projected = full_lattice_projected(config.forcing)
     n_steps, _ = march_schedule(t_end, config.dt, config.snapshot_every)
     times, fields, rows = [], [], []
     for m in range(n_steps + 1):
@@ -530,8 +566,8 @@ def full_lattice_march(u0, config, t_end):
         if m == n_steps:
             break
         a = config.forcing.amplitude(t)
-        rhs = F if a is None else a * config.forcing.projected + F
-        u = u * multipliers.heat + rhs * multipliers.h_phi1
+        rhs = F if a is None else a * projected + F
+        u = u * heat + rhs * h_phi1
     return times, fields, rows
 
 
@@ -546,10 +582,10 @@ def full_lattice_picard(u0, config):
     lags = np.arange(n).reshape((n,) + (1,) * grid.dim)
     E = np.exp(-config.nu * h * lags * grid.k_sq)
     heat_flow = u0.coeffs * E[:, np.newaxis]
-    forcing = config.forcing
+    forcing, projected = config.forcing, full_lattice_projected(config.forcing)
     forcing_hat = None
-    if forcing.projected is not None:
-        forcing_hat = np.stack([forcing.amplitude(t) * forcing.projected for t in times])
+    if projected is not None:
+        forcing_hat = np.stack([forcing.amplitude(t) * projected for t in times])
     symbol = np.sqrt(grid.k_sq)
     current, history = heat_flow, []
     for iteration in range(1, config.picard_max_iters + 1):
@@ -638,6 +674,20 @@ class TestHalfSpectrumSolvers:
         half_state = grid.dim * grid.n_modes * (grid.n_modes // 2 + 1) * 16
         _, peak = traced_peak(march, u0, config, 4e-3, sink=lambda i, t, half: None)
         assert peak <= 6.0 * half_state, peak / half_state
+
+    def test_rows_at_other_p_do_not_mirror(self, monkeypatch):
+        # a sink march at p = 3 reads its collocation norms from the halves
+        calls = []
+        original = solver._full_spectrum
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_full_spectrum", counted)
+        u0, settings = half_case(**HALF_CASES["p3-2d-32"])
+        traj = march(u0, SolverConfig(dt=1e-2, **settings), 0.05, sink=lambda i, t, half: None)
+        assert len(traj.diagnostics) == 6 and calls == []
 
     def test_picard_forcing_is_not_stacked(self, traced_peak):
         # P f enters node by node: the forced solve peaks at most a few fields above

@@ -72,6 +72,21 @@ def test_no_complex_fft():
     assert found == [], f"complex FFTs in src/nsmild: {found}"
 
 
+def test_mirrors_only_where_a_field_leaves_a_solver():
+    """Fields are carried as the half spectrum; only these functions rebuild the full
+    lattice (grid._full_spectrum), each where a field leaves for a caller or a file."""
+    allowed = {"forward_transform", "_unit_phase_coeffs", "advect", "projected_nonlinearity",
+               "exp_euler_step", "march", "picard_solve", "read_snapshot"}
+    callers = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            callers |= {getattr(top, "name", f"{path.name}:{top.lineno}")
+                        for node in ast.walk(top)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_full_spectrum"}
+    assert callers - allowed == set(), f"_full_spectrum called from {sorted(callers)}"
+
+
 def test_no_roll():
     """Reflections gather once per axis (grid._conj_reflect); np.roll copies the whole
     array per axis, and on a strided view it is slow, so it must not come back."""
