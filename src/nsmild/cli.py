@@ -266,16 +266,16 @@ def cmd_run(config, out, seed=None, quiet=False) -> int:
     started = _utc_now()
     snapshots, outputs, solver_error = [], [], None
 
-    def write(index: int, t: float, coeffs) -> None:
+    def write(index: int, t: float, half) -> None:
         path = out / f"snapshot_{index:06d}.nsms"
-        write_half_snapshot(path, grid, coeffs, float(t))
+        write_half_snapshot(path, grid, half, float(t))
         snapshots.append(str(path))
 
     try:
         if solver_cfg.scheme == "picard_window":
             traj, _, _ = picard_solve(u0, solver_cfg)
             for index, (t, field) in enumerate(zip(traj.times, traj.fields)):
-                write(index, t, field.coeffs)
+                write(index, t, field.half)
         else:
             # each snapshot is written from the half state as the march keeps it,
             # so no field is held or mirrored

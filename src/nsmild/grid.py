@@ -11,6 +11,12 @@ the label +n/2. Generators never populate Nyquist planes, which keeps odd
 Fourier symbols (derivatives, the off-diagonal projection entries) compatible
 with Hermitian symmetry. The two-thirds dealiasing cutoff is floor((n-1)/3),
 so 3 * cutoff < n and quadratic products are exact on the retained modes.
+
+A real field's spectrum is fixed by its half (`_half`): the n/2+1 last-axis columns
+with wavenumber 0..n/2, shaped (n,)*(dim-1) + (n/2+1,) per component. Fields, grid
+symbols and draws are stored there. The full lattice, uhat(-k) = conj(uhat(k)), is
+built (`_full_spectrum`) only when a reader asks for it: `SpectralVectorField.coeffs`
+and the grid's full-lattice attributes, which nothing in the package reads.
 """
 
 from __future__ import annotations
@@ -38,8 +44,11 @@ def _integer_modes(n: int) -> np.ndarray:
 class TorusGrid:
     """Discretization descriptor for the periodic box [0, period)^dim.
 
-    Derived arrays (wavenumber lattice, symbols, masks) are precomputed once
-    and shared by every operator application on this grid.
+    The wavenumbers, symbols and masks are precomputed once on the half spectrum and
+    shared by every operator application on this grid: `k_half`, `k_sq_half`,
+    `inv_k_sq_half`, `dealias_mask_half` and `nyquist_mask_half`. The full-lattice
+    `k_int`, `k`, `k_sq`, `inv_k_sq`, `dealias_mask` and `nyquist_mask` are built each
+    time they are read, for readers outside the package.
     """
 
     dim: int
@@ -57,38 +66,72 @@ class TorusGrid:
             raise ValueError(f"period must be positive, got {self.period}")
 
         n = self.n_modes
-        modes = _integer_modes(n)
-        axes = np.meshgrid(*([modes] * self.dim), indexing="ij")
-        k_int = np.stack(axes)
-        scale = TWO_PI / self.period
+        object.__setattr__(self, "modes", _integer_modes(n))
+        object.__setattr__(self, "dealias_cutoff", (n - 1) // 3)
+        k, k_sq, inv_k_sq, dealias_mask, nyquist_mask = self._symbols(n // 2 + 1)
         with np.errstate(over="ignore"):
-            k = k_int * scale
-            k_sq = np.sum(k * k, axis=0)
             extents = np.float64(self.period) ** self.dim, np.float64(self.period / n) ** self.dim
+        # the half holds the largest |k|^2, at wavenumber n/2 on every axis
         if not all(0 < x < np.inf for x in extents + (np.max(k_sq),)):
             raise ValueError(f"period {self.period} makes the box volume, cell volume or "
                              "largest |k|^2 zero or infinite")
-        inv_k_sq = np.zeros_like(k_sq)
-        nonzero = k_sq > 0
-        inv_k_sq[nonzero] = 1.0 / k_sq[nonzero]
+        object.__setattr__(self, "k_half", k)
+        object.__setattr__(self, "k_sq_half", k_sq)
+        object.__setattr__(self, "inv_k_sq_half", inv_k_sq)
+        object.__setattr__(self, "dealias_mask_half", dealias_mask)
+        object.__setattr__(self, "nyquist_mask_half", nyquist_mask)
 
-        cutoff = (n - 1) // 3
+    def _lattice(self, width: int) -> np.ndarray:
+        """Integer wavenumbers of the first `width` last-axis columns, (dim,) + that shape."""
+        axes = [self.modes] * (self.dim - 1) + [self.modes[:width]]
+        return np.stack(np.meshgrid(*axes, indexing="ij"))
+
+    def _symbols(self, width: int) -> tuple:
+        """(k, |k|^2, 1/|k|^2 with 0 at k = 0, dealias mask, Nyquist mask) on the first
+        `width` last-axis columns; every entry is a function of its own wavenumber only."""
+        k_int = self._lattice(width)
+        with np.errstate(over="ignore"):  # a period out of range raises in __post_init__
+            k = k_int * (TWO_PI / self.period)
+            k_sq = np.sum(k * k, axis=0)
+            inv_k_sq = np.zeros_like(k_sq)
+            nonzero = k_sq > 0
+            inv_k_sq[nonzero] = 1.0 / k_sq[nonzero]
         abs_int = np.abs(k_int)
-        dealias_mask = np.all(abs_int <= cutoff, axis=0)
-        nyquist_mask = np.any(abs_int == n // 2, axis=0)
+        return (k, k_sq, inv_k_sq, np.all(abs_int <= self.dealias_cutoff, axis=0),
+                np.any(abs_int == self.n_modes // 2, axis=0))
 
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "k_int", k_int)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "k_sq", k_sq)
-        object.__setattr__(self, "inv_k_sq", inv_k_sq)
-        object.__setattr__(self, "dealias_cutoff", cutoff)
-        object.__setattr__(self, "dealias_mask", dealias_mask)
-        object.__setattr__(self, "nyquist_mask", nyquist_mask)
+    @property
+    def k_int(self) -> np.ndarray:
+        return self._lattice(self.n_modes)
+
+    @property
+    def k(self) -> np.ndarray:
+        return self._symbols(self.n_modes)[0]
+
+    @property
+    def k_sq(self) -> np.ndarray:
+        return self._symbols(self.n_modes)[1]
+
+    @property
+    def inv_k_sq(self) -> np.ndarray:
+        return self._symbols(self.n_modes)[2]
+
+    @property
+    def dealias_mask(self) -> np.ndarray:
+        return self._symbols(self.n_modes)[3]
+
+    @property
+    def nyquist_mask(self) -> np.ndarray:
+        return self._symbols(self.n_modes)[4]
 
     @property
     def shape(self) -> tuple:
         return (self.n_modes,) * self.dim
+
+    @property
+    def half_shape(self) -> tuple:
+        """The shape of the half spectrum (`_half`) of one component."""
+        return self.shape[:-1] + (self.n_modes // 2 + 1,)
 
     @property
     def n_points(self) -> int:
@@ -171,58 +214,77 @@ def _half_sum(values: np.ndarray, grid: TorusGrid) -> float:
 
 @dataclass(frozen=True)
 class SpectralVectorField:
-    """Velocity field as per-component complex Fourier coefficients.
+    """Velocity field of a real flow as per-component complex Fourier coefficients.
 
-    Invariants (mean-zero, divergence-free, Hermitian) are not recorded;
-    consumers that need them measure the defects.
+    Stored as `half`, the modes with last-axis wavenumber 0..n/2 (`_half`), shaped
+    (dim,) + grid.half_shape. The constructor takes that half or the full (dim,) +
+    grid.shape lattice, of which it keeps the first n/2+1 last-axis columns: a full
+    input that is not Hermitian loses what its other columns held, and the 0 and n/2
+    columns keep any defect of their own (`hermitian_defect`). `coeffs` is the full
+    lattice, uhat(-k) = conj(uhat(k)), built read-only by `_full_spectrum` on each read.
+
+    Invariants (mean-zero, divergence-free) are not recorded; consumers that need
+    them measure the defects.
     """
 
     grid: TorusGrid
-    coeffs: np.ndarray
+    half: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = (self.grid.dim,) + self.grid.shape
-        if self.coeffs.shape != expected:
-            raise ValueError(
-                f"coefficient array has shape {self.coeffs.shape}, expected {expected}"
-            )
-        if self.coeffs.dtype != np.complex128:
-            object.__setattr__(self, "coeffs", self.coeffs.astype(np.complex128))
+        full_shape = (self.grid.dim,) + self.grid.shape
+        half_shape = (self.grid.dim,) + self.grid.half_shape
+        if self.half.shape == full_shape:  # a copy, so the full lattice is not held
+            object.__setattr__(self, "half", _half(self.half, self.grid).astype(np.complex128))
+        elif self.half.shape == half_shape:
+            object.__setattr__(self, "half", self.half.astype(np.complex128, copy=False))
+        else:
+            raise ValueError(f"coefficient array has shape {self.half.shape}, "
+                             f"expected {full_shape} or its half {half_shape}")
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The full lattice, rebuilt from the half on each read; read-only."""
+        full = _full_spectrum(self.half, self.grid)
+        full.flags.writeable = False
+        return full
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
+        return float(np.max(np.abs(self.half))) if self.half.size else 0.0
 
     def mean_mode(self) -> np.ndarray:
-        return self.coeffs[(slice(None),) + (0,) * self.grid.dim]
+        return self.half[(slice(None),) + (0,) * self.grid.dim]
 
     def hermitian_defect(self) -> float:
-        """max |uhat(k) - conj(uhat(-k))| relative to max |uhat|."""
-        mirror = _conj_reflect(self.coeffs, self.grid.spatial_axes)
-        return _relative_max(self.coeffs - mirror, self.max_abs())
+        """max |uhat(k) - conj(uhat(-k))| relative to max |uhat|. Only the last-axis 0 and
+        n/2 columns hold both k and -k; every other column's mirror is exact."""
+        planes = self.half[..., :: self.grid.n_modes // 2]
+        mirror = _conj_reflect(planes, self.grid.spatial_axes[:-1])
+        return _relative_max(planes - mirror, self.max_abs())
 
     def divergence_coeffs(self) -> np.ndarray:
-        """i k . uhat(k), with the factor i applied to the sum: no complex copy of k."""
-        div = np.einsum("i...,i...->...", self.grid.k, self.coeffs)
+        """i k . uhat(k) on the half spectrum, with the factor i applied to the sum: no
+        complex copy of k."""
+        div = np.einsum("i...,i...->...", self.grid.k_half, self.half)
         div *= 1j
         return div
 
     def divergence_defect(self) -> float:
-        """max_k |k . uhat(k)| relative to max |uhat|."""
+        """max_k |k . uhat(k)| over the half spectrum, relative to max |uhat|."""
         return _relative_max(self.divergence_coeffs(), self.max_abs())
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.coeffs.view(np.float64))))
+        return bool(np.all(np.isfinite(self.half.view(np.float64))))
 
     def __add__(self, other: "SpectralVectorField") -> "SpectralVectorField":
         _require_same_grid(self.grid, other.grid)
-        return SpectralVectorField(self.grid, self.coeffs + other.coeffs)
+        return SpectralVectorField(self.grid, self.half + other.half)
 
     def __sub__(self, other: "SpectralVectorField") -> "SpectralVectorField":
         _require_same_grid(self.grid, other.grid)
-        return SpectralVectorField(self.grid, self.coeffs - other.coeffs)
+        return SpectralVectorField(self.grid, self.half - other.half)
 
     def __mul__(self, scalar: float) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, self.coeffs * scalar)
+        return SpectralVectorField(self.grid, self.half * scalar)
 
     __rmul__ = __mul__
 
@@ -266,12 +328,12 @@ def _require_mean_zero(u: SpectralVectorField, what: str) -> None:
 
 def forward_transform(u: PhysicalVectorField) -> SpectralVectorField:
     """Collocation samples -> Fourier coefficients (zero mode = spatial mean)."""
-    return SpectralVectorField(u.grid, _full_spectrum(_rfft(u.values, u.grid), u.grid))
+    return SpectralVectorField(u.grid, _rfft(u.values, u.grid))
 
 
 def inverse_transform(u: SpectralVectorField) -> PhysicalVectorField:
-    """Hermitian Fourier coefficients -> collocation samples, read from the half spectrum."""
-    return PhysicalVectorField(u.grid, _irfft(u.coeffs, u.grid))
+    """Fourier coefficients -> collocation samples of the real field their half fixes."""
+    return PhysicalVectorField(u.grid, _irfft(u.half, u.grid))
 
 
 def field_from_function(grid: TorusGrid, component_funcs) -> SpectralVectorField:
@@ -288,8 +350,7 @@ def field_from_function(grid: TorusGrid, component_funcs) -> SpectralVectorField
 
 
 def zero_field(grid: TorusGrid) -> SpectralVectorField:
-    coeffs = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
-    return SpectralVectorField(grid, coeffs)
+    return SpectralVectorField(grid, np.zeros((grid.dim,) + grid.half_shape, dtype=np.complex128))
 
 
 def dealias(u: SpectralVectorField) -> SpectralVectorField:
@@ -298,15 +359,15 @@ def dealias(u: SpectralVectorField) -> SpectralVectorField:
     The cutoff K satisfies 3K < n, so the product of two dealiased fields
     has no alias on a retained mode.
     """
-    return SpectralVectorField(u.grid, u.coeffs * u.grid.dealias_mask)
+    return SpectralVectorField(u.grid, u.half * u.grid.dealias_mask_half)
 
 
 def truncate(u: SpectralVectorField, m: int) -> SpectralVectorField:
     """Zero every mode with any |k_i| > m."""
     if not 0 <= m <= u.grid.n_modes // 2:
         raise ValueError(f"truncation order {m} outside [0, {u.grid.n_modes // 2}]")
-    mask = np.all(np.abs(u.grid.k_int) <= m, axis=0)
-    return SpectralVectorField(u.grid, u.coeffs * mask)
+    mask = np.all(np.abs(u.grid._lattice(u.grid.n_modes // 2 + 1)) <= m, axis=0)
+    return SpectralVectorField(u.grid, u.half * mask)
 
 
 def lattice_part(u: PhysicalVectorField, which: str) -> PhysicalVectorField:
@@ -328,35 +389,31 @@ def lattice_part(u: PhysicalVectorField, which: str) -> PhysicalVectorField:
 def leray_symbol_apply(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Apply the Fourier projection symbol I - k k^T / |k|^2; mode 0 unchanged.
 
-    Accepts the full lattice or its half (`_half`) along the last axis, and
-    leading batch axes before the component axis.
+    Takes half spectra (`_half`), with leading batch axes before the component axis.
     """
-    width = coeffs.shape[-1]
-    k = grid.k[..., :width]
+    k = grid.k_half
     xyz = "xyz"[: grid.dim]
     k_dot = np.einsum(f"i{xyz},...i{xyz}->...{xyz}", k, coeffs)
-    return coeffs - k * np.expand_dims(k_dot * grid.inv_k_sq[..., :width], -grid.dim - 1)
+    return coeffs - k * np.expand_dims(k_dot * grid.inv_k_sq_half, -grid.dim - 1)
 
 
 def _unit_phase_coeffs(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
-    """Unit-modulus coefficients with random phases and exact Hermitian symmetry.
-
-    The half spectrum of real white noise (`_rfft`), normalized, then mirrored once.
-    """
+    """Unit-modulus half-spectrum coefficients with random phases and exact Hermitian
+    symmetry: the half spectrum of real white noise (`_rfft`), normalized."""
     what = _rfft(rng.standard_normal(grid.shape), grid)
     mag = np.abs(what)
     safe = np.where(mag > 0, mag, 1.0)
-    return _full_spectrum(np.where(mag > 0, what / safe, 1.0 + 0.0j), grid)
+    return np.where(mag > 0, what / safe, 1.0 + 0.0j)
 
 
 def _spectral_envelope(grid: TorusGrid, spectrum_decay: float, amplitude: float) -> np.ndarray:
     if not spectrum_decay > 0:
         raise ValueError(f"spectrum_decay must be positive, got {spectrum_decay}")
-    shape = (1.0 + grid.k_sq) ** (-spectrum_decay / 2.0)
+    shape = (1.0 + grid.k_sq_half) ** (-spectrum_decay / 2.0)
     if shape[(1,) + (0,) * (grid.dim - 1)] == 0.0:  # the largest value off the zero mode
         raise ValueError(f"spectrum_decay {spectrum_decay} on the box of period {grid.period} "
                          "makes (1+|k|^2)^(-decay/2) zero on every mode")
-    env = amplitude * shape * ~grid.nyquist_mask  # keep derivative symbols Hermitian-safe
+    env = amplitude * shape * ~grid.nyquist_mask_half  # keep derivative symbols Hermitian-safe
     env[(0,) * grid.dim] = 0.0
     return env
 
@@ -369,9 +426,9 @@ def random_divfree_field(
 ) -> SpectralVectorField:
     """Random mean-zero divergence-free field with |uhat| ~ (1+|k|^2)^(-decay/2).
 
-    The projection symbol is applied to exactly Hermitian random-phase
-    coefficients, so the result is divergence-free and `hermitian_defect` is 0.
-    Identical seeds give bitwise-identical coefficients.
+    The envelope and the projection symbol are applied on the half spectrum to exactly
+    Hermitian random-phase coefficients, so the result is divergence-free and
+    `hermitian_defect` is 0. Identical seeds give bitwise-identical coefficients.
     """
     rng = np.random.default_rng(seed)
     env = _spectral_envelope(grid, spectrum_decay, amplitude)
@@ -392,14 +449,16 @@ def random_gradient_field(
     """
     rng = np.random.default_rng(seed)
     h_hat = _spectral_envelope(grid, spectrum_decay, amplitude) * _unit_phase_coeffs(grid, rng)
-    return SpectralVectorField(grid, 1j * grid.k * h_hat)
+    return SpectralVectorField(grid, 1j * grid.k_half * h_hat)
 
 
 def embed(u: SpectralVectorField, fine: TorusGrid) -> SpectralVectorField:
     """Zero-pad a field onto a finer grid with the same period and dimension.
 
-    Modes are matched by integer wavenumber, so the embedded field is the
-    same trigonometric polynomial evaluated with more resolution.
+    Modes are matched by integer wavenumber on the half spectrum, so the embedded field
+    is the same trigonometric polynomial evaluated with more resolution. A coarse
+    Nyquist plane (wavenumber +n/2) is the one exception: on the fine grid its mirror
+    also holds its conjugate at -n/2. Generated fields never populate those planes.
     """
     coarse = u.grid
     if fine.dim != coarse.dim or fine.period != coarse.period:
@@ -408,9 +467,10 @@ def embed(u: SpectralVectorField, fine: TorusGrid) -> SpectralVectorField:
         raise ValueError("target grid must be at least as fine")
     if fine.n_modes == coarse.n_modes:
         return u
-    coeffs = np.zeros((fine.dim,) + fine.shape, dtype=np.complex128)
-    coeffs[(slice(None),) + np.ix_(*[coarse.modes % fine.n_modes] * coarse.dim)] = u.coeffs
-    return SpectralVectorField(fine, coeffs)
+    half = np.zeros((fine.dim,) + fine.half_shape, dtype=np.complex128)
+    rows = [coarse.modes % fine.n_modes] * (coarse.dim - 1)
+    half[(slice(None),) + np.ix_(*rows, coarse.modes[: coarse.n_modes // 2 + 1])] = u.half
+    return SpectralVectorField(fine, half)
 
 
 @dataclass(frozen=True)
@@ -418,7 +478,7 @@ class ForcingSpec:
     """Time-dependent forcing: zero, steady, or t^exponent times a base field.
 
     The base field must be divergence-free and mean-zero. `projected` is the half
-    (`_half`) of P f0 with its mean mode set to 0, as `prepare_initial` sets u0's, so
+    spectrum of P f0 with its mean mode set to 0, as `prepare_initial` sets u0's, so
     the solvers stay exactly on the mean-zero divergence-free subspace; None for zero.
     """
 
@@ -439,7 +499,7 @@ class ForcingSpec:
                 raise ValueError("forcing base field must be divergence-free")
             _require_mean_zero(self.base_field, "forcing base")
             grid = self.base_field.grid
-            projected = leray_symbol_apply(grid, _half(self.base_field.coeffs, grid))
+            projected = leray_symbol_apply(grid, self.base_field.half)
             projected[(slice(None),) + (0,) * grid.dim] = 0.0
         object.__setattr__(self, "projected", projected)
 

@@ -6,10 +6,12 @@ u32 n_modes, f64 period, f64 time; then the half spectrum of a real field
 (n/2+1,), in row-major order as (f64 real, f64 imag) pairs. Layout v1 stored
 the full (dim,) + (n,)*dim lattice and stays readable.
 
-`write_half_snapshot` writes either layout in one call, the half `march` hands its
-sink without a copy. Reading returns the full lattice rebuilt from the stored half
-(`grid._full_spectrum`). The fields the package forms are exactly Hermitian, so
-they read back bit for bit; any field reads back with the written physical samples.
+Fields store the half spectrum (`SpectralVectorField.half`), so a snapshot is
+written from the half as stored, and read into a field's half without forming the
+full lattice: `write_half_snapshot` writes a contiguous half, such as the state
+`march` hands its sink or a kept node of `picard_solve`, without a copy. A field
+reads back bit for bit, on the half, on the full lattice `.coeffs` builds from it,
+and in every physical sample.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import SpectralVectorField, TorusGrid, _full_spectrum, _half, make_grid
+from .grid import SpectralVectorField, TorusGrid, make_grid
 from .solver import Trajectory
 
 SNAPSHOT_MAGIC = b"NSMS"
@@ -32,22 +34,22 @@ CSV_COLUMNS = ("time", "energy", "enstrophy", "max_div", "norm_x_half", "norm_F"
 
 
 def write_snapshot(path, field: SpectralVectorField, time: float) -> None:
-    write_half_snapshot(path, field.grid, field.coeffs, time)
+    write_half_snapshot(path, field.grid, field.half, time)
 
 
-def write_half_snapshot(path, grid: TorusGrid, coeffs: np.ndarray, time: float) -> None:
-    """Write layout v2 from coefficients (dim,) + grid.shape or their half."""
+def write_half_snapshot(path, grid: TorusGrid, half: np.ndarray, time: float) -> None:
+    """Write layout v2 from a half spectrum (dim,) + grid.half_shape."""
     header = _HEADER.pack(
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.n_modes, grid.period, float(time)
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(_half(coeffs, grid), dtype="<c16"))
+        fh.write(np.ascontiguousarray(half, dtype="<c16"))
 
 
 def read_snapshot(path) -> tuple:
-    """Read a snapshot of layout v1 or v2; returns (field, time), the field on the
-    full lattice rebuilt from the stored half and on the grid of the header."""
+    """Read a snapshot of layout v1 or v2; returns (field, time), the field on the grid
+    of the header. A v1 file's full lattice gives the field its half (`SpectralVectorField`)."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated snapshot header")
@@ -68,7 +70,8 @@ def read_snapshot(path) -> tuple:
         raise ValueError(f"{path}: {err}") from None
     data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
     stored = data.reshape((dim,) + grid.shape[:-1] + (width,))
-    return SpectralVectorField(grid, _full_spectrum(_half(stored, grid), grid)), time
+    # the constructor copies a v1 lattice's half; a v2 half is copied out of the bytes
+    return SpectralVectorField(grid, stored if version == 1 else stored.copy()), time
 
 
 def _fmt(x: float) -> str:

@@ -7,17 +7,18 @@ linear operator here is a modewise multiplier, so algebraic identities
 (idempotence, resolvent identity, semigroup law, power composition) hold to
 roundoff and the tests assert them at 1e-12.
 
+Fields and symbols are half spectra (`grid._half`), so every multiplier is the
+product of two halves and every result is a half; nothing here forms the full lattice.
+
 The projected nonlinearity F(u) = -P (u . grad) u has one kernel,
 `projected_nonlinearity`, on arrays with any leading batch axes. With
 dealiasing on it evaluates -P div(u (x) u) with real transforms of the half
 spectrum; the grid's cutoff satisfies 3 * cutoff < n, so this is exact for
 divergence-free u on the retained modes. Without dealiasing it uses the
-advective form of `advect`, the reference, on the whole batch at once.
-Physical-space values come from the grid's real inverse transform `_irfft` and
-return through its exactly Hermitian forward transform `_rfft`. The body
-`_half_nonlinearity` takes the full lattice or its half and returns the half,
-which the solvers carry; `projected_nonlinearity` mirrors it once, as `advect`
-mirrors `_half_advect`. Energy and enstrophy are weighted half sums (`_half_sum`).
+advective form of `advect` (`_half_advect`), the reference, on the whole batch at
+once. Physical-space values come from the grid's real inverse transform `_irfft`
+and return through its exactly Hermitian forward transform `_rfft`. Energy,
+enstrophy and the L_2 inner product are weighted half sums (`_half_sum`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 from .grid import (
     DIV_TOL,
     SpectralVectorField,
-    _full_spectrum,
     _half,
     _half_sum,
     _irfft,
@@ -61,23 +61,23 @@ def leray_project(u: SpectralVectorField) -> SpectralVectorField:
 
     Mode 0 is left unchanged; gradient fields are annihilated.
     """
-    return SpectralVectorField(u.grid, leray_symbol_apply(u.grid, u.coeffs))
+    return SpectralVectorField(u.grid, leray_symbol_apply(u.grid, u.half))
 
 
 def laplacian(u: SpectralVectorField) -> SpectralVectorField:
-    return SpectralVectorField(u.grid, u.coeffs * -u.grid.k_sq)
+    return SpectralVectorField(u.grid, u.half * -u.grid.k_sq_half)
 
 
 def resolvent(lam: float, u: SpectralVectorField) -> SpectralVectorField:
     """(lam I - Lap)^{-1}, modewise 1/(lam + |k|^2); requires lam > 0."""
     if not lam > 0:
         raise ValueError(f"resolvent requires lambda > 0, got {lam}")
-    return SpectralVectorField(u.grid, u.coeffs * (1.0 / (lam + u.grid.k_sq)))
+    return SpectralVectorField(u.grid, u.half * (1.0 / (lam + u.grid.k_sq_half)))
 
 
 def apply_shifted_laplacian(lam: float, u: SpectralVectorField) -> SpectralVectorField:
     """(lam I - Lap), the inverse of the resolvent at lam."""
-    return SpectralVectorField(u.grid, u.coeffs * (lam + u.grid.k_sq))
+    return SpectralVectorField(u.grid, u.half * (lam + u.grid.k_sq_half))
 
 
 def heat_semigroup(t: float, nu: float, u: SpectralVectorField) -> SpectralVectorField:
@@ -86,7 +86,7 @@ def heat_semigroup(t: float, nu: float, u: SpectralVectorField) -> SpectralVecto
         raise ValueError(f"heat semigroup requires t >= 0, got {t}")
     if not nu > 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
-    return SpectralVectorField(u.grid, u.coeffs * np.exp(-nu * t * u.grid.k_sq))
+    return SpectralVectorField(u.grid, u.half * np.exp(-nu * t * u.grid.k_sq_half))
 
 
 def frac_power(alpha: float, u: SpectralVectorField) -> SpectralVectorField:
@@ -99,10 +99,11 @@ def frac_power(alpha: float, u: SpectralVectorField) -> SpectralVectorField:
         raise ValueError(f"alpha must lie in [-1, 1], got {alpha}")
     _require_mean_zero(u, "fractional power")
     grid = u.grid
-    symbol = np.zeros_like(grid.k_sq)
-    nonzero = grid.k_sq > 0
-    symbol[nonzero] = grid.k_sq[nonzero] ** alpha
-    return SpectralVectorField(grid, u.coeffs * symbol)
+    k_sq = grid.k_sq_half
+    symbol = np.zeros_like(k_sq)
+    nonzero = k_sq > 0
+    symbol[nonzero] = k_sq[nonzero] ** alpha
+    return SpectralVectorField(grid, u.half * symbol)
 
 
 def _phi1_of(z: np.ndarray) -> np.ndarray:
@@ -116,7 +117,7 @@ def phi1(h: float, nu: float, u: SpectralVectorField) -> SpectralVectorField:
     """Exponential-integrator weight phi1(-nu h |k|^2); mode 0 gets factor 1."""
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
-    return SpectralVectorField(u.grid, u.coeffs * _phi1_of(-nu * h * u.grid.k_sq))
+    return SpectralVectorField(u.grid, u.half * _phi1_of(-nu * h * u.grid.k_sq_half))
 
 
 def advect(
@@ -130,16 +131,14 @@ def advect(
     The result is generally not divergence-free.
     """
     _require_same_grid(u.grid, v.grid)
-    half = _half_advect(u.grid, u.coeffs, v.coeffs, apply_dealias)
-    return SpectralVectorField(u.grid, _full_spectrum(half, u.grid))
+    return SpectralVectorField(u.grid, _half_advect(u.grid, u.half, v.half, apply_dealias))
 
 
 def _half_advect(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.ndarray:
-    """`advect` of coefficients (..., dim) + grid.shape or their half, before its mirror;
-    masks and derivatives are formed only on the half, the columns `_irfft` reads."""
+    """The half spectrum of `advect` of coefficients (..., dim) + grid.shape or their half."""
     d = grid.dim
-    u, v, k = _half(u, grid), _half(v, grid), _half(grid.k, grid)
-    mask = _half(grid.dealias_mask, grid)
+    u, v, k = _half(u, grid), _half(v, grid), grid.k_half
+    mask = grid.dealias_mask_half
     if apply_dealias:
         u, v = u * mask, v * mask
     u_phys = _irfft(u, grid)
@@ -152,16 +151,27 @@ def _half_advect(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.
     return half
 
 
-def _half_nonlinearity(grid, coeffs: np.ndarray, dealias: bool) -> np.ndarray:
-    """`projected_nonlinearity` before its mirror, of the full lattice or its half."""
+def projected_nonlinearity(grid, coeffs: np.ndarray, dealias: bool = True) -> np.ndarray:
+    """The half spectrum of F(u) = -P (u . grad) u of coefficients (..., dim) + grid.shape
+    or their half, without input checks.
+
+    Dealiased: -P div(u (x) u) on the two-thirds modes, every batch axis in one
+    pass of d real inverse and d(d+1)/2 real forward half-spectrum transforms, each
+    product transformed and added into the divergence before the next is formed;
+    for divergence-free u it equals the advective form to roundoff. Otherwise: the
+    advective form of `advect`, every batch axis in one pass of its body, with the
+    Nyquist planes of the image zeroed so that states keep them empty. The zero
+    mode is pinned to 0. The caller vouches that u is divergence-free and
+    mean-zero; `nonlinear_F` checks both.
+    """
     d = grid.dim
     if not dealias:
         out = -leray_symbol_apply(grid, _half_advect(grid, coeffs, coeffs, False)
-                                  * ~_half(grid.nyquist_mask, grid))
+                                  * ~grid.nyquist_mask_half)
         out[(...,) + (0,) * d] = 0.0
         return out
-    mask = _half(grid.dealias_mask, grid)
-    k = _half(grid.k, grid)
+    mask = grid.dealias_mask_half
+    k = grid.k_half
     u_phys = np.moveaxis(_irfft(_half(coeffs, grid) * mask, grid), -d - 1, 0)
     product = np.empty(u_phys.shape[1:])
     div = np.zeros((d,) + product.shape[:-1] + mask.shape[-1:], dtype=np.complex128)
@@ -179,21 +189,6 @@ def _half_nonlinearity(grid, coeffs: np.ndarray, dealias: bool) -> np.ndarray:
     return half
 
 
-def projected_nonlinearity(grid, coeffs: np.ndarray, dealias: bool = True) -> np.ndarray:
-    """F(u) = -P (u . grad) u of coefficients (..., dim) + grid.shape, without input checks.
-
-    Dealiased: -P div(u (x) u) on the two-thirds modes, every batch axis in one
-    pass of d real inverse and d(d+1)/2 real forward half-spectrum transforms, each
-    product transformed and added into the divergence before the next is formed;
-    for divergence-free u it equals the advective form to roundoff. Otherwise: the
-    advective form of `advect`, every batch axis in one pass of its body, with the
-    Nyquist planes of the image zeroed so that states keep them empty. The zero
-    mode is pinned to 0. The caller vouches that u is divergence-free and
-    mean-zero; `nonlinear_F` checks both. The solvers call the half body directly.
-    """
-    return _full_spectrum(_half_nonlinearity(grid, coeffs, dealias), grid)
-
-
 def nonlinear_F(u: SpectralVectorField, apply_dealias: bool = True) -> SpectralVectorField:
     """Projected advection nonlinearity -P (u . grad) u for div-free mean-zero u.
 
@@ -203,7 +198,7 @@ def nonlinear_F(u: SpectralVectorField, apply_dealias: bool = True) -> SpectralV
     _require_mean_zero(u, "nonlinear term")
     if u.divergence_defect() > DIV_TOL:
         raise ValueError("nonlinear term requires a divergence-free field")
-    return SpectralVectorField(u.grid, projected_nonlinearity(u.grid, u.coeffs, apply_dealias))
+    return SpectralVectorField(u.grid, projected_nonlinearity(u.grid, u.half, apply_dealias))
 
 
 def lp_norm(u, p: float) -> float:
@@ -244,9 +239,10 @@ def spectral_l2_norm(u: SpectralVectorField) -> float:
 
 
 def l2_inner(u: SpectralVectorField, v: SpectralVectorField) -> float:
-    """L_2 inner product from coefficients; exact for band-limited fields."""
+    """L_2 inner product from coefficients, a weighted half sum; exact for band-limited
+    fields."""
     _require_same_grid(u.grid, v.grid)
-    return float(u.grid.volume * np.real(np.sum(u.coeffs * np.conj(v.coeffs))))
+    return float(u.grid.volume * _half_sum(np.real(u.half * np.conj(v.half)), u.grid))
 
 
 def gradient_norm(u: SpectralVectorField, p: float, variant: str = "full") -> float:
@@ -269,38 +265,31 @@ def _jacobian_entries(u: SpectralVectorField, pairs) -> np.ndarray:
     """Samples of du_i/dx_j for each (i, j) in pairs, one row and one transform per entry."""
     out = np.empty((len(pairs),) + u.grid.shape)
     for row, (i, j) in zip(out, pairs):
-        row[...] = _irfft(1j * u.grid.k[j] * u.coeffs[i], u.grid)
+        row[...] = _irfft(1j * u.grid.k_half[j] * u.half[i], u.grid)
     return out
 
 
-def _energy(grid, coeffs: np.ndarray) -> float:
-    """`energy` of coefficients (..., dim) + grid.shape or their half."""
-    return float(grid.volume * _half_sum(np.abs(_half(coeffs, grid)) ** 2, grid))
+def _energy(grid, half: np.ndarray) -> float:
+    """`energy` of a half spectrum (..., dim) + grid.half_shape."""
+    return float(grid.volume * _half_sum(np.abs(half) ** 2, grid))
 
 
 def energy(u: SpectralVectorField) -> float:
     """Squared L_2 norm, volume-weighted sum of squared coefficient magnitudes."""
-    return _energy(u.grid, u.coeffs)
+    return _energy(u.grid, u.half)
 
 
-def _enstrophy(grid, coeffs: np.ndarray) -> float:
-    """`enstrophy` of coefficients (..., dim) + grid.shape or their half."""
-    weighted = _half(grid.k_sq, grid) * np.abs(_half(coeffs, grid)) ** 2
+def _enstrophy(grid, half: np.ndarray) -> float:
+    """`enstrophy` of a half spectrum (..., dim) + grid.half_shape."""
+    weighted = grid.k_sq_half * np.abs(half) ** 2
     return float(grid.volume * _half_sum(weighted, grid))
 
 
 def enstrophy(u: SpectralVectorField) -> float:
     """Squared gradient L_2 norm, |k|^2-weighted coefficient sum."""
-    return _enstrophy(u.grid, u.coeffs)
-
-
-def _max_div(grid, coeffs: np.ndarray) -> float:
-    """`max_pointwise_divergence` of coefficients (dim,) + grid.shape or their half."""
-    div = np.einsum("i...,i...->...", 1j * _half(grid.k, grid), _half(coeffs, grid))
-    return float(np.max(np.abs(_irfft(div, grid))))
+    return _enstrophy(u.grid, u.half)
 
 
 def max_pointwise_divergence(u: SpectralVectorField) -> float:
-    """max_x |div u(x)| on the collocation lattice, the divergence formed only
-    on the half spectrum `_irfft` reads (bit-equal to `_irfft` of the full one)."""
-    return _max_div(u.grid, u.coeffs)
+    """max_x |div u(x)| on the collocation lattice, from the half-spectrum divergence."""
+    return float(np.max(np.abs(_irfft(u.divergence_coeffs(), u.grid))))

@@ -13,8 +13,8 @@ applies the factor of lag d as the d-th power of the one-node factor.
 Both solvers carry only the half spectrum (`grid._half`) that fixes the real
 field u: states, F, the symbols and the forcing. Every operation of a step is
 modewise, so the half evolves exactly as the first n/2+1 last-axis columns of a
-full-lattice state would; a field is mirrored (`grid._full_spectrum`) only where
-it leaves a solver.
+full-lattice state would. Fields enter and leave as `SpectralVectorField`, which
+stores the same half, so no full lattice is formed.
 
 `march` evaluates F(u) = -P (u . grad) u once per state: the same array
 feeds the diagnostics of a snapshot and the step that leaves it, which forms
@@ -22,7 +22,7 @@ its right-hand side in F's buffer and the new state in the old state's; the
 blow-up check of a kept state reads the energy of its diagnostics row. The step
 symbols are built once per march; `exp_euler_step` is one `_step` of a field.
 Energies are weighted half sums; at p = 2 the diagnostics norms are Parseval sums.
-Inside the solvers F is evaluated by `_half_nonlinearity`, without the
+Inside the solvers F is evaluated by `projected_nonlinearity`, without the
 input checks of `nonlinear_F`. The mean-zero divergence-free invariant is
 owned where it enters: `prepare_initial` validates u0 and zeroes its mean
 mode, the kernel pins F's, and `ForcingSpec.projected` is the half of P f0 with
@@ -42,8 +42,6 @@ from .grid import (
     ForcingSpec,
     SpectralVectorField,
     TorusGrid,
-    _full_spectrum,
-    _half,
     _irfft,
     _require_mean_zero,
     _require_same_grid,
@@ -51,11 +49,11 @@ from .grid import (
 from .operators import (
     _energy,
     _enstrophy,
-    _half_nonlinearity,
     _lp,
-    _max_div,
     _phi1_of,
+    max_pointwise_divergence,
     nonlinear_F,
+    projected_nonlinearity,
 )
 
 BLOWUP_NORM = 1e8
@@ -170,20 +168,21 @@ def compute_diagnostics(u: SpectralVectorField, t: float, config: SolverConfig) 
     At p = 2 the norms are Parseval sums, sqrt(enstrophy) and sqrt(energy(F)),
     within 1e-14 relative of collocation; other p take the quadrature."""
     F = nonlinear_F(u, apply_dealias=config.dealias)
-    return _row(u.grid, u.coeffs, t, config, F.coeffs)
+    return _row(u.grid, u.half, t, config, F.half)
 
 
 def _row(grid: TorusGrid, u: np.ndarray, t: float, config: SolverConfig,
          F: np.ndarray) -> DiagnosticsRow:
-    """`compute_diagnostics` of u and F = F(u), each the full lattice or its half; at p != 2
-    the norms are those of `frac_norm` and `lp_norm`, bit for bit, read from the halves."""
+    """`compute_diagnostics` of the halves of u and F = F(u); at p != 2 the norms are
+    those of `frac_norm` and `lp_norm`, bit for bit."""
     enstrophy_u = _enstrophy(grid, u)
     if config.p == 2.0:
         norms = float(np.sqrt(enstrophy_u)), float(np.sqrt(_energy(grid, F)))
     else:
-        x_half = _half(u, grid) * np.sqrt(_half(grid.k_sq, grid))
+        x_half = u * np.sqrt(grid.k_sq_half)
         norms = tuple(float(_lp(_irfft(x, grid), grid, config.p)) for x in (x_half, F))
-    return DiagnosticsRow(float(t), _energy(grid, u), enstrophy_u, _max_div(grid, u), *norms)
+    max_div = max_pointwise_divergence(SpectralVectorField(grid, u))
+    return DiagnosticsRow(float(t), _energy(grid, u), enstrophy_u, max_div, *norms)
 
 
 def prepare_initial(u0: SpectralVectorField) -> SpectralVectorField:
@@ -191,9 +190,9 @@ def prepare_initial(u0: SpectralVectorField) -> SpectralVectorField:
     if u0.divergence_defect() > DIV_TOL:
         raise ValueError("initial field must be divergence-free")
     _require_mean_zero(u0, "the solver")
-    coeffs = u0.coeffs.copy()
-    coeffs[(slice(None),) + (0,) * u0.grid.dim] = 0.0
-    return SpectralVectorField(u0.grid, coeffs)
+    half = u0.half.copy()
+    half[(slice(None),) + (0,) * u0.grid.dim] = 0.0
+    return SpectralVectorField(u0.grid, half)
 
 
 def _step_symbols(grid: TorusGrid, config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +200,7 @@ def _step_symbols(grid: TorusGrid, config: SolverConfig) -> tuple[np.ndarray, np
     after checking that config's forcing lives on `grid`."""
     if config.forcing.projected is not None:
         _require_same_grid(config.forcing.base_field.grid, grid)
-    z = -config.nu * config.dt * _half(grid.k_sq, grid)
+    z = -config.nu * config.dt * grid.k_sq_half
     return np.exp(z), config.dt * _phi1_of(z)
 
 
@@ -226,12 +225,10 @@ def exp_euler_step(u_m: SpectralVectorField, t_m: float, config: SolverConfig
     u_m is checked and F evaluated by `nonlinear_F`. Raises FieldBlowup when
     the result is not finite.
     """
-    grid = u_m.grid
-    symbols = _step_symbols(grid, config)
-    F = _half(nonlinear_F(u_m, apply_dealias=config.dealias).coeffs, grid)
-    u = _half(u_m.coeffs, grid).copy()
-    _step(u, F, t_m, config, *symbols)
-    u_next = SpectralVectorField(grid, _full_spectrum(u, grid))
+    symbols = _step_symbols(u_m.grid, config)
+    F = nonlinear_F(u_m, apply_dealias=config.dealias).half
+    u_next = SpectralVectorField(u_m.grid, u_m.half.copy())
+    _step(u_next.half, F, t_m, config, *symbols)
     if not u_next.is_finite():
         raise FieldBlowup(f"non-finite field after step at t={t_m}")
     return u_next
@@ -269,7 +266,7 @@ def march(
     (norm above 1e8 or non-finite) stops the march early and sets the blowup
     flag; it is recorded, not raised.
 
-    Without a sink the kept states are mirrored into `Trajectory.fields`. With
+    Without a sink the kept states are copied into `Trajectory.fields`. With
     one, each kept state goes to sink(index, t, half) as soon as it is kept, `half`
     its contiguous half spectrum, and the trajectory has `fields=()`, so memory
     holds O(1) fields however long the march is. `half` is the state buffer that
@@ -280,7 +277,7 @@ def march(
         raise ValueError(f"t_end {problem}")
     n_steps, _ = march_schedule(t_end, config.dt, config.snapshot_every)
     grid = u0.grid
-    u = _half(prepare_initial(u0).coeffs, grid).copy()
+    u = prepare_initial(u0).half  # a fresh copy, stepped in place
 
     symbols = _step_symbols(grid, config)
     times, fields, diags = [], [], []
@@ -288,7 +285,7 @@ def march(
     def keep(t: float, F: np.ndarray) -> DiagnosticsRow:
         diags.append(_row(grid, u, t, config, F))
         if sink is None:
-            fields.append(SpectralVectorField(grid, _full_spectrum(u, grid)))
+            fields.append(SpectralVectorField(grid, u.copy()))
         else:
             sink(len(times), t, u)
         times.append(t)
@@ -297,7 +294,7 @@ def march(
     blowup = False
     for m in range(n_steps + 1):
         # F(u) of every state: the step that leaves it needs it, or the final snapshot
-        F = _half_nonlinearity(grid, u, config.dealias)
+        F = projected_nonlinearity(grid, u, config.dealias)
         t_m = m * config.dt
         scheduled = m % config.snapshot_every == 0 or m == n_steps  # as march_schedule counts
         row = keep(t_m, F) if scheduled else None
@@ -324,7 +321,7 @@ def picard_solve(
     The window has config.n_nodes uniform nodes; an iterate is one array of
     the nodes' half spectra, and F of nodes 1.. is one kernel call, as is F of the
     converged window for its diagnostics. Node 0 stays u0, so its F is evaluated
-    once per solve. P f is added node by node, and only kept nodes are mirrored.
+    once per solve. P f is added node by node, and the kept nodes are copied out.
     The time integral uses the trapezoidal rule in s, applied by the recurrence
     S_j = E (S_{j-1} + (h/2) g_{j-1}) + (h/2) g_j with E = exp(-nu h |k|^2), so
     the heat factor of lag d is E^d.
@@ -342,10 +339,10 @@ def picard_solve(
     n = config.n_nodes
     h = config.window_T / (n - 1)
     times = h * np.arange(n)
-    k_sq = _half(grid.k_sq, grid)
+    k_sq = grid.k_sq_half
     lags = np.arange(n).reshape((n,) + (1,) * grid.dim)
     E = np.exp(-config.nu * h * lags * k_sq)  # E[d] = exp(-nu d h |k|^2), lag d's factor
-    heat_flow = _half(u0.coeffs, grid) * E[:, np.newaxis]
+    heat_flow = u0.half * E[:, np.newaxis]
     forcing = config.forcing
     if forcing.projected is not None:
         _require_same_grid(forcing.base_field.grid, grid)
@@ -354,11 +351,11 @@ def picard_solve(
     current = heat_flow
     residual_history: list = []
     bad_streak = 0
-    F0 = _half_nonlinearity(grid, u0.coeffs, config.dealias)
+    F0 = projected_nonlinearity(grid, u0.half, config.dealias)
 
     def nodes_F(nodes: np.ndarray) -> np.ndarray:
         # node 0 is u0 in every iterate, so its F is F0
-        rest = _half_nonlinearity(grid, nodes[1:], config.dealias)
+        rest = projected_nonlinearity(grid, nodes[1:], config.dealias)
         return np.concatenate([F0[np.newaxis], rest])
 
     for iteration in range(1, config.picard_max_iters + 1):
@@ -383,8 +380,7 @@ def picard_solve(
             raise NotContracting(residual_history)
         if residual < config.picard_tol:
             kept = [j for j in range(n) if j % config.snapshot_every == 0 or j == n - 1]
-            fields = tuple(SpectralVectorField(grid, _full_spectrum(current[j], grid))
-                           for j in kept)
+            fields = tuple(SpectralVectorField(grid, node) for node in current[kept])
             F = nodes_F(current)
             diags = tuple(_row(grid, current[j], times[j], config, F[j]) for j in kept)
             return Trajectory(times[kept], fields, diags), iteration, residual_history

@@ -9,7 +9,7 @@ the claim is literally true at the discrete level.
 
 The suite holds O(1) fields whatever its ensemble size: each member is drawn
 when it is needed, handed to every check that takes it, and dropped. One
-`nsmild verify` process peaks at 51-54 MiB RSS at ensemble sizes 4, 100 and 200
+`nsmild verify` process peaks at about 50 MiB RSS at ensemble sizes 4, 100 and 200
 alike (one thread, 2-core x86-64 VM).
 """
 
@@ -133,8 +133,8 @@ def _frac_samples(fields, alpha: float) -> np.ndarray:
 
     By linearity, the L_p norm of a difference of rows is the frac_norm of the difference.
     """
-    coeffs = [u.coeffs if alpha == 0.0 else frac_power(alpha, u).coeffs for u in fields]
-    return _irfft(np.stack(coeffs), fields[0].grid)
+    halves = [u.half if alpha == 0.0 else frac_power(alpha, u).half for u in fields]
+    return _irfft(np.stack(halves), fields[0].grid)
 
 
 # A per-field check is a body (one field -> its row of measurements) and a fold of the
@@ -158,8 +158,8 @@ def _max_report(name: str, keys, maxima: list, tol: float) -> CheckReport:
 
 
 def _defect(a: SpectralVectorField, b: SpectralVectorField, scale: float) -> float:
-    """_relative_max(a.coeffs - b.coeffs, scale), formed in the buffer of the fresh field a."""
-    return _relative_max(np.subtract(a.coeffs, b.coeffs, out=a.coeffs), scale)
+    """_relative_max(a.half - b.half, scale), formed in the buffer of the fresh field a."""
+    return _relative_max(np.subtract(a.half, b.half, out=a.half), scale)
 
 
 def _identity_row(u: SpectralVectorField, lambdas, times, nu: float) -> tuple:
@@ -239,7 +239,7 @@ def check_resolvent_divfree(
 
 def _semigroup_row(u: SpectralVectorField, times, nu: float, p_values) -> tuple:
     ident = _defect(heat_semigroup(0.0, nu, u), u, u.max_abs())
-    x = _irfft(u.coeffs, u.grid)
+    x = _irfft(u.half, u.grid)
     before = {p: float(_lp(x, u.grid, p)) for p in p_values}
     del x
     contraction_violation = 0.0
@@ -247,7 +247,7 @@ def _semigroup_row(u: SpectralVectorField, times, nu: float, p_values) -> tuple:
     for t in times:
         ut = heat_semigroup(t, nu, u)
         invariance = max(invariance, ut.divergence_defect())
-        xt = _irfft(ut.coeffs, u.grid)
+        xt = _irfft(ut.half, u.grid)
         del ut
         for p in p_values:
             rise = max(float(_lp(xt, u.grid, p)) - before[p], 0.0)
@@ -319,7 +319,7 @@ def _gradient_identity_row(u: SpectralVectorField) -> tuple:
     jacobian = _jacobian_entries(u, list(np.ndindex(u.grid.dim, u.grid.dim)))
     g2, gp = (float(_lp(jacobian, u.grid, p)) for p in (2.0, _REPORT_P))
     del jacobian
-    half = _irfft(frac_power(0.5, u).coeffs, u.grid)
+    half = _irfft(frac_power(0.5, u).half, u.grid)
     f2, fp = (float(_lp(half, u.grid, p)) for p in (2.0, _REPORT_P))
     return _relative_max(g2 - f2, f2), gp / fp if fp > 0 else None
 
@@ -656,7 +656,7 @@ def taylor_green_residual(grid: TorusGrid, nu: float, t: float) -> float:
     u = taylor_green(grid, nu, t)
     du_dt = (-2.0 * nu) * u
     nl = leray_project(advect(u, u))
-    return _relative_max((du_dt - nu * laplacian(u) + nl).coeffs, u.max_abs())
+    return _relative_max((du_dt - nu * laplacian(u) + nl).half, u.max_abs())
 
 
 def compare_oracle(traj: Trajectory, nu: float) -> np.ndarray:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nsmild import make_grid
+from nsmild import cli, grid, io, make_grid, operators, solver, verification
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +19,22 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def full_spectrum_calls(monkeypatch):
+    """A list that grows by one at each call of grid._full_spectrum, from any module."""
+    calls = []
+    original = grid._full_spectrum
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in (grid, operators, solver, io, cli, verification):
+        if hasattr(module, "_full_spectrum"):
+            monkeypatch.setattr(module, "_full_spectrum", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

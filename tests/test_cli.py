@@ -359,6 +359,40 @@ class TestStreamedRun:
             assert code == 0
         assert peaks[32] - peaks[4] < field_bytes, (peaks, field_bytes)
 
+    def test_forced_run_memory_in_half_states(self, tmp_path, traced_peak):
+        """A forced 2D N=128 run with a snapshot every step, from the config to the last
+        snapshot, peaks at 9.7 half-states; it peaked at 13.7 when fields, the grid and
+        the forcing base were held on the full lattice."""
+        doc = {"grid": {"dim": 2, "n_modes": 128}, "solver": {"dt": 1e-3},
+               "forcing": {"kind": "steady", "seed": 1},
+               "run": {"t_end": 4e-3, "snapshot_every": 1}}
+        config = write_config(tmp_path / "c.json", doc)
+        half_state = 2 * 128 * (128 // 2 + 1) * 16
+        for run in range(2):  # the first run warms caches
+            code, peak = traced_peak(
+                main, ["run", "--config", config, "--out", str(tmp_path / f"o{run}"), "--quiet"])
+            assert code == 0
+        assert peak <= 11.5 * half_state, peak / half_state
+
+
+def test_picard_window_run_writes_halves_as_stored(tmp_path, full_spectrum_calls):
+    """`nsmild run` with scheme picard_window writes each kept node's half as the solve
+    keeps it: no full lattice is formed, and the files read back to the solve's nodes."""
+    doc = {"grid": {"dim": 2, "n_modes": 32},
+           "solver": {"scheme": "picard_window", "window_T": 0.05, "n_nodes": 9},
+           "forcing": {"kind": "steady", "seed": 3}, "initial": {"amplitude": 0.5},
+           "run": {"t_end": 0.05, "snapshot_every": 2}}
+    config = write_config(tmp_path / "c.json", doc)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert full_spectrum_calls == []
+    cfg = load_config(config)
+    grid = build_grid(cfg)
+    traj, _, _ = picard_solve(build_initial(cfg, grid, 0), build_solver_config(cfg, grid))
+    snapshots = sorted((tmp_path / "out").glob("snapshot_*.nsms"))
+    assert len(snapshots) == len(traj.fields) == 5
+    for path, u in zip(snapshots, traj.fields):
+        assert np.array_equal(read_snapshot(path)[0].half, u.half)
+
 
 def picard_failure_config(tmp_path):
     """Large data on a long window: the Picard iteration does not contract."""

@@ -274,12 +274,13 @@ class TestRandomFields:
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (2, 256), (3, 16), (3, 32)])
     def test_divergence_coeffs_equal_complex_symbol_formula(self, dim, n):
-        # (k . uhat) times i, without a complex copy of k, equals (i k) . uhat
+        # (k . uhat) times i on the half, without a complex copy of k, equals the half of
+        # (i k) . uhat on the full lattice
         grid = make_grid(dim, n)
         for seed in range(3):
             for u in (random_divfree_field(grid, seed), random_gradient_field(grid, seed)):
                 expected = np.einsum("i...,i...->...", 1j * grid.k, u.coeffs)
-                assert np.array_equal(u.divergence_coeffs(), expected)
+                assert np.array_equal(u.divergence_coeffs(), expected[..., : n // 2 + 1])
 
 
 class TestEmbed:
@@ -300,6 +301,58 @@ class TestEmbed:
             embed(u, make_grid(3, 32))
         with pytest.raises(ValueError):
             embed(embed(u, make_grid(2, 32)), make_grid(2, 16))
+
+
+    def test_coarse_nyquist_plane_is_mirrored_on_the_fine_grid(self):
+        # the half holds wavenumber +n/2 only; on the fine grid -n/2 is a regular mode,
+        # which the mirror of the embedded half fills with its conjugate
+        coarse, fine = make_grid(2, 8), make_grid(2, 16)
+        half = np.zeros((2,) + coarse.half_shape, dtype=np.complex128)
+        half[0, 1, 4] = 1.0 + 2.0j  # wavenumber (1, +4)
+        full = embed(SpectralVectorField(coarse, half), fine).coeffs
+        assert full[0, 1, 4] == 1.0 + 2.0j and full[0, 15, 12] == 1.0 - 2.0j
+        assert np.count_nonzero(full) == 2
+
+
+class TestHalfStorage:
+    """Fields and grid symbols are stored as the half spectrum; the full lattice is built
+    when read."""
+
+    def test_full_input_keeps_its_first_half_columns(self, grid2):
+        n = grid2.n_modes
+        rng = np.random.default_rng(0)
+        shape = (2,) + grid2.shape
+        full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        u = SpectralVectorField(grid2, full)
+        assert np.array_equal(u.half, full[..., : n // 2 + 1])
+        assert np.array_equal(u.coeffs[..., : n // 2 + 1], full[..., : n // 2 + 1])
+        mirror = _conj_reflect(u.coeffs, grid2.spatial_axes)
+        assert np.array_equal(u.coeffs[..., n // 2 + 1 :], mirror[..., n // 2 + 1 :])
+        assert not np.array_equal(u.coeffs, full)
+        # only the 0 and n/2 columns, which hold k and -k, keep a defect
+        defect = np.max(np.abs(u.coeffs - mirror)) / np.max(np.abs(u.coeffs))
+        assert u.hermitian_defect() == defect > 0.1
+
+    def test_coeffs_is_built_read_only_on_each_read(self, grid3):
+        u = random_divfree_field(grid3, seed=3)
+        first, second = u.coeffs, u.coeffs
+        assert first is not second and np.array_equal(first, second)
+        assert not first.flags.writeable
+        assert np.array_equal(SpectralVectorField(grid3, first).half, u.half)
+
+    def test_rejects_other_shapes(self, grid2):
+        with pytest.raises(ValueError, match="or its half"):
+            SpectralVectorField(grid2, np.zeros((2, 32, 16), dtype=np.complex128))
+
+    @pytest.mark.parametrize("dim,n,period", [(2, 16, 2 * np.pi), (3, 8, 3.0), (2, 10, 1.0)])
+    def test_half_symbols_are_the_full_ones_first_columns(self, dim, n, period):
+        grid = make_grid(dim, n, period)
+        width = n // 2 + 1
+        for name in ("k", "k_sq", "inv_k_sq", "dealias_mask", "nyquist_mask"):
+            full = getattr(grid, name)
+            assert full.shape[-dim:] == grid.shape, name
+            assert np.array_equal(full[..., :width], getattr(grid, f"{name}_half")), name
+        assert np.array_equal(grid.k_int * (2 * np.pi / period), grid.k)
 
 
 class TestForcingSpec:

@@ -23,10 +23,12 @@ from nsmild import (
     spectral_l2_norm,
     zero_field,
 )
+from nsmild import grid as grid_module
 from nsmild import operators, solver
 from nsmild.grid import (
     ForcingSpec,
     SpectralVectorField,
+    _full_spectrum,
     _half,
     _irfft,
     leray_symbol_apply,
@@ -52,13 +54,18 @@ def full_lattice_symbols(grid, config):
     return np.exp(z), config.dt * _phi1_of(z)
 
 
+def full_lattice_F(grid, coeffs, dealias):
+    """The projected nonlinearity of full-lattice coefficients, mirrored to the full lattice."""
+    return _full_spectrum(operators.projected_nonlinearity(grid, coeffs, dealias), grid)
+
+
 def full_lattice_projected(forcing):
     """P f0 on the full lattice with its mean mode zeroed, or None for zero forcing;
     `ForcingSpec.projected` holds its half."""
     if forcing.projected is None:
         return None
     grid = forcing.base_field.grid
-    projected = leray_symbol_apply(grid, forcing.base_field.coeffs)
+    projected = _full_spectrum(leray_symbol_apply(grid, forcing.base_field.half), grid)
     projected[(slice(None),) + (0,) * grid.dim] = 0.0
     return projected
 
@@ -246,9 +253,9 @@ class TestMarch:
 
     def test_nonlinearity_evaluated_once_per_state(self, grid2, monkeypatch):
         calls = []
-        # every path to F goes through the half kernel: the march's own call, and
+        # every path to F goes through the kernel: the march's own call, and
         # nonlinear_F (compute_diagnostics, exp_euler_step) through the operators module
-        patched = ((solver, "_half_nonlinearity"), (operators, "_half_nonlinearity"))
+        patched = ((solver, "projected_nonlinearity"), (operators, "projected_nonlinearity"))
         for module, name in patched:
             original = getattr(module, name)
 
@@ -455,7 +462,7 @@ def reference_picard(u0, config):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             g = []
             for j in range(n):
-                g_j = operators.projected_nonlinearity(grid, current[j], config.dealias)
+                g_j = full_lattice_F(grid, current[j], config.dealias)
                 g.append(g_j if forcing_hat[j] is None else g_j + forcing_hat[j])
             new = [heat_flow[0]]
             for j in range(1, n):
@@ -557,7 +564,7 @@ def full_lattice_march(u0, config, t_end):
     n_steps, _ = march_schedule(t_end, config.dt, config.snapshot_every)
     times, fields, rows = [], [], []
     for m in range(n_steps + 1):
-        F = operators.projected_nonlinearity(grid, u, config.dealias)
+        F = full_lattice_F(grid, u, config.dealias)
         t = m * config.dt
         if m % config.snapshot_every == 0 or m == n_steps:
             times.append(t)
@@ -589,7 +596,7 @@ def full_lattice_picard(u0, config):
     symbol = np.sqrt(grid.k_sq)
     current, history = heat_flow, []
     for iteration in range(1, config.picard_max_iters + 1):
-        g = operators.projected_nonlinearity(grid, current, config.dealias)
+        g = full_lattice_F(grid, current, config.dealias)
         if forcing_hat is not None:
             g += forcing_hat
         half_hg = 0.5 * h * g
@@ -657,7 +664,7 @@ class TestHalfSpectrumSolvers:
         assert iterations == ref_iterations > 1 and history == ref_history
         kept = [0, 3, 6, 8]
         assert list(traj.times) == [config.window_T / 8 * j for j in kept]
-        F = operators.projected_nonlinearity(u0.grid, nodes, config.dealias)
+        F = full_lattice_F(u0.grid, nodes, config.dealias)
         rows = [full_lattice_row(u0.grid, nodes[j], F[j], traj.times[i], config)
                 for i, j in enumerate(kept)]
         for u, j in zip(traj.fields, kept):
@@ -678,13 +685,13 @@ class TestHalfSpectrumSolvers:
     def test_rows_at_other_p_do_not_mirror(self, monkeypatch):
         # a sink march at p = 3 reads its collocation norms from the halves
         calls = []
-        original = solver._full_spectrum
+        original = grid_module._full_spectrum
 
         def counted(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(solver, "_full_spectrum", counted)
+        monkeypatch.setattr(grid_module, "_full_spectrum", counted)
         u0, settings = half_case(**HALF_CASES["p3-2d-32"])
         traj = march(u0, SolverConfig(dt=1e-2, **settings), 0.05, sink=lambda i, t, half: None)
         assert len(traj.diagnostics) == 6 and calls == []
@@ -703,6 +710,27 @@ class TestHalfSpectrumSolvers:
             assert (iterations, history) == full_lattice_picard(u0, config)[1:]
         field_bytes = grid.dim * grid.n_points * 16
         assert peaks["steady"] - peaks["zero"] <= 4 * field_bytes, peaks
+
+
+class TestNoMirrorInSolvers:
+    """The solvers read and write halves: a step, a row, a march that keeps its fields and
+    a Picard window form no full lattice (grid._full_spectrum runs only for `.coeffs`)."""
+
+    @pytest.mark.parametrize("case", HALF_CASES.values(), ids=HALF_CASES.keys())
+    def test_exp_euler_step_and_compute_diagnostics(self, case, full_spectrum_calls):
+        u0, settings = half_case(**case)
+        config = SolverConfig(dt=1e-2, **settings)
+        u1 = exp_euler_step(prepare_initial(u0), 0.0, config)
+        compute_diagnostics(u1, config.dt, config)
+        assert full_spectrum_calls == []
+
+    @pytest.mark.parametrize("case", HALF_CASES.values(), ids=HALF_CASES.keys())
+    def test_march_and_picard_solve(self, case, full_spectrum_calls):
+        u0, settings = half_case(**case)
+        traj = march(u0, SolverConfig(dt=1e-2, snapshot_every=2, **settings), 0.05)
+        window, _, _ = picard_solve(u0, SolverConfig(window_T=0.05, n_nodes=9, **settings))
+        assert len(traj.fields) == 4 and len(window.fields) == 9
+        assert full_spectrum_calls == []
 
 
 class TestAdaptiveWindow:

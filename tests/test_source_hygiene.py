@@ -1,5 +1,6 @@
 """Source conventions of src/nsmild: short lines, no dead private names, one forward
-transform, no np.roll, and a README that names the snapshot version the writer writes."""
+transform, no np.roll, the full lattice formed only for readers outside the package, and
+a README that names the snapshot version the writer writes."""
 
 import ast
 from pathlib import Path
@@ -72,19 +73,48 @@ def test_no_complex_fft():
     assert found == [], f"complex FFTs in src/nsmild: {found}"
 
 
+def _callers(tree, name: str) -> set:
+    """Qualified names (`Class.method`, `function`) of the definitions in tree that call
+    the bare name `name`; `<module>` for a call at module level."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id == name:
+                found.add(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
 def test_mirrors_only_where_a_field_leaves_a_solver():
-    """Fields are carried as the half spectrum; only these functions rebuild the full
-    lattice (grid._full_spectrum), each where a field leaves for a caller or a file."""
-    allowed = {"forward_transform", "_unit_phase_coeffs", "advect", "projected_nonlinearity",
-               "exp_euler_step", "march", "picard_solve", "read_snapshot"}
+    """Fields, grid symbols and draws are stored as the half spectrum; only the read-only
+    `.coeffs` view rebuilds the full lattice (grid._full_spectrum), for readers outside."""
     callers = set()
     for path in SOURCES:
-        for top in ast.parse(path.read_text()).body:
-            callers |= {getattr(top, "name", f"{path.name}:{top.lineno}")
-                        for node in ast.walk(top)
-                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id == "_full_spectrum"}
-    assert callers - allowed == set(), f"_full_spectrum called from {sorted(callers)}"
+        callers |= _callers(ast.parse(path.read_text()), "_full_spectrum")
+    assert callers == {"SpectralVectorField.coeffs"}, sorted(callers)
+
+
+# the full lattice of a field and the grid's full-lattice symbols, built when read
+FULL_LATTICE_ATTRIBUTES = {"coeffs", "k_int", "k", "k_sq", "inv_k_sq", "dealias_mask",
+                           "nyquist_mask"}
+
+
+def test_no_full_lattice_reads():
+    """The package reads only halves (`.half`, `grid.k_half`, ...), so no path inside it
+    can start forming full lattices again by reading one of the views built for readers."""
+    found = []
+    for path in SOURCES:
+        found += [f"{path.name}:{node.lineno} .{node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in FULL_LATTICE_ATTRIBUTES]
+    assert found == [], f"full-lattice reads in src/nsmild: {found}"
 
 
 def test_no_roll():
