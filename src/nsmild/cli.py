@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import ForcingSpec, make_grid, random_divfree_field, zero_field
+from .grid import DIV_TOL, ForcingSpec, make_grid, random_divfree_field, zero_field
 from .solver import SolverConfig, SolverError, march, march_schedule, picard_solve, span_problem
 from .verification import (
     CheckReport,
@@ -255,6 +255,10 @@ def cmd_run(config, out, seed=None, quiet=False) -> int:
     run_seed = effective_seed(cfg, seed)
     solver_cfg = build_solver_config(cfg, grid)
     u0 = build_initial(cfg, grid, run_seed)
+    defect = u0.divergence_defect()  # max|k . uhat| / max|uhat| grows as 1/period
+    if defect > DIV_TOL:  # the solvers' input check (`prepare_initial`)
+        raise ConfigError(f"grid.period: {grid.period!r} puts the initial field's divergence "
+                          f"defect at {defect:.3g}, above the solvers' {DIV_TOL:g}")
     t_end = settings(cfg, "run")["t_end"]
     if solver_cfg.scheme == "exp_euler":
         _check_t_end("run.t_end", t_end, solver_cfg.dt)

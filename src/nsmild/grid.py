@@ -14,9 +14,9 @@ so 3 * cutoff < n and quadratic products are exact on the retained modes.
 
 A real field's spectrum is fixed by its half (`_half`): the n/2+1 last-axis columns
 with wavenumber 0..n/2, shaped (n,)*(dim-1) + (n/2+1,) per component. Fields, grid
-symbols and draws are stored there. The full lattice, uhat(-k) = conj(uhat(k)), is
-built (`_full_spectrum`) only when a reader asks for it: `SpectralVectorField.coeffs`
-and the grid's full-lattice attributes, which nothing in the package reads.
+symbols and draws are stored there, and transforms and kernels take them there. The
+full lattice, uhat(-k) = conj(uhat(k)), is built (`_full_spectrum`) only when a reader
+asks for it through `SpectralVectorField.coeffs`, which nothing in the package reads.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ class TorusGrid:
 
     The wavenumbers, symbols and masks are precomputed once on the half spectrum and
     shared by every operator application on this grid: `k_half`, `k_sq_half`,
-    `inv_k_sq_half`, `dealias_mask_half` and `nyquist_mask_half`. The full-lattice
-    `k_int`, `k`, `k_sq`, `inv_k_sq`, `dealias_mask` and `nyquist_mask` are built each
-    time they are read, for readers outside the package.
+    `inv_k_sq_half` (0 at k = 0), `dealias_mask_half` and `nyquist_mask_half`. Every
+    entry is a function of its own wavenumber only.
     """
 
     dim: int
@@ -68,61 +67,30 @@ class TorusGrid:
         n = self.n_modes
         object.__setattr__(self, "modes", _integer_modes(n))
         object.__setattr__(self, "dealias_cutoff", (n - 1) // 3)
-        k, k_sq, inv_k_sq, dealias_mask, nyquist_mask = self._symbols(n // 2 + 1)
-        with np.errstate(over="ignore"):
-            extents = np.float64(self.period) ** self.dim, np.float64(self.period / n) ** self.dim
-        # the half holds the largest |k|^2, at wavenumber n/2 on every axis
-        if not all(0 < x < np.inf for x in extents + (np.max(k_sq),)):
-            raise ValueError(f"period {self.period} makes the box volume, cell volume or "
-                             "largest |k|^2 zero or infinite")
-        object.__setattr__(self, "k_half", k)
-        object.__setattr__(self, "k_sq_half", k_sq)
-        object.__setattr__(self, "inv_k_sq_half", inv_k_sq)
-        object.__setattr__(self, "dealias_mask_half", dealias_mask)
-        object.__setattr__(self, "nyquist_mask_half", nyquist_mask)
-
-    def _lattice(self, width: int) -> np.ndarray:
-        """Integer wavenumbers of the first `width` last-axis columns, (dim,) + that shape."""
-        axes = [self.modes] * (self.dim - 1) + [self.modes[:width]]
-        return np.stack(np.meshgrid(*axes, indexing="ij"))
-
-    def _symbols(self, width: int) -> tuple:
-        """(k, |k|^2, 1/|k|^2 with 0 at k = 0, dealias mask, Nyquist mask) on the first
-        `width` last-axis columns; every entry is a function of its own wavenumber only."""
-        k_int = self._lattice(width)
-        with np.errstate(over="ignore"):  # a period out of range raises in __post_init__
+        k_int = self._lattice()
+        # a period out of range (inf or 0 * inf here) raises below
+        with np.errstate(over="ignore", invalid="ignore"):
             k = k_int * (TWO_PI / self.period)
             k_sq = np.sum(k * k, axis=0)
             inv_k_sq = np.zeros_like(k_sq)
             nonzero = k_sq > 0
             inv_k_sq[nonzero] = 1.0 / k_sq[nonzero]
+            extents = np.float64(self.period) ** self.dim, np.float64(self.period / n) ** self.dim
+            largest = np.max(k_sq)  # at wavenumber n/2 on every axis
+        if not all(0 < x < np.inf for x in extents + (largest,)):
+            raise ValueError(f"period {self.period} makes the box volume, cell volume or "
+                             "largest |k|^2 zero or infinite")
         abs_int = np.abs(k_int)
-        return (k, k_sq, inv_k_sq, np.all(abs_int <= self.dealias_cutoff, axis=0),
-                np.any(abs_int == self.n_modes // 2, axis=0))
+        symbols = {"k_half": k, "k_sq_half": k_sq, "inv_k_sq_half": inv_k_sq,
+                   "dealias_mask_half": np.all(abs_int <= self.dealias_cutoff, axis=0),
+                   "nyquist_mask_half": np.any(abs_int == n // 2, axis=0)}
+        for name, value in symbols.items():
+            object.__setattr__(self, name, value)
 
-    @property
-    def k_int(self) -> np.ndarray:
-        return self._lattice(self.n_modes)
-
-    @property
-    def k(self) -> np.ndarray:
-        return self._symbols(self.n_modes)[0]
-
-    @property
-    def k_sq(self) -> np.ndarray:
-        return self._symbols(self.n_modes)[1]
-
-    @property
-    def inv_k_sq(self) -> np.ndarray:
-        return self._symbols(self.n_modes)[2]
-
-    @property
-    def dealias_mask(self) -> np.ndarray:
-        return self._symbols(self.n_modes)[3]
-
-    @property
-    def nyquist_mask(self) -> np.ndarray:
-        return self._symbols(self.n_modes)[4]
+    def _lattice(self) -> np.ndarray:
+        """Integer wavenumbers of the half spectrum, shape (dim,) + half_shape."""
+        axes = [self.modes] * (self.dim - 1) + [self.modes[: self.n_modes // 2 + 1]]
+        return np.stack(np.meshgrid(*axes, indexing="ij"))
 
     @property
     def shape(self) -> tuple:
@@ -181,9 +149,8 @@ def _rfft(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 def _irfft(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Full Hermitian spectrum or its half -> real samples of the field it determines."""
-    return np.fft.irfftn(_half(coeffs, grid), s=grid.shape, axes=grid.spatial_axes,
-                         norm="forward")
+    """Half spectrum (`_half`) -> real samples of the real field it determines."""
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=grid.spatial_axes, norm="forward")
 
 
 def _conj_reflect(coeffs: np.ndarray, axes: tuple) -> np.ndarray:
@@ -366,7 +333,7 @@ def truncate(u: SpectralVectorField, m: int) -> SpectralVectorField:
     """Zero every mode with any |k_i| > m."""
     if not 0 <= m <= u.grid.n_modes // 2:
         raise ValueError(f"truncation order {m} outside [0, {u.grid.n_modes // 2}]")
-    mask = np.all(np.abs(u.grid._lattice(u.grid.n_modes // 2 + 1)) <= m, axis=0)
+    mask = np.all(np.abs(u.grid._lattice()) <= m, axis=0)
     return SpectralVectorField(u.grid, u.half * mask)
 
 

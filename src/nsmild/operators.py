@@ -31,7 +31,6 @@ import numpy as np
 from .grid import (
     DIV_TOL,
     SpectralVectorField,
-    _half,
     _half_sum,
     _irfft,
     _require_mean_zero,
@@ -135,10 +134,9 @@ def advect(
 
 
 def _half_advect(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.ndarray:
-    """The half spectrum of `advect` of coefficients (..., dim) + grid.shape or their half."""
+    """The half spectrum of `advect` of half spectra (..., dim) + grid.half_shape."""
     d = grid.dim
-    u, v, k = _half(u, grid), _half(v, grid), grid.k_half
-    mask = grid.dealias_mask_half
+    k, mask = grid.k_half, grid.dealias_mask_half
     if apply_dealias:
         u, v = u * mask, v * mask
     u_phys = _irfft(u, grid)
@@ -152,8 +150,8 @@ def _half_advect(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.
 
 
 def projected_nonlinearity(grid, coeffs: np.ndarray, dealias: bool = True) -> np.ndarray:
-    """The half spectrum of F(u) = -P (u . grad) u of coefficients (..., dim) + grid.shape
-    or their half, without input checks.
+    """The half spectrum of F(u) = -P (u . grad) u of half spectra (..., dim) +
+    grid.half_shape, without input checks.
 
     Dealiased: -P div(u (x) u) on the two-thirds modes, every batch axis in one
     pass of d real inverse and d(d+1)/2 real forward half-spectrum transforms, each
@@ -172,7 +170,7 @@ def projected_nonlinearity(grid, coeffs: np.ndarray, dealias: bool = True) -> np
         return out
     mask = grid.dealias_mask_half
     k = grid.k_half
-    u_phys = np.moveaxis(_irfft(_half(coeffs, grid) * mask, grid), -d - 1, 0)
+    u_phys = np.moveaxis(_irfft(coeffs * mask, grid), -d - 1, 0)
     product = np.empty(u_phys.shape[1:])
     div = np.zeros((d,) + product.shape[:-1] + mask.shape[-1:], dtype=np.complex128)
     term = np.empty_like(div[0])
@@ -269,25 +267,14 @@ def _jacobian_entries(u: SpectralVectorField, pairs) -> np.ndarray:
     return out
 
 
-def _energy(grid, half: np.ndarray) -> float:
-    """`energy` of a half spectrum (..., dim) + grid.half_shape."""
-    return float(grid.volume * _half_sum(np.abs(half) ** 2, grid))
-
-
 def energy(u: SpectralVectorField) -> float:
     """Squared L_2 norm, volume-weighted sum of squared coefficient magnitudes."""
-    return _energy(u.grid, u.half)
-
-
-def _enstrophy(grid, half: np.ndarray) -> float:
-    """`enstrophy` of a half spectrum (..., dim) + grid.half_shape."""
-    weighted = grid.k_sq_half * np.abs(half) ** 2
-    return float(grid.volume * _half_sum(weighted, grid))
+    return float(u.grid.volume * _half_sum(np.abs(u.half) ** 2, u.grid))
 
 
 def enstrophy(u: SpectralVectorField) -> float:
     """Squared gradient L_2 norm, |k|^2-weighted coefficient sum."""
-    return _enstrophy(u.grid, u.half)
+    return float(u.grid.volume * _half_sum(u.grid.k_sq_half * np.abs(u.half) ** 2, u.grid))
 
 
 def max_pointwise_divergence(u: SpectralVectorField) -> float:

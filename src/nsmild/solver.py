@@ -47,10 +47,10 @@ from .grid import (
     _require_same_grid,
 )
 from .operators import (
-    _energy,
-    _enstrophy,
     _lp,
     _phi1_of,
+    energy,
+    enstrophy,
     max_pointwise_divergence,
     nonlinear_F,
     projected_nonlinearity,
@@ -175,14 +175,15 @@ def _row(grid: TorusGrid, u: np.ndarray, t: float, config: SolverConfig,
          F: np.ndarray) -> DiagnosticsRow:
     """`compute_diagnostics` of the halves of u and F = F(u); at p != 2 the norms are
     those of `frac_norm` and `lp_norm`, bit for bit."""
-    enstrophy_u = _enstrophy(grid, u)
+    field = SpectralVectorField(grid, u)  # a view: the constructor does not copy a half
+    enstrophy_u = enstrophy(field)
     if config.p == 2.0:
-        norms = float(np.sqrt(enstrophy_u)), float(np.sqrt(_energy(grid, F)))
+        norms = float(np.sqrt(enstrophy_u)), float(np.sqrt(energy(SpectralVectorField(grid, F))))
     else:
         x_half = u * np.sqrt(grid.k_sq_half)
         norms = tuple(float(_lp(_irfft(x, grid), grid, config.p)) for x in (x_half, F))
-    max_div = max_pointwise_divergence(SpectralVectorField(grid, u))
-    return DiagnosticsRow(float(t), _energy(grid, u), enstrophy_u, max_div, *norms)
+    return DiagnosticsRow(float(t), energy(field), enstrophy_u,
+                          max_pointwise_divergence(field), *norms)
 
 
 def prepare_initial(u0: SpectralVectorField) -> SpectralVectorField:
@@ -299,7 +300,8 @@ def march(
         scheduled = m % config.snapshot_every == 0 or m == n_steps  # as march_schedule counts
         row = keep(t_m, F) if scheduled else None
         if m > 0:  # a stepped state; a kept one's energy is in its row
-            blowup = bool(np.sqrt(_energy(grid, u) if row is None else row.energy) > BLOWUP_NORM)
+            energy_u = energy(SpectralVectorField(grid, u)) if row is None else row.energy
+            blowup = bool(np.sqrt(energy_u) > BLOWUP_NORM)
             if blowup and row is None:
                 keep(t_m, F)
         if blowup or m == n_steps:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -758,14 +759,26 @@ class TestConfigErrorTable:
                                    "resolutions": [8, 16], "trajectory_n_modes": 16}},
              "verify.spectrum_decay"),
             ("verify", {"verify": {"trajectory_decay": 1e6}}, "verify.trajectory_decay"),
+            # max|k . uhat| / max|uhat| of a generated field grows as 1/period: about 9e-10
+            # at 1e-6, above the solvers' DIV_TOL of 1e-10
+            ("run", {"grid": {"dim": 2, "n_modes": 16, "period": 1e-6},
+                     "solver": {"dt": 1e-4}, "run": {"t_end": 3e-4}}, "grid.period"),
+            ("run", {"grid": {"dim": 2, "n_modes": 16, "period": 1e-6},
+                     "solver": {"scheme": "picard_window", "window_T": 3e-4},
+                     "run": {"t_end": 3e-4}}, "grid.period"),
+            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": 5e-324}),
+             "grid"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):
         config = write_config(tmp_path / "bad.json", doc)
         out = tmp_path / "out"
-        assert main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
+        with warnings.catch_warnings():  # a numpy warning before the message fails
+            warnings.simplefilter("error")
+            assert main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: ")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -18,6 +18,8 @@ from nsmild import (
 )
 from nsmild.grid import ForcingSpec, SpectralVectorField, _conj_reflect, _rfft
 
+from conftest import full_lattice
+
 
 class TestMakeGrid:
     def test_3d_lattice_range(self):
@@ -32,7 +34,7 @@ class TestMakeGrid:
 
     def test_zero_mode_unique(self):
         grid = make_grid(2, 16)
-        assert np.count_nonzero(np.all(grid.k_int == 0, axis=0)) == 1
+        assert np.count_nonzero(np.all(full_lattice(grid).k_int == 0, axis=0)) == 1
 
     @pytest.mark.parametrize("dim,n,period", [(3, 7, 2 * np.pi), (3, 6, 2 * np.pi),
                                               (2, 16, 0.0), (4, 16, 2 * np.pi),
@@ -263,7 +265,7 @@ class TestRandomFields:
         # components start exactly on the envelope
         decay = 3.0
         u = random_divfree_field(grid3, seed=5, spectrum_decay=decay)
-        envelope = (1.0 + grid3.k_sq) ** (-decay / 2.0)
+        envelope = (1.0 + full_lattice(grid3).k_sq) ** (-decay / 2.0)
         vec_mag = np.sqrt(np.sum(np.abs(u.coeffs) ** 2, axis=0))
         assert np.all(vec_mag <= np.sqrt(3.0) * envelope + 1e-13)
 
@@ -279,7 +281,7 @@ class TestRandomFields:
         grid = make_grid(dim, n)
         for seed in range(3):
             for u in (random_divfree_field(grid, seed), random_gradient_field(grid, seed)):
-                expected = np.einsum("i...,i...->...", 1j * grid.k, u.coeffs)
+                expected = np.einsum("i...,i...->...", 1j * full_lattice(grid).k, u.coeffs)
                 assert np.array_equal(u.divergence_coeffs(), expected[..., : n // 2 + 1])
 
 
@@ -347,12 +349,23 @@ class TestHalfStorage:
     @pytest.mark.parametrize("dim,n,period", [(2, 16, 2 * np.pi), (3, 8, 3.0), (2, 10, 1.0)])
     def test_half_symbols_are_the_full_ones_first_columns(self, dim, n, period):
         grid = make_grid(dim, n, period)
+        full = full_lattice(grid)
         width = n // 2 + 1
-        for name in ("k", "k_sq", "inv_k_sq", "dealias_mask", "nyquist_mask"):
-            full = getattr(grid, name)
-            assert full.shape[-dim:] == grid.shape, name
-            assert np.array_equal(full[..., :width], getattr(grid, f"{name}_half")), name
-        assert np.array_equal(grid.k_int * (2 * np.pi / period), grid.k)
+        halves = sorted(name for name in vars(grid) if name.endswith("_half"))
+        assert halves == ["dealias_mask_half", "inv_k_sq_half", "k_half", "k_sq_half",
+                          "nyquist_mask_half"]
+        for name in halves:
+            symbol = getattr(full, name[: -len("_half")])
+            assert symbol.shape[-dim:] == grid.shape, name
+            assert np.array_equal(symbol[..., :width], getattr(grid, name)), name
+        assert np.array_equal(full.k_int * (2 * np.pi / period), full.k)
+        assert np.array_equal(full.k_int[..., :width], grid._lattice())
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_grid_holds_no_full_lattice_symbol(self, dim, n):
+        grid = make_grid(dim, n)
+        for name in ("k_int", "k", "k_sq", "inv_k_sq", "dealias_mask", "nyquist_mask"):
+            assert not hasattr(grid, name), name
 
 
 class TestForcingSpec:

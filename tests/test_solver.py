@@ -43,6 +43,8 @@ from nsmild.solver import (
 )
 from nsmild.verification import taylor_green
 
+from conftest import full_lattice
+
 
 def normalized_x_half(u, target=0.1, p=2.0):
     return (target / frac_norm(u, FracNormParams(0.5, p))) * u
@@ -50,13 +52,14 @@ def normalized_x_half(u, target=0.1, p=2.0):
 
 def full_lattice_symbols(grid, config):
     """(heat, h_phi1) of one step on the full lattice: exp(-nu h |k|^2), h phi1(-nu h |k|^2)."""
-    z = -config.nu * config.dt * grid.k_sq
+    z = -config.nu * config.dt * full_lattice(grid).k_sq
     return np.exp(z), config.dt * _phi1_of(z)
 
 
 def full_lattice_F(grid, coeffs, dealias):
     """The projected nonlinearity of full-lattice coefficients, mirrored to the full lattice."""
-    return _full_spectrum(operators.projected_nonlinearity(grid, coeffs, dealias), grid)
+    half = operators.projected_nonlinearity(grid, _half(coeffs, grid), dealias)
+    return _full_spectrum(half, grid)
 
 
 def full_lattice_projected(forcing):
@@ -280,14 +283,14 @@ class TestMarch:
         # one energy(u) per state, shared by its blow-up check and its row, plus
         # energy(F) of every row's norm_F: 17 + 17 for 16 steps, every step kept
         calls = []
-        original = operators._energy
+        original = operators.energy
 
         def counted(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(operators, "_energy", counted)
-        monkeypatch.setattr(solver, "_energy", counted)
+        monkeypatch.setattr(operators, "energy", counted)
+        monkeypatch.setattr(solver, "energy", counted)
         base = random_divfree_field(grid2, seed=11)
         config = SolverConfig(
             nu=1.0, dt=1e-2, forcing=ForcingSpec(kind="steady", base_field=base),
@@ -307,7 +310,7 @@ class TestMarch:
         assert len(traj.fields) == 11
         for u in traj.fields:
             assert u.hermitian_defect() == 0.0
-            assert not np.any(u.coeffs[:, grid.nyquist_mask])
+            assert not np.any(u.coeffs[:, full_lattice(grid).nyquist_mask])
 
     def test_forced_3d_states_are_exactly_hermitian(self):
         grid = make_grid(3, 16)
@@ -450,7 +453,8 @@ def reference_picard(u0, config):
     grid = u0.grid
     n = config.n_nodes
     h = config.window_T / (n - 1)
-    E = [np.exp(-config.nu * h * d * grid.k_sq) for d in range(n)]
+    k_sq = full_lattice(grid).k_sq
+    E = [np.exp(-config.nu * h * d * k_sq) for d in range(n)]
     heat_flow = [u0.coeffs * E[j] for j in range(n)]
     forcing, projected = config.forcing, full_lattice_projected(config.forcing)
     forcing_hat = [None if projected is None else forcing.amplitude(t) * projected
@@ -542,10 +546,11 @@ class TestPicardRecurrence:
 
 def full_lattice_row(grid, u, F, t, config):
     """A diagnostics row from full-lattice sums, as rows were formed before the half."""
+    full = full_lattice(grid)
     energy = grid.volume * float(np.sum(np.abs(u) ** 2))
-    enstrophy = grid.volume * float(np.sum(grid.k_sq * np.abs(u) ** 2))
-    div = np.einsum("i...,i...->...", 1j * grid.k, u)
-    max_div = float(np.max(np.abs(_irfft(div, grid))))
+    enstrophy = grid.volume * float(np.sum(full.k_sq * np.abs(u) ** 2))
+    div = np.einsum("i...,i...->...", 1j * full.k, u)
+    max_div = float(np.max(np.abs(_irfft(_half(div, grid), grid))))
     if config.p == 2.0:
         norms = np.sqrt(enstrophy), np.sqrt(grid.volume * float(np.sum(np.abs(F) ** 2)))
     else:
@@ -587,13 +592,14 @@ def full_lattice_picard(u0, config):
     h = config.window_T / (n - 1)
     times = h * np.arange(n)
     lags = np.arange(n).reshape((n,) + (1,) * grid.dim)
-    E = np.exp(-config.nu * h * lags * grid.k_sq)
+    k_sq = full_lattice(grid).k_sq
+    E = np.exp(-config.nu * h * lags * k_sq)
     heat_flow = u0.coeffs * E[:, np.newaxis]
     forcing, projected = config.forcing, full_lattice_projected(config.forcing)
     forcing_hat = None
     if projected is not None:
         forcing_hat = np.stack([forcing.amplitude(t) * projected for t in times])
-    symbol = np.sqrt(grid.k_sq)
+    symbol = np.sqrt(k_sq)
     current, history = heat_flow, []
     for iteration in range(1, config.picard_max_iters + 1):
         g = full_lattice_F(grid, current, config.dealias)
@@ -605,7 +611,8 @@ def full_lattice_picard(u0, config):
         for j in range(1, n):
             S = E[1] * (S + half_hg[j - 1]) + half_hg[j]
             new[j] += S
-        residual = float(np.max(_lp(_irfft((new - current) * symbol, grid), grid, config.p)))
+        diff = _half((new - current) * symbol, grid)
+        residual = float(np.max(_lp(_irfft(diff, grid), grid, config.p)))
         history.append(residual)
         current = new
         if residual < config.picard_tol:

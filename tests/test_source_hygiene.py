@@ -1,6 +1,6 @@
-"""Source conventions of src/nsmild: short lines, no dead private names, one forward
-transform, no np.roll, the full lattice formed only for readers outside the package, and
-a README that names the snapshot version the writer writes."""
+"""Source conventions of src/nsmild: short lines, no dead private names or class members,
+one forward transform, no np.roll, the full lattice formed only for readers outside the
+package, and a README that names the snapshot version the writer writes."""
 
 import ast
 from pathlib import Path
@@ -27,22 +27,48 @@ def _names_read(tree, outside) -> set:
     own = {id(node) for node in ast.walk(outside)}
     return {node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in own}
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            and id(node) not in own}
+
+
+def _private_definitions(body) -> list:
+    """(name, node) of each private (not dunder) function, class or assigned name that
+    the statements of body define."""
+    found = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        found += [(name, node) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def _unread(bodies) -> list:
+    """The private definitions of bodies {where: statements} that no source reads."""
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    assert len(trees) >= 5, "src/nsmild not found"
+    return [f"{where}:{node.lineno} {name}"
+            for where, body in bodies.items() for name, node in _private_definitions(body)
+            if not any(name in _names_read(tree, node) for tree in trees)]
 
 
 def test_every_private_top_level_name_is_used():
-    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
-    assert len(trees) >= 5, "src/nsmild not found"
-    dead = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if not node.name.startswith("_") or node.name.startswith("__"):
-                continue
-            if not any(node.name in _names_read(other, node) for other in trees.values()):
-                dead.append(f"{name}:{node.lineno} {node.name}")
+    """Private module-level functions, classes and constants (`_KINDS`, `_libm_pow`)."""
+    dead = _unread({path.name: ast.parse(path.read_text()).body for path in SOURCES})
     assert dead == [], f"private definitions that nothing in src/ reads: {dead}"
+
+
+def test_every_private_class_member_is_used():
+    """Private methods and class attributes, such as `TorusGrid._lattice`."""
+    classes = {f"{path.name} {node.name}": node.body for path in SOURCES
+               for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)}
+    dead = _unread(classes)
+    assert dead == [], f"private members that nothing in src/ reads: {dead}"
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
@@ -101,14 +127,14 @@ def test_mirrors_only_where_a_field_leaves_a_solver():
     assert callers == {"SpectralVectorField.coeffs"}, sorted(callers)
 
 
-# the full lattice of a field and the grid's full-lattice symbols, built when read
+# the full lattice of a field, and the grid's full-lattice symbols, which are gone
 FULL_LATTICE_ATTRIBUTES = {"coeffs", "k_int", "k", "k_sq", "inv_k_sq", "dealias_mask",
                            "nyquist_mask"}
 
 
 def test_no_full_lattice_reads():
     """The package reads only halves (`.half`, `grid.k_half`, ...), so no path inside it
-    can start forming full lattices again by reading one of the views built for readers."""
+    can start forming full lattices again through `.coeffs` or the old grid names."""
     found = []
     for path in SOURCES:
         found += [f"{path.name}:{node.lineno} .{node.attr}"
