@@ -5,7 +5,8 @@ Configuration is one JSON document with blocks grid{}, solver{}, forcing{},
 run{}, plus optional initial{}, verify{}, estimate{} and oracle{} blocks;
 SCHEMA lists every key of every block, and anything else is a config error.
 Exit codes: 0 success, 1 usage/config error, 2 blow-up sentinel,
-3 verification failure, 4 solver failure.
+3 verification failure, 4 solver failure, 5 the verification suite's child
+process ended without its reports.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import DIV_TOL, ForcingSpec, make_grid, random_divfree_field, zero_field
+from .grid import DIV_TOL, DIVFREE_TOL, ForcingSpec, make_grid, random_divfree_field, zero_field
 from .solver import SolverConfig, SolverError, march, march_schedule, picard_solve, span_problem
 from .verification import (
     CheckReport,
     EnsembleSpec,
+    SettingError,
+    SuiteChildDied,
     VerifySettings,
     closed_form_vortex,
     ensemble_estimates,
@@ -44,6 +47,7 @@ EXIT_CONFIG = 1
 EXIT_BLOWUP = 2
 EXIT_VERIFY = 3
 EXIT_SOLVER = 4
+EXIT_SUITE_CHILD = 5
 
 
 class ConfigError(Exception):
@@ -199,6 +203,10 @@ def build_forcing(cfg: dict, grid) -> ForcingSpec:
     if forcing["kind"] == "zero":
         return ForcingSpec()
     base = _random_field(grid, "forcing", forcing["seed"], forcing["decay"], forcing["amplitude"])
+    defect = base.divergence_defect()  # of a generated field, a roundoff that grows as 1/period
+    if defect > DIVFREE_TOL:  # the forcing's input check (`ForcingSpec`)
+        raise ConfigError(f"grid.period: {grid.period!r} puts the forcing base's divergence "
+                          f"defect at {defect:.3g}, above {DIVFREE_TOL:g}")
     try:
         return ForcingSpec(kind=forcing["kind"], base_field=base, exponent=forcing["exponent"])
     except ValueError as exc:
@@ -420,14 +428,21 @@ def main(argv=None) -> int:
         args = vars(parser.parse_args(argv))
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    command = args.pop("command")
     try:
-        return handlers[args.pop("command")](**args)
+        return handlers[command](**args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SettingError as exc:  # found by the work: a key of the command's block (verify{}, ...)
+        print(f"config error: {command}.{exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:  # a grid or Picard window too large for this machine
         print(f"config error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SuiteChildDied as exc:
+        print(f"suite error: {exc}", file=sys.stderr)
+        return EXIT_SUITE_CHILD
 
 
 if __name__ == "__main__":

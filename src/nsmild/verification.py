@@ -11,10 +11,20 @@ The suite holds O(1) fields whatever its ensemble size: each member is drawn
 when it is needed, handed to every check that takes it, and dropped. One
 `nsmild verify` process peaks at about 50 MiB RSS at ensemble sizes 4, 100 and 200
 alike (one thread, 2-core x86-64 VM).
+
+The suite runs as two halves that share no state, on two processes: the calling
+process makes the per-field pass over the ensemble and the closed-form vortex oracle,
+and a child forked before that work starts makes the ensemble estimates, the suite
+trajectories' Hoelder and Lipschitz checks and the existence-window trend, and sends
+its reports back pickled over a pipe (`_forked`). Where os.fork does not exist, the
+child's half runs inline.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import reduce
 
@@ -394,6 +404,14 @@ def _estimate_report(name: str, size: int, triple, rows) -> EstimateReport:
     )
 
 
+class SettingError(ValueError):
+    """A setting whose value leaves a measurement unreadable; args are (key, message)."""
+
+    def __str__(self) -> str:
+        return f"{self.args[0]}: {self.args[1]}"
+
+
+@np.errstate(over="ignore")  # an overflowing norm raises SettingError instead
 def ensemble_estimates(
     ensemble: EnsembleSpec, triples, gamma: float | None, p: float = 2.0, resolutions=(16, 32)
 ) -> list:
@@ -405,7 +423,9 @@ def ensemble_estimates(
     the per-resolution maxima compare the same trigonometric polynomials and isolate
     truncation effects from sampling noise. One pair is held at a time; at each resolution
     it is embedded once, and each fractional norm and its advective image are taken once.
-    Without triples only the first size fields are drawn.
+    Without triples only the first size fields are drawn. A norm of a nonzero member that
+    overflows to inf or underflows to 0 at p (a huge p) raises SettingError on p, where it
+    would read as a bounded constant or a zero-norm member.
     """
     exponents = [_advection_exponents(triple) for triple in triples]
     resolutions = sorted(resolutions)
@@ -423,13 +443,18 @@ def ensemble_estimates(
             norms = [{a: frac_norm(u, FracNormParams(a, p))
                       for a in {e[j] for e in exponents} | ({gamma, 0.5} if n else set())}
                      for j, (u, n) in enumerate(zip(embedded, in_norms))]
-            if triples:
-                image = lp_norm(advect(*embedded), p)
-                for t, (theta, omega) in enumerate(exponents):
-                    du, dv = norms[0][theta], norms[1][omega]
-                    if du == 0.0 or dv == 0.0:
-                        raise ValueError("zero-norm field in advection ratio")
-                    row[t] = max(row[t], image / (du * dv))
+            image = lp_norm(advect(*embedded), p) if triples else 0.0
+            # a nonzero member's norms lie in (0, inf) unless |x|^p over- or underflows
+            bad = [x for u, norm in zip(pair, norms) if u.max_abs() > 0.0
+                   for x in norm.values() if not 0.0 < x < np.inf]
+            if bad or not np.isfinite(image):
+                raise SettingError("p", f"{p!r} takes an L_p norm of the ensemble at "
+                                        f"N = {grid.n_modes} to {(bad or [image])[0]}")
+            for t, (theta, omega) in enumerate(exponents):
+                du, dv = norms[0][theta], norms[1][omega]
+                if du == 0.0 or dv == 0.0:
+                    raise ValueError("zero-norm field in advection ratio")
+                row[t] = max(row[t], image / (du * dv))
             for norm, n in zip(norms, in_norms):
                 if n and norm[gamma] != 0 and norm[0.5] != 0:
                     row[-2] = max(row[-2], norm[gamma] / norm[0.5])
@@ -660,11 +685,18 @@ def taylor_green_residual(grid: TorusGrid, nu: float, t: float) -> float:
 
 
 def compare_oracle(traj: Trajectory, nu: float) -> np.ndarray:
-    """Relative L_2 error of each snapshot against the closed-form vortex."""
+    """Relative L_2 error of each snapshot against the closed-form vortex.
+
+    A vortex that has decayed to a zero norm (a huge nu t) raises SettingError on nu.
+    """
     errors = []
     for t, u in zip(traj.times, traj.fields):
         exact = taylor_green(u.grid, nu, float(t))
-        errors.append(spectral_l2_norm(u - exact) / spectral_l2_norm(exact))
+        norm = spectral_l2_norm(exact)
+        if norm == 0.0:
+            raise SettingError("nu", f"{nu!r} decays the closed-form vortex to a zero L_2 norm "
+                                     f"by t = {float(t)!r}, so no relative error can be read")
+        errors.append(spectral_l2_norm(u - exact) / norm)
     return np.asarray(errors)
 
 
@@ -827,46 +859,97 @@ def _ensemble_pass(s: VerifySettings, ens: EnsembleSpec) -> tuple:
     return reports, probe, _diagonal_report(diagonal)
 
 
-def run_verification_suite(settings: VerifySettings | None = None) -> list:
-    """Run every check with the given settings; returns a list of CheckReports.
+class SuiteChildDied(RuntimeError):
+    """The suite's child process ended without sending its reports (a signal, say the OOM
+    killer's, or an exit), named by its wait status."""
 
-    The suite holds O(1) fields whatever the ensemble size: the per-field checks share one
-    pass over the ensemble (`_ensemble_pass`), and the three ensemble estimates one pass
-    over pairs (`ensemble_estimates`).
+
+def _run_child(write_fd: int, work, args) -> None:
+    """The forked child: send (True, work(*args)) or (False, its exception) pickled, then
+    leave by os._exit, running no atexit handler and flushing no inherited stdio buffer.
+
+    A parent that is gone closed the pipe's read end: the write then fails at once (EPIPE)
+    and the child still exits.
     """
-    s = settings or VerifySettings()
-    ens = EnsembleSpec(s.ensemble_size, s.seed, s.dim, s.spectrum_decay)
-    reports, probe, diagonal = _ensemble_pass(s, ens)
+    code = 1
+    try:
+        try:
+            outcome = (True, work(*args))
+            code = 0
+        except BaseException as exc:  # an interrupt too: the parent raises it again
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as exc:  # an exception that pickle cannot carry keeps its text
+            data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(code)
 
+
+@contextmanager
+def _forked(work, *args):
+    """Run work(*args) in a child process forked here, while the with-block runs in this one.
+
+    The block gets `collect`: it waits for the child and returns work's result, or re-raises
+    its exception, type and message, here. A child that ends without sending either raises
+    SuiteChildDied. The child is reaped on every path: a block that leaves without
+    collecting (its own exception) kills it first. Where os.fork does not exist, work runs
+    inline before the block.
+    """
+    if not hasattr(os, "fork"):
+        result = work(*args)
+        yield lambda: result
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _run_child(write_fd, work, args)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    reaped = False
+
+    def collect():
+        nonlocal reaped
+        data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if not data:
+            status = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise SuiteChildDied(f"the suite's child process {pid} ended without its reports "
+                                 f"({status})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield collect
+    finally:
+        pipe.close()
+        if not reaped:
+            from signal import SIGKILL  # imported on this failure path only
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child_half(s: VerifySettings, ens: EnsembleSpec) -> list:
+    """The reports that `run_verification_suite` takes from its child process, in report
+    order: the four ensemble estimates, the Hoelder fit of a suite trajectory, the Lipschitz
+    stability of the nonlinearity and the existence-window trend."""
     bilinear, half_half, upper, lower = ensemble_estimates(
         ens, [(0.0, 0.75, 0.75), (0.0, 0.5, 0.5)], 0.75, s.p, s.resolutions
     )
-    reports.append(
-        CheckReport(
-            "advection_bound_estimate",
-            bilinear.verdict == "bounded",
-            asdict(bilinear),
-        )
-    )
-    reports.append(
+    reports = [
+        CheckReport("advection_bound_estimate", bilinear.verdict == "bounded", asdict(bilinear)),
         CheckReport("advection_bound_half_half", None, asdict(half_half),
-                    notes="measured only; boundedness not asserted")
-    )
-    reports.append(CheckReport("norm_equivalence_upper", None, asdict(upper)))
-    reports.append(CheckReport("norm_equivalence_lower", None, asdict(lower)))
-
-    residual, tg_err, _, _ = closed_form_vortex(32, s.nu, 1e-3, 0.25, 50, s.p)
-    reports.append(
-        CheckReport(
-            "closed_form_vortex_oracle",
-            residual <= s.tolerance_oracle and tg_err <= s.tolerance_oracle,
-            {"equation_residual": residual, "march_error": tg_err,
-             "tolerance": s.tolerance_oracle},
-        )
-    )
-
-    reports.append(probe)
-    reports.append(diagonal)
+                    notes="measured only; boundedness not asserted"),
+        CheckReport("norm_equivalence_upper", None, asdict(upper)),
+        CheckReport("norm_equivalence_lower", None, asdict(lower)),
+    ]
 
     # time regularity of a solver trajectory
     traj = _suite_trajectory(s, s.seed + 11000, s.trajectory_n_modes, s.trajectory_n_modes)
@@ -911,3 +994,31 @@ def run_verification_suite(settings: VerifySettings | None = None) -> list:
         )
     )
     return reports
+
+
+def run_verification_suite(settings: VerifySettings | None = None) -> list:
+    """Run every check with the given settings; returns a list of CheckReports.
+
+    The suite holds O(1) fields whatever the ensemble size: the per-field checks share one
+    pass over the ensemble (`_ensemble_pass`), and the three ensemble estimates one pass
+    over pairs (`ensemble_estimates`).
+
+    The two halves share nothing and run on two processes (`_forked`): this process makes
+    `_ensemble_pass` and the closed-form vortex oracle, while a child forked first makes
+    `_child_half`. An exception in the child is re-raised here with its type and message;
+    a child that dies without its reports raises SuiteChildDied; if this half raises, the
+    child is killed. Either way the child is reaped before this returns or raises. A
+    resident-memory peak read in this process (VmHWM, ru_maxrss) counts this half only.
+    """
+    s = settings or VerifySettings()
+    ens = EnsembleSpec(s.ensemble_size, s.seed, s.dim, s.spectrum_decay)
+    with _forked(_child_half, s, ens) as collect:
+        reports, probe, diagonal = _ensemble_pass(s, ens)
+        residual, tg_err, _, _ = closed_form_vortex(32, s.nu, 1e-3, 0.25, 50, s.p)
+        child = collect()
+    oracle = CheckReport(
+        "closed_form_vortex_oracle",
+        residual <= s.tolerance_oracle and tg_err <= s.tolerance_oracle,
+        {"equation_residual": residual, "march_error": tg_err, "tolerance": s.tolerance_oracle},
+    )
+    return reports + child[:4] + [oracle, probe, diagonal] + child[4:]

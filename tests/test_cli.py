@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsmild import cli, make_grid, random_divfree_field
+from nsmild import cli, make_grid, random_divfree_field, verification
 from nsmild.cli import (
     SCHEMA,
     build_grid,
@@ -768,6 +769,9 @@ class TestConfigErrorTable:
                      "run": {"t_end": 3e-4}}, "grid.period"),
             ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": 5e-324}),
              "grid"),
+            # the forcing base's defect crosses the forcing's 1e-12 (DIVFREE_TOL) near 1e-4
+            ("run", {"grid": {"dim": 2, "n_modes": 16, "period": 1e-4}, "solver": {"dt": 1e-4},
+                     "forcing": {"kind": "steady"}, "run": {"t_end": 3e-4}}, "grid.period"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):
@@ -916,3 +920,155 @@ class TestPrintedLines:
             "max_relative_l2_error"]
         assert capsys.readouterr().out == (
             f"oracle max relative error {error:.3e} (tolerance 1.0e-10)\n")
+
+
+class TestUnreadableMeasurement:
+    """A setting that leaves a measurement unreadable (an L_p norm out of (0, inf), a vortex
+    decayed to a zero norm) exits 1 with one line naming it, and writes no report."""
+
+    @pytest.mark.parametrize(
+        "command,doc,message",
+        [
+            ("estimate", {"estimate": {"p": 1e300, "ensemble_size": 2}},
+             "estimate.p: 1e+300 takes an L_p norm of the ensemble at N = 16 to inf"),
+            # every sample of a member below 1 in magnitude: |x|^1000 underflows to 0
+            ("estimate", {"estimate": {"p": 1000, "ensemble_size": 2, "decay": 30,
+                                       "resolutions": [8, 16]}},
+             "estimate.p: 1000.0 takes an L_p norm of the ensemble at N = 8 to 0.0"),
+            ("verify", {"verify": dict(SMALL_VERIFY, p=1e300)},
+             "verify.p: 1e+300 takes an L_p norm of the ensemble at N = 8 to inf"),
+            ("verify", {"verify": dict(SMALL_VERIFY, nu=1e300)},
+             "verify.nu: 1e+300 decays the closed-form vortex to a zero L_2 norm by t = 0.05"),
+            ("oracle", {"oracle": {"n_modes": 8, "dt": 1.0, "t_end": 1000.0}},
+             "oracle.nu: 1.0 decays the closed-form vortex to a zero L_2 norm by t = 200.0"),
+        ],
+        ids=["estimate-p", "estimate-p-underflow", "verify-p", "verify-nu", "oracle-t_end"],
+    )
+    def test_exits_1_with_one_line(self, tmp_path, capsys, command, doc, message):
+        config = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():  # a numpy warning before the message fails
+            warnings.simplefilter("error")
+            assert main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert err.count("\n") == 1
+        assert not (out / "report.json").exists()
+
+
+class TestSuiteChild:
+    def test_run_starts_no_child_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("nsmild run forked"))
+        config = write_config(tmp_path / "c.json", RUN_BASE)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_that_dies_exits_5_with_one_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "_child_half",
+                            lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+        config = write_config(tmp_path / "v.json", {"verify": SMALL_VERIFY})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", config, "--out", str(out), "--quiet"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("suite error: the suite's child process ")
+        assert err.endswith(" ended without its reports (killed by signal 9)\n")
+        assert err.count("\n") == 1
+        assert not (out / "report.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+# -- seeded config fuzz ---------------------------------------------------------------------
+
+# a small config of each command that runs; each draw changes one to three of its keys
+FUZZ_BASES = {
+    "run": {"grid": {"dim": 2, "n_modes": 8}, "solver": {"dt": 0.01}, "run": {"t_end": 0.1}},
+    "verify": {"verify": {"dim": 2, "n_modes": 8, "ensemble_size": 2, "resolutions": [8, 16],
+                          "trajectory_n_modes": 8, "trajectory_dt": 0.01,
+                          "trajectory_t_end": 0.1, "trajectory_snapshot_every": 1}},
+    "estimate": {"estimate": {"ensemble_size": 2, "resolutions": [8, 16]}},
+    "oracle": {"oracle": {"n_modes": 8, "dt": 0.01, "t_end": 0.1, "snapshot_every": 1}},
+}
+FUZZ_BLOCKS = {"run": ("grid", "solver", "forcing", "initial", "run"), "verify": ("verify",),
+               "estimate": ("estimate",), "oracle": ("oracle",)}
+BAD = ["x", None, True, float("nan"), float("inf")]  # every kind rejects these
+FUZZ_KINDS = {
+    "int": [0, 1, 2, 3, -1, 7, 2**63, 3.0] + BAD,
+    "float": [0, 0.0, -1.0, 0.3, 1.0, 2.0, 7.5, 1e-300, 1e300, 1e-9, 5e-324] + BAD,
+    "bool": [True, False, 0, "true", None],
+    "str": ["", "x", 3, None],
+    "ints": [[8], [8, 16], [16, 8], [], [7], [16.0], 16, None],
+    "floats": [[1.0], [0.0], [-1.0], [], [1e300], [0.1, 1e-300], "x", None],
+}
+# keys that set a grid size, a step count or an ensemble size: N <= 16, at most 20 steps
+# (a dt of at least 0.01 against a t_end of at most 0.2), at most 4 members
+SIZES = [8, 12, 16, 7, 0, -8, 16.0, "16", None]
+STEPS = [0.01, 0.02, 0.05, 0.1, 0.2, 0, -0.01, 1e300, 1e-300, 1e-9] + BAD
+FUZZ_KEYS = {
+    ("grid", "n_modes"): SIZES, ("verify", "n_modes"): SIZES,
+    ("verify", "trajectory_n_modes"): SIZES, ("oracle", "n_modes"): SIZES,
+    ("verify", "resolutions"): [[8], [8, 16], [16, 8], [7], [], [8, 16.0], 8],
+    ("estimate", "resolutions"): [[8], [8, 16], [16, 8], [7], [], [8, 16.0], 8],
+    ("verify", "ensemble_size"): [0, 1, 2, 3, 4, -1, 2.0, None],
+    ("estimate", "ensemble_size"): [0, 1, 2, 3, 4, -1, 2.0, None],
+    ("grid", "dim"): [2, 3, 1, 4, 2.0, None], ("verify", "dim"): [2, 3, 1, 4, "3"],
+    ("estimate", "dim"): [2, 3, 1, 4, "3"],
+    ("solver", "dt"): [0.01, 0.02, 0.05, 0, -0.01, 1e300] + BAD,
+    ("run", "t_end"): STEPS, ("verify", "trajectory_dt"): [0.01, 0.02, 0, 1e300] + BAD,
+    ("verify", "trajectory_t_end"): STEPS, ("oracle", "dt"): [0.01, 0.02, 0, 1e300] + BAD,
+    ("oracle", "t_end"): STEPS,
+    ("solver", "window_T"): [0.1, 0.05, 0.0, -1.0, 1e300] + BAD,
+    ("solver", "n_nodes"): [3, 5, 9, 2, 0, -3, 5.0],
+    ("solver", "picard_max_iters"): [1, 3, 5, 0, -1],
+    ("solver", "scheme"): ["exp_euler", "picard_window", "rk4", 0],
+    ("forcing", "kind"): ["zero", "steady", "hoelder_modulated", "bogus", None],
+    ("initial", "kind"): ["random", "taylor_green", "zero", "vortex", None],
+}
+
+
+def fuzz_configs(count: int, seed: int) -> list:
+    """(command, config) pairs drawn from SCHEMA: a base config of a random command with one
+    to three of its keys set to values drawn by key (FUZZ_KEYS) or by kind (FUZZ_KINDS)."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        command = list(FUZZ_BASES)[rng.integers(len(FUZZ_BASES))]
+        doc = json.loads(json.dumps(FUZZ_BASES[command]))
+        keys = [(block, key) for block in FUZZ_BLOCKS[command] for key in SCHEMA[block]]
+        for i in rng.choice(len(keys), size=rng.integers(1, 4), replace=False):
+            block, key = keys[i]
+            values = FUZZ_KEYS.get((block, key), FUZZ_KINDS[SCHEMA[block][key][0]])
+            doc.setdefault(block, {})[key] = values[rng.integers(len(values))]
+        draws.append((command, doc))
+    return draws
+
+
+class TestConfigFuzz:
+    def test_documented_exit_and_one_line_errors(self, tmp_path, capsys, monkeypatch):
+        """Every drawn config ends in a documented exit code, without a traceback or a
+        warning, and a config error in one `config error: ` line.
+
+        Without os.fork the suite's child half runs inline, so that its warnings are
+        recorded here too; a forked child's would go to the child's own recorder.
+        """
+        monkeypatch.delattr(os, "fork")
+        faults = []
+        for i, (command, doc) in enumerate(fuzz_configs(50, seed=2026)):
+            config = write_config(tmp_path / f"fuzz{i}.json", doc)
+            argv = [command, "--config", config, "--out", str(tmp_path / f"out{i}"), "--quiet"]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = main(argv)
+                except Exception as exc:  # what main lets escape would print a traceback
+                    faults.append((command, doc, f"{type(exc).__name__}: {exc}"))
+                    continue
+            err = capsys.readouterr().err
+            if caught:
+                faults.append((command, doc, f"warning: {caught[0].message}"))
+            if code not in (0, 1, 2, 3, 4) or "Traceback" in err or "Warning" in err:
+                faults.append((command, doc, f"exit {code}: {err}"))
+            if code == 1 and not (err.startswith("config error: ") and err.count("\n") == 1):
+                faults.append((command, doc, f"exit 1: {err}"))
+        assert faults == []

@@ -1,5 +1,8 @@
 """Verification harness: operator-claim checks, estimate reports, oracle."""
 
+import os
+import signal
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -336,10 +339,13 @@ class TestSuiteOnePass:
                            trajectory_n_modes=16)
         counts = count_draws(monkeypatch)
         reports = {r.name: r for r in run_verification_suite(s)}
-        assert counts[3, 10] == s.ensemble_size and counts[3, 8] == 2 * s.ensemble_size
+        assert counts[3, 10] == s.ensemble_size
+        # the estimates draw in the suite's child process: count them on its half in-process
+        ens = EnsembleSpec(s.ensemble_size, s.seed, s.dim, s.spectrum_decay)
+        verification._child_half(s, ens)
+        assert counts[3, 8] == 2 * s.ensemble_size
         monkeypatch.undo()
         grid = make_grid(3, 10)
-        ens = EnsembleSpec(s.ensemble_size, s.seed, s.dim, s.spectrum_decay)
         fields = ens.fields(grid)
         grads = [random_gradient_field(grid, s.seed + 5000 + i, s.spectrum_decay)
                  for i in range(20)]
@@ -366,8 +372,11 @@ class TestSuiteOnePass:
         measured = reports["gradient_orthogonality_advect"].measurements
         assert measured == {"max_normalized_inner_product": ortho}
 
-    def test_memory_does_not_grow_with_ensemble_size(self, traced_peak):
-        """The suite's traced peak at 16 fields is within one field of its peak at 4."""
+    def test_memory_does_not_grow_with_ensemble_size(self, traced_peak, monkeypatch):
+        """The suite's traced peak at 16 fields is within one field of its peak at 4.
+
+        Without os.fork the child's half runs inline, so both halves are traced here."""
+        monkeypatch.delattr(os, "fork")
         field_bytes = random_divfree_field(make_grid(3, 16), 0).coeffs.nbytes
         peaks = {}
         for size in (4, 16):
@@ -375,6 +384,94 @@ class TestSuiteOnePass:
                                ensemble_size=size)
             _, peaks[size] = traced_peak(run_verification_suite, s)
         assert peaks[16] - peaks[4] < field_bytes, (peaks, field_bytes)
+
+
+TINY_SUITE = VerifySettings(dim=2, n_modes=8, ensemble_size=2, resolutions=(8, 16),
+                            trajectory_n_modes=16)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSuiteOnTwoProcesses:
+    """The suite's child half runs in a forked process and is reaped on every path."""
+
+    def test_forked_half_equals_in_process_half(self):
+        ens = EnsembleSpec(TINY_SUITE.ensemble_size, TINY_SUITE.seed, TINY_SUITE.dim,
+                           TINY_SUITE.spectrum_decay)
+        with verification._forked(verification._child_half, TINY_SUITE, ens) as collect:
+            forked = collect()
+        assert_no_child_left()
+        assert forked == verification._child_half(TINY_SUITE, ens)
+        assert [r.name for r in forked] == [
+            "advection_bound_estimate", "advection_bound_half_half", "norm_equivalence_upper",
+            "norm_equivalence_lower", "hoelder_fit_trajectory",
+            "nonlinearity_lipschitz_stability", "existence_window_trend"]
+
+    def test_report_order_and_values_without_fork(self, monkeypatch):
+        forked = run_verification_suite(TINY_SUITE)
+        assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert run_verification_suite(TINY_SUITE) == forked
+        assert len(forked) == 16
+
+    def test_child_exception_reaches_the_caller(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(verification, "existence_time_trend", boom)
+        with pytest.raises(ValueError, match="^boom$"):
+            run_verification_suite(TINY_SUITE)
+        assert_no_child_left()
+
+    def test_child_memory_error_keeps_its_type(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(verification, "ensemble_estimates", exhausted)
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            run_verification_suite(TINY_SUITE)
+        assert_no_child_left()
+
+    def test_parent_exception_kills_and_reaps_the_child(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("parent half failed")
+
+        monkeypatch.setattr(verification, "_ensemble_pass", fail)
+        with pytest.raises(RuntimeError, match="parent half failed"):
+            run_verification_suite(TINY_SUITE)
+        assert_no_child_left()
+
+    def test_child_that_dies_raises_its_status(self):
+        def killed():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(verification.SuiteChildDied, match=r"\(killed by signal 9\)$"):
+            with verification._forked(killed) as collect:
+                collect()
+        assert_no_child_left()
+
+    def test_child_outlives_a_closed_pipe(self):
+        """A child whose parent stopped reading (a killed parent) exits, not hangs."""
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_fd)
+            verification._run_child(write_fd, lambda: "x" * 2**20, ())
+        os.close(write_fd)
+        os.close(read_fd)  # as a killed parent's exit would
+        for _ in range(3000):  # 30 s
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the child did not exit within 30 s of its pipe closing")
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 class TestGradientOrthogonality:
