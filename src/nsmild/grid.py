@@ -140,7 +140,8 @@ def _rfft(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     The last-axis 0 and n/2 planes are the stored columns that hold both k and -k;
     each becomes 0.5 (x + conj(x(-k))), which leaves an exactly Hermitian plane unchanged.
     """
-    half = np.fft.rfftn(values, axes=grid.spatial_axes, norm="forward")
+    half = np.empty(values.shape[:-1] + (grid.n_modes // 2 + 1,), dtype=np.complex128)
+    np.fft.rfftn(values, axes=grid.spatial_axes, norm="forward", out=half)  # each pass in place
     for column in (0, grid.n_modes // 2):  # one plane at a time: half the time of both at once
         plane = half[..., column]
         plane += _conj_reflect(plane, grid.spatial_axes[1:])
@@ -361,7 +362,9 @@ def leray_symbol_apply(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     k = grid.k_half
     xyz = "xyz"[: grid.dim]
     k_dot = np.einsum(f"i{xyz},...i{xyz}->...{xyz}", k, coeffs)
-    return coeffs - k * np.expand_dims(k_dot * grid.inv_k_sq_half, -grid.dim - 1)
+    k_dot *= grid.inv_k_sq_half
+    out = k * np.expand_dims(k_dot, -grid.dim - 1)
+    return np.subtract(coeffs, out, out=out)
 
 
 def _unit_phase_coeffs(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
@@ -369,8 +372,11 @@ def _unit_phase_coeffs(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
     symmetry: the half spectrum of real white noise (`_rfft`), normalized."""
     what = _rfft(rng.standard_normal(grid.shape), grid)
     mag = np.abs(what)
-    safe = np.where(mag > 0, mag, 1.0)
-    return np.where(mag > 0, what / safe, 1.0 + 0.0j)
+    zero = ~(mag > 0)  # a NaN modulus too
+    mag[zero] = 1.0
+    what /= mag
+    what[zero] = 1.0
+    return what
 
 
 def _spectral_envelope(grid: TorusGrid, spectrum_decay: float, amplitude: float) -> np.ndarray:
@@ -399,7 +405,9 @@ def random_divfree_field(
     """
     rng = np.random.default_rng(seed)
     env = _spectral_envelope(grid, spectrum_decay, amplitude)
-    coeffs = np.stack([env * _unit_phase_coeffs(grid, rng) for _ in range(grid.dim)])
+    coeffs = np.empty((grid.dim,) + grid.half_shape, dtype=np.complex128)
+    for row in coeffs:
+        np.multiply(env, _unit_phase_coeffs(grid, rng), out=row)
     return SpectralVectorField(grid, leray_symbol_apply(grid, coeffs))
 
 

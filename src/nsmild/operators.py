@@ -19,6 +19,10 @@ advective form of `advect` (`_half_advect`), the reference, on the whole batch a
 once. Physical-space values come from the grid's real inverse transform `_irfft`
 and return through its exactly Hermitian forward transform `_rfft`. Energy,
 enstrophy and the L_2 inner product are weighted half sums (`_half_sum`).
+
+The operators reuse their temporaries through in-place ufuncs and `out=`, in the
+operand order of the plain expression, so that a result has that expression's bits,
+signed zeros and NaNs included.
 """
 
 from __future__ import annotations
@@ -135,18 +139,30 @@ def advect(
 
 def _half_advect(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.ndarray:
     """The half spectrum of `advect` of half spectra (..., dim) + grid.half_shape."""
+    half = _rfft(_advect_samples(grid, u, v, apply_dealias), grid)
+    if apply_dealias:
+        half *= grid.dealias_mask_half
+    return half
+
+
+def _advect_samples(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.ndarray:
+    """Samples of (u . grad) v: u_j times the inverse transform of 1j k_j v_i, formed in
+    that transform's output one (j, i) at a time and added into component i."""
     d = grid.dim
     k, mask = grid.k_half, grid.dealias_mask_half
+    u_phys = _irfft(u * mask if apply_dealias else u, grid)
     if apply_dealias:
-        u, v = u * mask, v * mask
-    u_phys = _irfft(u, grid)
+        v = v * mask
     out = np.zeros_like(u_phys)
+    v_rows, out_rows = (np.moveaxis(a, -d - 1, 0) for a in (v, out))
+    dv = np.empty_like(v_rows[0])
     for j, u_j in enumerate(np.moveaxis(u_phys, -d - 1, 0)):
-        out += np.expand_dims(u_j, -d - 1) * _irfft(1j * k[j] * v, grid)
-    half = _rfft(out, grid)
-    if apply_dealias:
-        half *= mask
-    return half
+        ik_j = 1j * k[j]
+        for v_i, out_i in zip(v_rows, out_rows):
+            product = _irfft(np.multiply(ik_j, v_i, out=dv), grid)
+            out_i += np.multiply(u_j, product, out=product)
+            del product  # before the next transform
+    return out
 
 
 def projected_nonlinearity(grid, coeffs: np.ndarray, dealias: bool = True) -> np.ndarray:
@@ -220,7 +236,9 @@ def _lp(values: np.ndarray, grid, p: float) -> np.ndarray:
     """
     if p < 2.0:
         raise ValueError(f"p must be >= 2, got {p}")
-    total = np.sum(np.abs(values) ** p, axis=tuple(range(-grid.dim - 1, 0)))
+    powers = np.abs(values)
+    powers **= p  # the ufunc and fast path (a square at p = 2) of `** p`
+    total = np.sum(powers, axis=tuple(range(-grid.dim - 1, 0)))
     return _libm_pow(grid.cell_volume * total, 1.0 / p)
 
 

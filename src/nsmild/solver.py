@@ -365,15 +365,18 @@ def picard_solve(
         if forcing.projected is not None:  # node by node: no stack of n copies of P f
             for g_j, t in zip(g, times):
                 g_j += forcing.amplitude(t) * forcing.projected
-        half_hg = 0.5 * h * g
+        half_hg = np.multiply(0.5 * h, g, out=g)
         new = heat_flow.copy()
         S = np.zeros_like(F0)
-        for j in range(1, n):
-            S = E[1] * (S + half_hg[j - 1]) + half_hg[j]
+        for j in range(1, n):  # S = E[1] * (S + half_hg[j - 1]) + half_hg[j], in place
+            S += half_hg[j - 1]
+            np.multiply(E[1], S, out=S)
+            S += half_hg[j]
             new[j] += S
         diff = new - current
         if np.isfinite(diff).all():  # its mean mode is 0, as u0's, F's and P f's are
-            residual = float(np.max(_lp(_irfft(diff * symbol, grid), grid, config.p)))
+            diff *= symbol
+            residual = float(np.max(_lp(_irfft(diff, grid), grid, config.p)))
         else:
             residual = float("inf")
         residual_history.append(residual)

@@ -8,9 +8,10 @@ the nonlinearity). Measured quantities are reported, never asserted, unless
 the claim is literally true at the discrete level.
 
 The suite holds O(1) fields whatever its ensemble size: each member is drawn
-when it is needed, handed to every check that takes it, and dropped. One
-`nsmild verify` process peaks at about 50 MiB RSS at ensemble sizes 4, 100 and 200
-alike (one thread, 2-core x86-64 VM).
+when it is needed, handed to every check that takes it, and dropped. The calling
+process of `nsmild verify` peaks at about 46 MiB RSS (VmHWM), and the child below at
+about 38 MiB (getrusage(RUSAGE_CHILDREN)), at ensemble sizes 4, 100 and 200 alike (one
+thread, 2-core x86-64 VM).
 
 The suite runs as two halves that share no state, on two processes: the calling
 process makes the per-field pass over the ensemble and the closed-form vortex oracle,

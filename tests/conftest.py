@@ -24,6 +24,41 @@ def full_lattice(torus) -> SimpleNamespace:
                            nyquist_mask=np.any(abs_int == torus.n_modes // 2, axis=0))
 
 
+def same_bytes(a, b) -> bool:
+    """Equal shape, dtype and bytes: -0.0 and 0.0 differ, and NaNs compare by their bits."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint8), b.view(np.uint8)))
+
+
+def with_specials(a: np.ndarray) -> np.ndarray:
+    """A copy of a with +-0, +-inf, NaN, a subnormal and a huge value in its first and
+    last entries (in the real and the imaginary part of a complex array)."""
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e300])
+    out = a.copy()
+    flat = out.reshape(-1)
+    flat[: special.size] = special
+    flat[-special.size:] = [complex(0.0, x) for x in special] if np.iscomplexobj(a) else special
+    return out
+
+
+# the sizes at which the rewritten operators are compared with the expressions they replaced
+LEAN_SIZES = [(2, 32), (2, 256), (3, 16), (3, 32)]
+
+
+def reference_leray(torus, coeffs):
+    """`grid.leray_symbol_apply` as one expression with its temporaries."""
+    xyz = "xyz"[: torus.dim]
+    k_dot = np.einsum(f"i{xyz},...i{xyz}->...{xyz}", torus.k_half, coeffs)
+    return coeffs - torus.k_half * np.expand_dims(k_dot * torus.inv_k_sq_half, -torus.dim - 1)
+
+
+def lean_batch(torus):
+    """A batch of two drawn halves, and its copy with special values."""
+    batch = np.stack([grid.random_divfree_field(torus, seed).half for seed in (1, 2)])
+    return batch, with_specials(batch)
+
+
 @pytest.fixture(scope="session")
 def traced_peak():
     """peak(call, *args, **kwargs) -> (result, peak bytes tracemalloc saw during the call)."""

@@ -772,6 +772,16 @@ class TestConfigErrorTable:
             # the forcing base's defect crosses the forcing's 1e-12 (DIVFREE_TOL) near 1e-4
             ("run", {"grid": {"dim": 2, "n_modes": 16, "period": 1e-4}, "solver": {"dt": 1e-4},
                      "forcing": {"kind": "steady"}, "run": {"t_end": 3e-4}}, "grid.period"),
+            # a repeated or lone resolution compares a grid with itself or with nothing
+            ("verify", {"verify": {"ensemble_size": 2, "n_modes": 8, "resolutions": [16, 16],
+                                   "trajectory_n_modes": 16}}, "verify.resolutions"),
+            ("verify", {"verify": {"dim": 2, "ensemble_size": 2, "n_modes": 8,
+                                   "resolutions": [8], "trajectory_n_modes": 8}},
+             "verify.resolutions"),
+            ("estimate", {"estimate": {"dim": 2, "ensemble_size": 2, "resolutions": [16, 16]}},
+             "estimate.resolutions"),
+            ("estimate", {"estimate": {"ensemble_size": 2, "resolutions": [8, 16, 8]}},
+             "estimate.resolutions"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):
