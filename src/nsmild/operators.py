@@ -146,8 +146,8 @@ def _half_advect(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.
 
 
 def _advect_samples(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> np.ndarray:
-    """Samples of (u . grad) v: u_j times the inverse transform of 1j k_j v_i, formed in
-    that transform's output one (j, i) at a time and added into component i."""
+    """Samples of (u . grad) v, in a frame of its own so that its temporaries are freed
+    before `_half_advect`'s `_rfft` allocates."""
     d = grid.dim
     k, mask = grid.k_half, grid.dealias_mask_half
     u_phys = _irfft(u * mask if apply_dealias else u, grid)
