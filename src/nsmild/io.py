@@ -8,10 +8,10 @@ the full (dim,) + (n,)*dim lattice and stays readable.
 
 Fields store the half spectrum (`SpectralVectorField.half`), so a snapshot is
 written from the half as stored, and read into a field's half without forming the
-full lattice: `write_half_snapshot` writes a contiguous half, such as the state
-`march` hands its sink or a kept node of `picard_solve`, without a copy. A field
-reads back bit for bit, on the half, on the full lattice `.coeffs` builds from it,
-and in every physical sample.
+full lattice. `write_snapshot`, the one writer, writes a contiguous half without a copy,
+such as a kept node of `picard_solve` or the state `march` hands its sink, wrapped in a
+`SpectralVectorField` (a view). A field reads back bit for bit, on the half, on the full
+lattice `.coeffs` builds from it, and in every physical sample.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import SpectralVectorField, TorusGrid, make_grid
+from .grid import SpectralVectorField, make_grid
 from .solver import Trajectory
 
 SNAPSHOT_MAGIC = b"NSMS"
@@ -34,17 +34,14 @@ CSV_COLUMNS = ("time", "energy", "enstrophy", "max_div", "norm_x_half", "norm_F"
 
 
 def write_snapshot(path, field: SpectralVectorField, time: float) -> None:
-    write_half_snapshot(path, field.grid, field.half, time)
-
-
-def write_half_snapshot(path, grid: TorusGrid, half: np.ndarray, time: float) -> None:
-    """Write layout v2 from a half spectrum (dim,) + grid.half_shape."""
+    """Write layout v2 from the field's half spectrum (dim,) + grid.half_shape."""
+    grid = field.grid
     header = _HEADER.pack(
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.dim, grid.n_modes, grid.period, float(time)
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(half, dtype="<c16"))
+        fh.write(np.ascontiguousarray(field.half, dtype="<c16"))
 
 
 def read_snapshot(path) -> tuple:

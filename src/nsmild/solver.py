@@ -406,7 +406,6 @@ class WindowAttempt:
 
 @dataclass(frozen=True)
 class WindowSearchReport:
-    t_star: float
     attempts: tuple
 
 
@@ -425,10 +424,10 @@ def adaptive_window(
         try:
             _, iterations, _ = picard_solve(u0, cfg)
             attempts.append(WindowAttempt(T, True, iterations, "converged"))
-            return T, WindowSearchReport(t_star=T, attempts=tuple(attempts))
+            return T, WindowSearchReport(tuple(attempts))
         except (NotContracting, MaxIters) as exc:
             attempts.append(
                 WindowAttempt(T, False, len(exc.residual_history), type(exc).__name__)
             )
             T /= 2.0
-    return 0.0, WindowSearchReport(t_star=0.0, attempts=tuple(attempts))
+    return 0.0, WindowSearchReport(tuple(attempts))

@@ -1,11 +1,12 @@
 """Numerical verification of the operator-calculus claims behind the solver.
 
-Each check either asserts an identity that is exactly true in the Fourier
-discretization (projection algebra, resolvent and semigroup laws, subspace
-invariance) or measures an estimate empirically over seeded random ensembles
-(the advection bound, norm equivalences, Hoelder and Lipschitz constants of
-the nonlinearity). Measured quantities are reported, never asserted, unless
-the claim is literally true at the discrete level.
+Each check either asserts an identity that is exactly true in the Fourier discretization
+(projection algebra, resolvent and semigroup laws, subspace invariance) or measures an
+estimate empirically over seeded random ensembles (the advection bound, norm equivalences,
+Hoelder and Lipschitz constants of the nonlinearity). Measured quantities are reported, never
+asserted, unless the claim is literally true at the discrete level. A setting that would make
+a comparison vacuous, such as a repeated resolution, raises SettingError(key, message) where
+the library takes it (`VerifySettings`, `ensemble_estimates`), for every caller alike.
 
 The suite holds O(1) fields whatever its ensemble size: each member is drawn
 when it is needed, handed to every check that takes it, and dropped. The calling
@@ -63,7 +64,7 @@ from .operators import (
     resolvent,
     spectral_l2_norm,
 )
-from .solver import SolverConfig, Trajectory, adaptive_window, march
+from .solver import SolverConfig, Trajectory, adaptive_window, march, march_schedule, span_problem
 
 IDENTITY_TOL = 1e-12
 
@@ -412,6 +413,12 @@ class SettingError(ValueError):
         return f"{self.args[0]}: {self.args[1]}"
 
 
+def require_distinct_resolutions(resolutions) -> None:
+    """A repeated resolution compares a grid with itself: SettingError on `resolutions`."""
+    if len(set(resolutions)) < len(resolutions):
+        raise SettingError("resolutions", f"must not repeat an entry, got {list(resolutions)}")
+
+
 @np.errstate(over="ignore")  # an overflowing norm raises SettingError instead
 def ensemble_estimates(
     ensemble: EnsembleSpec, triples, gamma: float | None, p: float = 2.0, resolutions=(16, 32)
@@ -426,8 +433,9 @@ def ensemble_estimates(
     it is embedded once, and each fractional norm and its advective image are taken once.
     Without triples only the first size fields are drawn. A norm of a nonzero member that
     overflows to inf or underflows to 0 at p (a huge p) raises SettingError on p, where it
-    would read as a bounded constant or a zero-norm member.
-    """
+    would read as a bounded constant or a zero-norm member, and a repeated resolution
+    raises SettingError on resolutions."""
+    require_distinct_resolutions(resolutions)
     exponents = [_advection_exponents(triple) for triple in triples]
     resolutions = sorted(resolutions)
     grids = [make_grid(ensemble.dim, n) for n in resolutions]
@@ -752,7 +760,9 @@ def existence_time_trend(
 
 @dataclass(frozen=True)
 class VerifySettings:
-    """Knobs for the full verification suite; defaults match the shipped gate."""
+    """Knobs for the full verification suite; defaults match the shipped gate. Its rules
+    raise SettingError(key, message): at least two distinct `resolutions`, and a suite
+    trajectory of 1 to 2**53 steps that keeps the 10 snapshots its Hoelder fits need."""
 
     dim: int = 3
     n_modes: int = 32
@@ -778,6 +788,18 @@ class VerifySettings:
     def __post_init__(self) -> None:
         if self.ensemble_size < 2:  # the suite advects field 0 by field 1
             raise ValueError(f"ensemble_size must be >= 2, got {self.ensemble_size}")
+        require_distinct_resolutions(self.resolutions)
+        if len(self.resolutions) < 2:  # the advection-bound and Lipschitz checks compare two
+            raise SettingError("resolutions",
+                               f"must hold at least 2 entries, got {list(self.resolutions)}")
+        span, dt, every = self.trajectory_t_end, self.trajectory_dt, self.trajectory_snapshot_every
+        SolverConfig(dt=dt, snapshot_every=every)  # ValueError where the march would raise it
+        if (problem := span_problem(span, dt)) is not None:
+            raise SettingError("trajectory_t_end", problem)
+        steps, kept = march_schedule(span, dt, every)
+        if kept < 10:
+            raise SettingError("trajectory_t_end", f"{steps} steps of trajectory_dt, kept every "
+                               f"{every}, give {kept} snapshots; the suite needs at least 10")
 
 
 def _suite_trajectory(

@@ -396,6 +396,27 @@ def test_picard_window_run_writes_halves_as_stored(tmp_path, full_spectrum_calls
         assert np.array_equal(read_snapshot(path)[0].half, u.half)
 
 
+@pytest.mark.parametrize("name", ["every_third", "picard"])
+def test_run_writes_every_snapshot_through_write_snapshot(tmp_path, monkeypatch, name):
+    """`io.write_snapshot` is the one snapshot writer: `nsmild run` calls it once for each
+    kept state of either scheme, with the field and time it writes."""
+    calls = []
+
+    def counted(path, field, time):
+        calls.append((Path(path).name, field.grid.n_modes, time))
+        write_snapshot(path, field, time)
+
+    monkeypatch.setattr(cli, "write_snapshot", counted)
+    doc = dict(STREAMED_RUNS[name], grid={"dim": 2, "n_modes": 16})
+    config = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 0
+    rows = read_diagnostics(out / "diagnostics.csv")
+    assert len(calls) == len(rows) == len(list(out.glob("snapshot_*.nsms")))
+    assert calls == [(f"snapshot_{i:06d}.nsms", 16, float(row["time"]))
+                     for i, row in enumerate(rows)]
+
+
 def picard_failure_config(tmp_path):
     """Large data on a long window: the Picard iteration does not contract."""
     return write_config(

@@ -76,6 +76,12 @@ CASES = {
                                "ensemble_size must be >= 2, got 0"),
     "verify-ensemble-size-1": (lambda tmp: VerifySettings(ensemble_size=1),
                                "ensemble_size must be >= 2, got 1"),
+    # the suite trajectory's rules divide by dt and by snapshot_every
+    "verify-trajectory-dt-0": (lambda tmp: VerifySettings(trajectory_dt=0.0),
+                               "dt must be positive and finite, got 0.0"),
+    "verify-trajectory-snapshot-every-0": (
+        lambda tmp: VerifySettings(trajectory_snapshot_every=0),
+        "snapshot_every must be >= 1, got 0"),
     "frac-norm-alpha-above-1": (lambda tmp: FracNormParams(1.5), "alpha must lie in [0, 1]"),
     "frac-norm-alpha-below-0": (lambda tmp: FracNormParams(-0.1), "alpha must lie in [0, 1]"),
     "heat-nu-0": (lambda tmp: heat_semigroup(0.1, 0.0, U), "viscosity must be positive"),

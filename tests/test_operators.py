@@ -404,6 +404,13 @@ class TestNorms:
             frac_norm(u, FracNormParams(0.5, 2.0)), 2 * np.pi**1.5, rtol=1e-12
         )
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_frac_norm_at_alpha_0_is_lp_norm_with_a_mean(self, grid2, p):
+        # alpha = 0 takes no fractional power, so a nonzero mean mode is accepted
+        u = field_from_function(grid2, (lambda x, y: 1.0 + np.sin(y), 0.0))
+        assert u.mean_mode()[0] != 0
+        assert frac_norm(u, FracNormParams(0.0, p)) == lp_norm(u, p)
+
     def test_zero_field(self, grid3):
         z = zero_field(grid3)
         for p in (2.0, 3.0, 4.0):

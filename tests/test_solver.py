@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from nsmild import (
+    FieldBlowup,
     FracNormParams,
     MaxIters,
     NotContracting,
     SolverConfig,
+    Trajectory,
     adaptive_window,
     exp_euler_step,
     frac_norm,
@@ -100,6 +102,12 @@ class TestExpEulerStep:
         config = SolverConfig(dt=1e-3)
         u1 = exp_euler_step(prepare_initial(u), 0.0, config)
         assert u1.divergence_defect() <= 1e-12
+
+    def test_non_finite_step_raises_field_blowup(self, grid2):
+        # F of an amplitude-1e200 field overflows to inf
+        u = prepare_initial(random_divfree_field(grid2, seed=1, amplitude=1e200))
+        with pytest.raises(FieldBlowup, match="non-finite field after step at t=0.25"):
+            exp_euler_step(u, 0.25, SolverConfig(dt=1e-2))
 
 
 class TestStepBitIdentity:
@@ -235,6 +243,28 @@ class TestMarch:
         traj = march(u0, config, 1.0)
         assert traj.blowup
         assert traj.times[-1] < 1.0
+
+    def test_unscheduled_blowup_state_is_the_last_row(self, grid2):
+        # kept every 3rd step, the runaway state of step 4 is kept too, and ends the march
+        u0 = 100.0 * random_divfree_field(grid2, seed=8)
+        traj = march(u0, SolverConfig(nu=1e-6, dt=0.1, snapshot_every=3), 1.0)
+        assert traj.blowup
+        assert [round(t / 0.1) for t in traj.times] == [0, 3, 4]
+        assert np.sqrt(traj.diagnostics[-1].energy) > solver.BLOWUP_NORM
+        assert np.sqrt(traj.diagnostics[-2].energy) <= solver.BLOWUP_NORM
+        assert len(traj.fields) == 3 and traj.fields[-1].is_finite()
+
+    def test_validate_rejects_divergent_and_mean_fields(self, grid2):
+        row = solver.DiagnosticsRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        good = random_divfree_field(grid2, seed=2)
+        Trajectory(np.array([0.0]), (good,), (row,)).validate()
+        divergent = random_gradient_field(grid2, seed=3)
+        with pytest.raises(AssertionError, match="t=0.0 violates divergence tolerance"):
+            Trajectory(np.array([0.0]), (divergent,), (row,)).validate()
+        mean = good.half.copy()
+        mean[(0,) + (0,) * grid2.dim] = 1.0
+        with pytest.raises(AssertionError, match="t=0.0 has a nonzero mean mode"):
+            Trajectory(np.array([0.0]), (SpectralVectorField(grid2, mean),), (row,)).validate()
 
     def test_rejects_nondivfree_initial(self, grid2):
         g = random_gradient_field(grid2, seed=9)
@@ -761,7 +791,7 @@ class TestAdaptiveWindow:
         u0 = random_divfree_field(grid, seed=1, amplitude=1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             t_star, report = adaptive_window(u0, SolverConfig(window_T=0.5, n_nodes=5))
-        assert t_star == 0.0 and report.t_star == 0.0
+        assert t_star == 0.0
         assert len(report.attempts) == 21
         assert [a.window for a in report.attempts] == [0.5 / 2**i for i in range(21)]
         assert all(not a.converged and a.reason == "NotContracting" for a in report.attempts)

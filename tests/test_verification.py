@@ -1,5 +1,6 @@
 """Verification harness: operator-claim checks, estimate reports, oracle."""
 
+import dataclasses
 import os
 import signal
 import time
@@ -41,6 +42,7 @@ from nsmild.verification import (
     CheckReport,
     EstimateReport,
     HoelderFit,
+    SettingError,
     VerifySettings,
     _hoelder_fit,
     _suite_trajectory,
@@ -390,6 +392,52 @@ TINY_SUITE = VerifySettings(dim=2, n_modes=8, ensemble_size=2, resolutions=(8, 1
                             trajectory_n_modes=16)
 
 
+class TestSuiteSettingRules:
+    """The rules that make the suite's comparisons readable hold for every caller of the
+    library: each raises SettingError(key, message) with the message `nsmild verify`
+    prints after `verify.<key>: `."""
+
+    @pytest.mark.parametrize("resolutions,message", [
+        ((16, 16), "must not repeat an entry, got [16, 16]"),
+        ((8, 16, 8), "must not repeat an entry, got [8, 16, 8]"),
+        ((16,), "must hold at least 2 entries, got [16]"),
+    ])
+    def test_resolutions(self, resolutions, message):
+        with pytest.raises(SettingError) as info:
+            VerifySettings(resolutions=resolutions)
+        assert info.value.args == ("resolutions", message)
+
+    def test_suite_given_a_repeated_resolution(self):
+        # comparing N=16 with itself would pass both resolution checks as bounded
+        with pytest.raises(SettingError, match=r"^resolutions: must not repeat an entry"):
+            run_verification_suite(dataclasses.replace(TINY_SUITE, resolutions=(16, 16)))
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"trajectory_t_end": 0.02},
+         "20 steps of trajectory_dt, kept every 5, give 5 snapshots; the suite needs at least 10"),
+        ({"trajectory_t_end": 0.1, "trajectory_snapshot_every": 13},
+         "100 steps of trajectory_dt, kept every 13, give 9 snapshots; the suite needs at least 10"),
+        ({"trajectory_t_end": 0.0004}, "must cover at least one step of dt = 0.001, got 0.0004"),
+        ({"trajectory_t_end": 1e300},
+         "must cover at most 2**53 steps of dt = 0.001, got 1e+300"),
+    ])
+    def test_trajectory_span(self, settings, message):
+        with pytest.raises(SettingError) as info:
+            VerifySettings(**settings)
+        assert info.value.args == ("trajectory_t_end", message)
+
+    def test_ten_snapshots_are_enough(self):
+        VerifySettings(trajectory_t_end=0.045)  # 45 steps kept every 5
+        VerifySettings(trajectory_t_end=0.1, trajectory_snapshot_every=12)  # 100 every 12
+
+    @pytest.mark.parametrize("estimate", [estimate_bilinear_constant, estimate_norm_equivalence])
+    def test_estimates_reject_a_repeated_resolution(self, estimate):
+        # comparing N=8 with itself, each would read `bounded`
+        with pytest.raises(SettingError) as info:
+            estimate(EnsembleSpec(size=2, seed=3), resolutions=(8, 8))
+        assert info.value.args == ("resolutions", "must not repeat an entry, got [8, 8]")
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -490,6 +538,9 @@ class TestGradientOrthogonality:
         w = advect(u, v)
         value = check_gradient_orthogonality(w, n_test=10)
         assert value > 1e-10  # generic advection leaves the subspace
+
+    def test_zero_field_scores_zero(self, grid3):
+        assert check_gradient_orthogonality(zero_field(grid3), n_test=3) == 0.0
 
 
 class TestDiagonalDependence:
