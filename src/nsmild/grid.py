@@ -17,6 +17,8 @@ with wavenumber 0..n/2, shaped (n,)*(dim-1) + (n/2+1,) per component. Fields, gr
 symbols and draws are stored there, and transforms and kernels take them there. The
 full lattice, uhat(-k) = conj(uhat(k)), is built (`_full_spectrum`) only when a reader
 asks for it through `SpectralVectorField.coeffs`, which nothing in the package reads.
+`_irfft` runs the passes of `irfftn` in one complex array, the caller's temporary with
+`overwrite=True`.
 """
 
 from __future__ import annotations
@@ -149,9 +151,16 @@ def _rfft(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return half
 
 
-def _irfft(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Half spectrum (`_half`) -> real samples of the real field it determines."""
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=grid.spatial_axes, norm="forward")
+def _irfft(coeffs: np.ndarray, grid: TorusGrid, overwrite: bool = False) -> np.ndarray:
+    """Half spectrum (`_half`) -> real samples of the real field it determines.
+
+    `irfftn`'s passes, bit for bit, in one complex array: a copy of coeffs, or with
+    `overwrite` coeffs itself (a complex128 temporary the caller drops, as scipy's
+    `overwrite_x`), where `irfftn` allocates one per leading axis."""
+    work = coeffs if overwrite else coeffs.astype(np.complex128)
+    for axis in grid.spatial_axes[:-1]:
+        np.fft.ifft(work, axis=axis, norm="forward", out=work)
+    return np.fft.irfft(work, grid.n_modes, axis=-1, norm="forward")
 
 
 def _conj_reflect(coeffs: np.ndarray, axes: tuple) -> np.ndarray:

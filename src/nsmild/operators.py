@@ -22,7 +22,9 @@ enstrophy and the L_2 inner product are weighted half sums (`_half_sum`).
 
 The operators reuse their temporaries through in-place ufuncs and `out=`, in the
 operand order of the plain expression, so that a result has that expression's bits,
-signed zeros and NaNs included.
+signed zeros and NaNs included. An inverse transform of a temporary runs in it
+(`overwrite=True`); the dealiased kernel's products and weighted transforms share one
+complex scratch array.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def _advect_samples(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> 
     before `_half_advect`'s `_rfft` allocates."""
     d = grid.dim
     k, mask = grid.k_half, grid.dealias_mask_half
-    u_phys = _irfft(u * mask if apply_dealias else u, grid)
+    u_phys = _irfft(u * mask, grid, overwrite=True) if apply_dealias else _irfft(u, grid)
     if apply_dealias:
         v = v * mask
     out = np.zeros_like(u_phys)
@@ -159,7 +161,7 @@ def _advect_samples(grid, u: np.ndarray, v: np.ndarray, apply_dealias: bool) -> 
     for j, u_j in enumerate(np.moveaxis(u_phys, -d - 1, 0)):
         ik_j = 1j * k[j]
         for v_i, out_i in zip(v_rows, out_rows):
-            product = _irfft(np.multiply(ik_j, v_i, out=dv), grid)
+            product = _irfft(np.multiply(ik_j, v_i, out=dv), grid, overwrite=True)
             out_i += np.multiply(u_j, product, out=product)
             del product  # before the next transform
     return out
@@ -186,17 +188,17 @@ def projected_nonlinearity(grid, coeffs: np.ndarray, dealias: bool = True) -> np
         return out
     mask = grid.dealias_mask_half
     k = grid.k_half
-    u_phys = np.moveaxis(_irfft(coeffs * mask, grid), -d - 1, 0)
-    product = np.empty(u_phys.shape[1:])
-    div = np.zeros((d,) + product.shape[:-1] + mask.shape[-1:], dtype=np.complex128)
-    term = np.empty_like(div[0])
+    u_phys = np.moveaxis(_irfft(coeffs * mask, grid, overwrite=True), -d - 1, 0)
+    div = np.zeros((d,) + u_phys.shape[1:-1] + mask.shape[-1:], dtype=np.complex128)
+    scratch = np.empty_like(div[0])  # holds a product, then a weighted transform
+    product = scratch.view(np.float64)[..., : grid.n_modes]
     for i, j in combinations_with_replacement(range(d), 2):  # i <= j, row by row
         transform = _rfft(np.multiply(u_phys[i], u_phys[j], out=product), grid)
-        div[i] += np.multiply(k[j], transform, out=term)
         if i != j:
-            div[j] += np.multiply(k[i], transform, out=term)
+            div[j] += np.multiply(k[i], transform, out=scratch)
+        div[i] += np.multiply(k[j], transform, out=transform)  # its last use
         del transform
-    del u_phys, product, term
+    del u_phys, product, scratch
     half = leray_symbol_apply(grid, np.moveaxis(np.multiply(div, mask, out=div), 0, -d - 1))
     half *= -1j
     half[(...,) + (0,) * d] = 0.0
@@ -281,7 +283,7 @@ def _jacobian_entries(u: SpectralVectorField, pairs) -> np.ndarray:
     """Samples of du_i/dx_j for each (i, j) in pairs, one row and one transform per entry."""
     out = np.empty((len(pairs),) + u.grid.shape)
     for row, (i, j) in zip(out, pairs):
-        row[...] = _irfft(1j * u.grid.k_half[j] * u.half[i], u.grid)
+        row[...] = _irfft(1j * u.grid.k_half[j] * u.half[i], u.grid, overwrite=True)
     return out
 
 
@@ -297,4 +299,4 @@ def enstrophy(u: SpectralVectorField) -> float:
 
 def max_pointwise_divergence(u: SpectralVectorField) -> float:
     """max_x |div u(x)| on the collocation lattice, from the half-spectrum divergence."""
-    return float(np.max(np.abs(_irfft(u.divergence_coeffs(), u.grid))))
+    return float(np.max(np.abs(_irfft(u.divergence_coeffs(), u.grid, overwrite=True))))

@@ -180,8 +180,8 @@ def _row(grid: TorusGrid, u: np.ndarray, t: float, config: SolverConfig,
     if config.p == 2.0:
         norms = float(np.sqrt(enstrophy_u)), float(np.sqrt(energy(SpectralVectorField(grid, F))))
     else:
-        x_half = u * np.sqrt(grid.k_sq_half)
-        norms = tuple(float(_lp(_irfft(x, grid), grid, config.p)) for x in (x_half, F))
+        x_half = _irfft(u * np.sqrt(grid.k_sq_half), grid, overwrite=True)
+        norms = float(_lp(x_half, grid, config.p)), float(_lp(_irfft(F, grid), grid, config.p))
     return DiagnosticsRow(float(t), energy(field), enstrophy_u,
                           max_pointwise_divergence(field), *norms)
 
@@ -376,7 +376,7 @@ def picard_solve(
         diff = new - current
         if np.isfinite(diff).all():  # its mean mode is 0, as u0's, F's and P f's are
             diff *= symbol
-            residual = float(np.max(_lp(_irfft(diff, grid), grid, config.p)))
+            residual = float(np.max(_lp(_irfft(diff, grid, overwrite=True), grid, config.p)))
         else:
             residual = float("inf")
         residual_history.append(residual)

@@ -146,7 +146,7 @@ def _frac_samples(fields, alpha: float) -> np.ndarray:
     By linearity, the L_p norm of a difference of rows is the frac_norm of the difference.
     """
     halves = [u.half if alpha == 0.0 else frac_power(alpha, u).half for u in fields]
-    return _irfft(np.stack(halves), fields[0].grid)
+    return _irfft(np.stack(halves), fields[0].grid, overwrite=True)
 
 
 # A per-field check is a body (one field -> its row of measurements) and a fold of the
@@ -259,7 +259,7 @@ def _semigroup_row(u: SpectralVectorField, times, nu: float, p_values) -> tuple:
     for t in times:
         ut = heat_semigroup(t, nu, u)
         invariance = max(invariance, ut.divergence_defect())
-        xt = _irfft(ut.half, u.grid)
+        xt = _irfft(ut.half, u.grid, overwrite=True)
         del ut
         for p in p_values:
             rise = max(float(_lp(xt, u.grid, p)) - before[p], 0.0)
@@ -331,7 +331,7 @@ def _gradient_identity_row(u: SpectralVectorField) -> tuple:
     jacobian = _jacobian_entries(u, list(np.ndindex(u.grid.dim, u.grid.dim)))
     g2, gp = (float(_lp(jacobian, u.grid, p)) for p in (2.0, _REPORT_P))
     del jacobian
-    half = _irfft(frac_power(0.5, u).half, u.grid)
+    half = _irfft(frac_power(0.5, u).half, u.grid, overwrite=True)
     f2, fp = (float(_lp(half, u.grid, p)) for p in (2.0, _REPORT_P))
     return _relative_max(g2 - f2, f2), gp / fp if fp > 0 else None
 
@@ -433,9 +433,11 @@ def ensemble_estimates(
     it is embedded once, and each fractional norm and its advective image are taken once.
     Without triples only the first size fields are drawn. A norm of a nonzero member that
     overflows to inf or underflows to 0 at p (a huge p) raises SettingError on p, where it
-    would read as a bounded constant or a zero-norm member, and a repeated resolution
-    raises SettingError on resolutions."""
+    would read as a bounded constant or a zero-norm member, and a repeated resolution, or
+    none, raises SettingError on resolutions."""
     require_distinct_resolutions(resolutions)
+    if not resolutions:
+        raise SettingError("resolutions", "must hold at least 1 entry, got []")
     exponents = [_advection_exponents(triple) for triple in triples]
     resolutions = sorted(resolutions)
     grids = [make_grid(ensemble.dim, n) for n in resolutions]

@@ -363,8 +363,9 @@ class TestStreamedRun:
 
     def test_forced_run_memory_in_half_states(self, tmp_path, traced_peak):
         """A forced 2D N=128 run with a snapshot every step, from the config to the last
-        snapshot, peaks at 9.7 half-states; it peaked at 13.7 when fields, the grid and
-        the forcing base were held on the full lattice."""
+        snapshot, peaks at 9.2 half-states; it peaked at 13.7 when fields, the grid and
+        the forcing base were held on the full lattice, and at 9.7 before inverse
+        transforms ran in their own temporaries. The bound is 9.2 plus 0.2."""
         doc = {"grid": {"dim": 2, "n_modes": 128}, "solver": {"dt": 1e-3},
                "forcing": {"kind": "steady", "seed": 1},
                "run": {"t_end": 4e-3, "snapshot_every": 1}}
@@ -374,7 +375,7 @@ class TestStreamedRun:
             code, peak = traced_peak(
                 main, ["run", "--config", config, "--out", str(tmp_path / f"o{run}"), "--quiet"])
             assert code == 0
-        assert peak <= 11.5 * half_state, peak / half_state
+        assert peak <= 9.4 * half_state, peak / half_state
 
 
 def test_picard_window_run_writes_halves_as_stored(tmp_path, full_spectrum_calls):

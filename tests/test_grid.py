@@ -20,6 +20,7 @@ from nsmild.grid import (
     ForcingSpec,
     SpectralVectorField,
     _conj_reflect,
+    _irfft,
     _rfft,
     _spectral_envelope,
     _unit_phase_coeffs,
@@ -452,19 +453,28 @@ class _Samples:
 
 
 class TestLeanOperatorBits:
-    """`_rfft`, `leray_symbol_apply` and the draws give the bytes of the expressions they
-    replaced, and write no input."""
+    """`_rfft`, `_irfft`, `leray_symbol_apply` and the draws give the bytes of the
+    expressions they replaced, and write no input (`_irfft` with `overwrite` writes the
+    temporary it is given)."""
 
     @pytest.mark.parametrize("dim,n", LEAN_SIZES)
     def test_rfft(self, dim, n):
+        # and `_irfft`, on both paths, against numpy's irfftn of the same batch
         grid = make_grid(dim, n)
-        batch, _ = lean_batch(grid)
+        batch, special = lean_batch(grid)
         samples = np.fft.irfftn(batch, s=grid.shape, axes=grid.spatial_axes)
         with np.errstate(invalid="ignore"):
             for values in (samples, samples[0, 1], with_specials(samples)):
                 before = values.copy()
                 assert same_bytes(_rfft(values, grid), reference_rfft(values, grid))
                 assert same_bytes(values, before)
+            for coeffs in (batch[0], batch, special):
+                before = coeffs.copy()
+                expected = np.fft.irfftn(coeffs, s=grid.shape, axes=grid.spatial_axes,
+                                         norm="forward")
+                assert same_bytes(_irfft(coeffs, grid), expected)
+                assert same_bytes(coeffs, before)
+                assert same_bytes(_irfft(coeffs.copy(), grid, overwrite=True), expected)
 
     @pytest.mark.parametrize("dim,n", LEAN_SIZES)
     def test_leray_symbol_apply(self, dim, n):
@@ -503,10 +513,10 @@ class TestLeanOperatorBits:
 
 class TestLeanOperatorMemory:
     """The transient of each rewritten operator at 3D N=32, in half fields of (3,) +
-    half_shape complex128 (835,584 bytes). Measured: `_rfft` 1.12, `leray_symbol_apply`
-    1.49, `_unit_phase_coeffs` 0.69, `random_divfree_field` 2.66; the expressions they
-    replaced peaked at 2.00, 2.33, 1.36 and 3.50. Each bound is the measured value plus
-    about 0.1."""
+    half_shape complex128 (835,584 bytes). Measured: `_rfft` 1.12, `_irfft` 1.94 (0.94 with
+    `overwrite`, its samples alone), `leray_symbol_apply` 1.49, `_unit_phase_coeffs` 0.69,
+    `random_divfree_field` 2.66; the expressions they replaced peaked at 2.00, 2.00 (numpy's
+    irfftn), 2.33, 1.36 and 3.50. Each bound is the measured value plus about 0.1."""
 
     @staticmethod
     def half_fields(grid, peak):
@@ -517,6 +527,12 @@ class TestLeanOperatorMemory:
                                axes=grid3_32.spatial_axes)
         _, peak = traced_peak(_rfft, values, grid3_32)
         assert self.half_fields(grid3_32, peak) <= 1.25
+
+    @pytest.mark.parametrize("overwrite,bound", [(False, 2.05), (True, 1.05)])
+    def test_irfft(self, grid3_32, traced_peak, overwrite, bound):
+        coeffs = random_divfree_field(grid3_32, 1).half
+        _, peak = traced_peak(_irfft, coeffs, grid3_32, overwrite)
+        assert self.half_fields(grid3_32, peak) <= bound
 
     def test_leray_symbol_apply(self, grid3_32, traced_peak):
         coeffs = random_divfree_field(grid3_32, 1).half

@@ -172,15 +172,16 @@ def count_draws(monkeypatch):
 
 
 def count_inverse_transforms(monkeypatch):
-    """Count the calls of numpy's real inverse transform from here on."""
+    """Count the inverse transforms from here on: the calls of numpy's last-axis real
+    inverse `irfft`, which grid._irfft makes once per transform."""
     calls = []
-    irfftn = np.fft.irfftn
+    irfft = np.fft.irfft
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return irfftn(*args, **kwargs)
+        return irfft(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "irfftn", counted)
+    monkeypatch.setattr(np.fft, "irfft", counted)
     return calls
 
 
@@ -436,6 +437,15 @@ class TestSuiteSettingRules:
         with pytest.raises(SettingError) as info:
             estimate(EnsembleSpec(size=2, seed=3), resolutions=(8, 8))
         assert info.value.args == ("resolutions", "must not repeat an entry, got [8, 8]")
+
+    @pytest.mark.parametrize("estimate", [estimate_bilinear_constant, estimate_norm_equivalence])
+    def test_estimates_reject_no_resolution(self, estimate, monkeypatch):
+        # with no grid to compare on, the rule raises before any member is drawn
+        draws = count_draws(monkeypatch)
+        with pytest.raises(SettingError) as info:
+            estimate(EnsembleSpec(size=2, seed=3), resolutions=())
+        assert info.value.args == ("resolutions", "must hold at least 1 entry, got []")
+        assert draws == {}
 
 
 def assert_no_child_left():
