@@ -151,8 +151,10 @@ def _rfft(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return half
 
 
-def _irfft(coeffs: np.ndarray, grid: TorusGrid, overwrite: bool = False) -> np.ndarray:
-    """Half spectrum (`_half`) -> real samples of the real field it determines.
+def _irfft(coeffs: np.ndarray, grid: TorusGrid, overwrite: bool = False,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum (`_half`) -> real samples of the real field it determines, in `out`
+    if given (as numpy's `out=`).
 
     `irfftn`'s passes, bit for bit, in one complex array: a copy of coeffs, or with
     `overwrite` coeffs itself (a complex128 temporary the caller drops, as scipy's
@@ -160,7 +162,7 @@ def _irfft(coeffs: np.ndarray, grid: TorusGrid, overwrite: bool = False) -> np.n
     work = coeffs if overwrite else coeffs.astype(np.complex128)
     for axis in grid.spatial_axes[:-1]:
         np.fft.ifft(work, axis=axis, norm="forward", out=work)
-    return np.fft.irfft(work, grid.n_modes, axis=-1, norm="forward")
+    return np.fft.irfft(work, grid.n_modes, axis=-1, norm="forward", out=out)
 
 
 def _conj_reflect(coeffs: np.ndarray, axes: tuple) -> np.ndarray:

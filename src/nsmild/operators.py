@@ -280,10 +280,10 @@ def gradient_norm(u: SpectralVectorField, p: float, variant: str = "full") -> fl
 
 
 def _jacobian_entries(u: SpectralVectorField, pairs) -> np.ndarray:
-    """Samples of du_i/dx_j for each (i, j) in pairs, one row and one transform per entry."""
+    """Samples of du_i/dx_j for each (i, j) in pairs, each entry transformed into its row."""
     out = np.empty((len(pairs),) + u.grid.shape)
     for row, (i, j) in zip(out, pairs):
-        row[...] = _irfft(1j * u.grid.k_half[j] * u.half[i], u.grid, overwrite=True)
+        _irfft(1j * u.grid.k_half[j] * u.half[i], u.grid, overwrite=True, out=row)
     return out
 
 

@@ -10,7 +10,7 @@ the library takes it (`VerifySettings`, `ensemble_estimates`), for every caller 
 
 The suite holds O(1) fields whatever its ensemble size: each member is drawn
 when it is needed, handed to every check that takes it, and dropped. The calling
-process of `nsmild verify` peaks at about 46 MiB RSS (VmHWM), and the child below at
+process of `nsmild verify` peaks at about 45.5 MiB RSS (VmHWM), and the child below at
 about 38 MiB (getrusage(RUSAGE_CHILDREN)), at ensemble sizes 4, 100 and 200 alike (one
 thread, 2-core x86-64 VM).
 
@@ -840,7 +840,8 @@ def _ensemble_pass(s: VerifySettings, ens: EnsembleSpec) -> tuple:
     """The reports of the per-field checks, of the gradient-orthogonality probe of the
     advective image of fields 0 and 1, and of the diagonal scan, from one pass: field i is
     drawn from seed + i, handed to the body of every check whose range holds it, and
-    dropped. Only field 0 is held past its turn, until field 1 is drawn."""
+    dropped. Field 0 is held past its turn only until the probe, which runs at field 1's
+    turn before its bodies, so that no body runs beside a second field."""
     grid = make_grid(s.dim, s.n_modes)
     size = s.ensemble_size
     bodies = [  # (members it takes, per-field body) of each per-field check
@@ -856,18 +857,17 @@ def _ensemble_pass(s: VerifySettings, ens: EnsembleSpec) -> tuple:
     leaks = []
     for i in range(size):
         u = ens.field(grid, i)
+        if i == 0:
+            first = u
+        elif i == 1:  # the probe, before field 1's bodies, which then run beside no field
+            ortho = check_gradient_orthogonality(advect(first, u), n_test=20, seed=s.seed + 9000)
+            del first
         for (count, body), out in zip(bodies, rows):
             if i < count:
                 out.append(body(u))
         if i < 20:
             leaks.append(_projection_leak(
                 random_gradient_field(grid, s.seed + 5000 + i, s.spectrum_decay)))
-        if i == 0:
-            first = u
-        elif i == 1:
-            w = advect(first, u)
-            del first
-    ortho = check_gradient_orthogonality(w, n_test=20, seed=s.seed + 9000)
     identity, resolvent_rows, semigroup, composition, orthogonality, gradient, diagonal = rows
     reports = [
         _identities_report(identity, leaks, s.tolerance_identity),

@@ -455,7 +455,7 @@ class _Samples:
 class TestLeanOperatorBits:
     """`_rfft`, `_irfft`, `leray_symbol_apply` and the draws give the bytes of the
     expressions they replaced, and write no input (`_irfft` with `overwrite` writes the
-    temporary it is given)."""
+    temporary it is given, and with `out` the array it is given)."""
 
     @pytest.mark.parametrize("dim,n", LEAN_SIZES)
     def test_rfft(self, dim, n):
@@ -475,6 +475,9 @@ class TestLeanOperatorBits:
                 assert same_bytes(_irfft(coeffs, grid), expected)
                 assert same_bytes(coeffs, before)
                 assert same_bytes(_irfft(coeffs.copy(), grid, overwrite=True), expected)
+                out = np.empty_like(expected)
+                assert _irfft(coeffs.copy(), grid, overwrite=True, out=out) is out
+                assert same_bytes(out, expected)
 
     @pytest.mark.parametrize("dim,n", LEAN_SIZES)
     def test_leray_symbol_apply(self, dim, n):

@@ -32,6 +32,7 @@ from nsmild import (
 from nsmild.grid import _full_spectrum, _half, _irfft, _rfft, leray_symbol_apply
 from nsmild.operators import (
     _half_advect,
+    _jacobian_entries,
     _libm_pow,
     _lp,
     _phi1_of,
@@ -540,6 +541,14 @@ def reference_lp(values, grid, p):
     return _libm_pow(grid.cell_volume * total, 1.0 / p)
 
 
+def reference_jacobian_entries(u, pairs):
+    """`_jacobian_entries` with each entry's samples copied into its row."""
+    out = np.empty((len(pairs),) + u.grid.shape)
+    for row, (i, j) in zip(out, pairs):
+        row[...] = _irfft(1j * u.grid.k_half[j] * u.half[i], u.grid, overwrite=True)
+    return out
+
+
 class TestLeanOperatorBits:
     """`_half_advect` (so `advect`), the kernel without dealiasing and `_lp` give the bytes
     of the expressions they replaced, and write no input."""
@@ -586,15 +595,30 @@ class TestLeanOperatorBits:
                 assert same_bytes(_lp(values, grid, p), reference_lp(values, grid, p))
                 assert same_bytes(values, before)
 
+    @pytest.mark.parametrize("dim,n", LEAN_SIZES)
+    def test_jacobian_entries(self, dim, n):
+        grid = make_grid(dim, n)
+        batch, special = lean_batch(grid)
+        pairs = list(np.ndindex(dim, dim))
+        with np.errstate(invalid="ignore"):
+            for half in (batch[0], special[1]):
+                u = SpectralVectorField(grid, half)
+                before = u.half.copy()
+                for entries in (pairs, pairs[::-1][:dim]):
+                    assert same_bytes(_jacobian_entries(u, entries),
+                                      reference_jacobian_entries(u, entries))
+                assert same_bytes(u.half, before)
+
 
 class TestLeanOperatorMemory:
     """The transient of each rewritten operator at 3D N=32, in half fields of (3,) +
     half_shape complex128 (835,584 bytes). Measured: `advect` 4.04, the kernel without
     dealiasing 3.04, the dealiased kernel 2.77 (3.12 at 2D N=256, in half fields of that
-    grid), `_lp` of one field's samples 0.94; the expressions they replaced peaked at 6.89,
-    4.89, 3.08 (3.61) and 1.88, and `advect` and the kernels peaked at 4.22, 3.22, 3.08
-    (3.61) before their inverse transforms ran in their own temporaries. Each bound is the
-    measured value plus about 0.1-0.2."""
+    grid), `_lp` of one field's samples 0.94, the 9 `_jacobian_entries` 3.32; the
+    expressions they replaced peaked at 6.89, 4.89, 3.08 (3.61), 1.88 and 3.47 (each
+    entry's samples copied into its row), and `advect` and the kernels peaked at 4.22,
+    3.22, 3.08 (3.61) before their inverse transforms ran in their own temporaries. Each
+    bound is the measured value plus about 0.1-0.2."""
 
     @staticmethod
     def half_fields(grid, peak):
@@ -622,3 +646,8 @@ class TestLeanOperatorMemory:
         values = _irfft(random_divfree_field(grid3_32, 1).half, grid3_32)
         _, peak = traced_peak(_lp, values, grid3_32, p)
         assert self.half_fields(grid3_32, peak) <= 1.0
+
+    def test_jacobian_entries(self, grid3_32, traced_peak):
+        u = random_divfree_field(grid3_32, 1)
+        _, peak = traced_peak(_jacobian_entries, u, list(np.ndindex(3, 3)))
+        assert self.half_fields(grid3_32, peak) <= 3.4

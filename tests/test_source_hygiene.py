@@ -116,6 +116,22 @@ def test_no_complex_fft():
     assert found == [], f"complex FFTs in src/nsmild: {found}"
 
 
+def test_no_transform_copied_into_a_slice():
+    """A transform into preallocated storage is made there (`_irfft(..., out=row)`), so no
+    statement assigns a fresh `_irfft` or `_rfft` result into a slice, which allocates the
+    result and then copies it."""
+    found = []
+    for path in SOURCES:
+        for scope, node in _scoped(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                    and any(isinstance(target, ast.Subscript) for target in node.targets):
+                func = node.value.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("_irfft", "_rfft"):
+                    found.append(f"{path.name}:{node.lineno} {'.'.join(scope)} {name}")
+    assert found == [], f"transforms copied into slices in src/nsmild: {found}"
+
+
 def _callers(tree, name: str) -> set:
     """Qualified names (`Class.method`, `function`) of the definitions in tree that call
     the bare name `name`; `<module>` for a call at module level."""
