@@ -12,11 +12,11 @@ Fourier symbols (derivatives, the off-diagonal projection entries) compatible
 with Hermitian symmetry. The two-thirds dealiasing cutoff is floor((n-1)/3),
 so 3 * cutoff < n and quadratic products are exact on the retained modes.
 
-A real field's spectrum is fixed by its half (`_half`): the n/2+1 last-axis columns
-with wavenumber 0..n/2, shaped (n,)*(dim-1) + (n/2+1,) per component. Fields, grid
-symbols and draws are stored there, and transforms and kernels take them there. The
-full lattice, uhat(-k) = conj(uhat(k)), is built (`_full_spectrum`) only when a reader
-asks for it through `SpectralVectorField.coeffs`, which nothing in the package reads.
+A real field's spectrum is fixed by its half: the n/2+1 last-axis columns with wavenumber
+0..n/2, shaped (n,)*(dim-1) + (n/2+1,) per component. Fields (built from halves only), grid
+symbols and draws are stored there, and transforms and kernels take them there. The full
+lattice, uhat(-k) = conj(uhat(k)), is built (`_full_spectrum`) only when a reader asks for
+it through `SpectralVectorField.coeffs`, which nothing in the package reads.
 `_irfft` runs the passes of `irfftn` in one complex array, the caller's temporary with
 `overwrite=True`.
 """
@@ -29,7 +29,8 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# relative tolerances for the field invariants
+# relative tolerances for the field invariants; a divergence defect takes k in units of
+# the wavenumber 2 pi / period (`divergence_defect`), so each gate is the same at any period
 DIVFREE_TOL = 1e-12
 MEAN_MODE_TOL = 1e-12
 DIV_TOL = 1e-10  # largest divergence defect of a solver input or a stored state
@@ -100,7 +101,7 @@ class TorusGrid:
 
     @property
     def half_shape(self) -> tuple:
-        """The shape of the half spectrum (`_half`) of one component."""
+        """The shape of the half spectrum of one component."""
         return self.shape[:-1] + (self.n_modes // 2 + 1,)
 
     @property
@@ -131,11 +132,6 @@ def make_grid(dim: int, n_modes: int, period: float = TWO_PI) -> TorusGrid:
     return TorusGrid(dim=dim, n_modes=int(n_modes), period=float(period))
 
 
-def _half(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """The modes with last-axis wavenumber 0..n/2, which fix a Hermitian spectrum."""
-    return coeffs[..., : grid.n_modes // 2 + 1]
-
-
 def _rfft(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Real samples -> exactly Hermitian half spectrum (zero mode = spatial mean).
 
@@ -153,7 +149,7 @@ def _rfft(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 def _irfft(coeffs: np.ndarray, grid: TorusGrid, overwrite: bool = False,
            out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum (`_half`) -> real samples of the real field it determines, in `out`
+    """Half spectrum -> real samples of the real field it determines, in `out`
     if given (as numpy's `out=`).
 
     `irfftn`'s passes, bit for bit, in one complex array: a copy of coeffs, or with
@@ -195,12 +191,11 @@ def _half_sum(values: np.ndarray, grid: TorusGrid) -> float:
 class SpectralVectorField:
     """Velocity field of a real flow as per-component complex Fourier coefficients.
 
-    Stored as `half`, the modes with last-axis wavenumber 0..n/2 (`_half`), shaped
-    (dim,) + grid.half_shape. The constructor takes that half or the full (dim,) +
-    grid.shape lattice, of which it keeps the first n/2+1 last-axis columns: a full
-    input that is not Hermitian loses what its other columns held, and the 0 and n/2
-    columns keep any defect of their own (`hermitian_defect`). `coeffs` is the full
-    lattice, uhat(-k) = conj(uhat(k)), built read-only by `_full_spectrum` on each read.
+    Stored as `half`, the modes with last-axis wavenumber 0..n/2, shaped (dim,) +
+    grid.half_shape; the constructor takes that half only (a full lattice raises
+    ValueError). The 0 and n/2 columns hold both k and -k and keep any defect of their
+    own (`hermitian_defect`). `coeffs` is the full lattice, uhat(-k) = conj(uhat(k)),
+    built read-only by `_full_spectrum` on each read.
 
     Invariants (mean-zero, divergence-free) are not recorded; consumers that need
     them measure the defects.
@@ -210,15 +205,11 @@ class SpectralVectorField:
     half: np.ndarray
 
     def __post_init__(self) -> None:
-        full_shape = (self.grid.dim,) + self.grid.shape
         half_shape = (self.grid.dim,) + self.grid.half_shape
-        if self.half.shape == full_shape:  # a copy, so the full lattice is not held
-            object.__setattr__(self, "half", _half(self.half, self.grid).astype(np.complex128))
-        elif self.half.shape == half_shape:
-            object.__setattr__(self, "half", self.half.astype(np.complex128, copy=False))
-        else:
+        if self.half.shape != half_shape:
             raise ValueError(f"coefficient array has shape {self.half.shape}, "
-                             f"expected {full_shape} or its half {half_shape}")
+                             f"expected the half spectrum {half_shape}")
+        object.__setattr__(self, "half", self.half.astype(np.complex128, copy=False))
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -248,8 +239,10 @@ class SpectralVectorField:
         return div
 
     def divergence_defect(self) -> float:
-        """max_k |k . uhat(k)| over the half spectrum, relative to max |uhat|."""
-        return _relative_max(self.divergence_coeffs(), self.max_abs())
+        """max_k |k . uhat(k)| over the half spectrum relative to max |uhat|, k in units of
+        the wavenumber 2 pi / period: alike at every period, and the physical value at 2 pi."""
+        unit = self.grid.period / TWO_PI  # 1.0 at 2 pi
+        return _relative_max(self.divergence_coeffs(), self.max_abs()) * unit
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.half.view(np.float64))))
@@ -300,8 +293,7 @@ def _require_same_grid(a: TorusGrid, b: TorusGrid) -> None:
 
 def _require_mean_zero(u: SpectralVectorField, what: str) -> None:
     """Raise unless the zero mode is within MEAN_MODE_TOL of max |uhat|."""
-    scale = u.max_abs()
-    if scale > 0.0 and np.max(np.abs(u.mean_mode())) > MEAN_MODE_TOL * scale:
+    if _relative_max(u.mean_mode(), u.max_abs()) > MEAN_MODE_TOL:
         raise ValueError(f"{what} requires a mean-zero field")
 
 
@@ -368,7 +360,7 @@ def lattice_part(u: PhysicalVectorField, which: str) -> PhysicalVectorField:
 def leray_symbol_apply(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Apply the Fourier projection symbol I - k k^T / |k|^2; mode 0 unchanged.
 
-    Takes half spectra (`_half`), with leading batch axes before the component axis.
+    Takes half spectra, with leading batch axes before the component axis.
     """
     k = grid.k_half
     xyz = "xyz"[: grid.dim]

@@ -2,9 +2,9 @@
 
 Snapshot layout v2 (little-endian): magic "NSMS", u32 version = 2, u32 dim,
 u32 n_modes, f64 period, f64 time; then the half spectrum of a real field
-(`grid._half`, last-axis wavenumbers 0..n/2), shaped (dim,) + (n,)*(dim-1) +
-(n/2+1,), in row-major order as (f64 real, f64 imag) pairs. Layout v1 stored
-the full (dim,) + (n,)*dim lattice and stays readable.
+(last-axis wavenumbers 0..n/2), shaped (dim,) + (n,)*(dim-1) + (n/2+1,), in
+row-major order as (f64 real, f64 imag) pairs. Layout v1 stored the full
+(dim,) + (n,)*dim lattice and stays readable: the reader keeps its half.
 
 Fields store the half spectrum (`SpectralVectorField.half`), so a snapshot is
 written from the half as stored, and read into a field's half without forming the
@@ -46,7 +46,7 @@ def write_snapshot(path, field: SpectralVectorField, time: float) -> None:
 
 def read_snapshot(path) -> tuple:
     """Read a snapshot of layout v1 or v2; returns (field, time), the field on the grid
-    of the header. A v1 file's full lattice gives the field its half (`SpectralVectorField`)."""
+    of the header. A v1 file's full lattice gives the field its first n/2+1 last-axis columns."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated snapshot header")
@@ -67,8 +67,8 @@ def read_snapshot(path) -> tuple:
         raise ValueError(f"{path}: {err}") from None
     data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
     stored = data.reshape((dim,) + grid.shape[:-1] + (width,))
-    # the constructor copies a v1 lattice's half; a v2 half is copied out of the bytes
-    return SpectralVectorField(grid, stored if version == 1 else stored.copy()), time
+    # the half (all of a v2 body) is copied out of the bytes
+    return SpectralVectorField(grid, stored[..., : n_modes // 2 + 1].copy()), time
 
 
 def _fmt(x: float) -> str:

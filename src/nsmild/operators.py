@@ -7,7 +7,7 @@ linear operator here is a modewise multiplier, so algebraic identities
 (idempotence, resolvent identity, semigroup law, power composition) hold to
 roundoff and the tests assert them at 1e-12.
 
-Fields and symbols are half spectra (`grid._half`), so every multiplier is the
+Fields and symbols are half spectra, so every multiplier is the
 product of two halves and every result is a half; nothing here forms the full lattice.
 
 The projected nonlinearity F(u) = -P (u . grad) u has one kernel,

@@ -10,11 +10,11 @@ the one-node collapse of the integral. Heat factors are exact Fourier
 multipliers, so stiffness never limits the step; the Picard trapezoid sum
 applies the factor of lag d as the d-th power of the one-node factor.
 
-Both solvers carry only the half spectrum (`grid._half`) that fixes the real
-field u: states, F, the symbols and the forcing. Every operation of a step is
-modewise, so the half evolves exactly as the first n/2+1 last-axis columns of a
-full-lattice state would. Fields enter and leave as `SpectralVectorField`, which
-stores the same half, so no full lattice is formed.
+Both solvers carry only the half spectrum that fixes the real field u: states, F,
+the symbols and the forcing. Every operation of a step is modewise, so the half
+evolves exactly as the first n/2+1 last-axis columns of a full-lattice state would.
+Fields enter and leave as `SpectralVectorField`, which stores the same half, so no
+full lattice is formed.
 
 `march` evaluates F(u) = -P (u . grad) u once per state: the same array
 feeds the diagnostics of a snapshot and the step that leaves it, which forms
@@ -39,6 +39,7 @@ import numpy as np
 
 from .grid import (
     DIV_TOL,
+    TWO_PI,
     ForcingSpec,
     SpectralVectorField,
     TorusGrid,
@@ -56,7 +57,7 @@ from .operators import (
     projected_nonlinearity,
 )
 
-BLOWUP_NORM = 1e8
+BLOWUP_NORM = 1e8  # of sqrt(energy), scaled to the 2 pi box
 
 
 class SolverError(Exception):
@@ -263,9 +264,9 @@ def march(
 
     t_end is rounded to the nearest multiple of dt, which must be 1 to 2**53
     steps (`span_problem`; else ValueError). Snapshots are kept every
-    config.snapshot_every steps plus the final state. A runaway trajectory
-    (norm above 1e8 or non-finite) stops the march early and sets the blowup
-    flag; it is recorded, not raised.
+    config.snapshot_every steps plus the final state. A runaway trajectory (non-finite, or
+    sqrt(energy) (2 pi / period)^(dim/2), its 2 pi box's norm, above 1e8) stops the march
+    early and sets the blowup flag; it is recorded, not raised.
 
     Without a sink the kept states are copied into `Trajectory.fields`. With
     one, each kept state goes to sink(index, t, half) as soon as it is kept, `half`
@@ -281,6 +282,7 @@ def march(
     u = prepare_initial(u0).half  # a fresh copy, stepped in place
 
     symbols = _step_symbols(grid, config)
+    unit = (TWO_PI / grid.period) ** (grid.dim / 2)  # sqrt(energy)'s scale; 1.0 at 2 pi
     times, fields, diags = [], [], []
 
     def keep(t: float, F: np.ndarray) -> DiagnosticsRow:
@@ -301,7 +303,7 @@ def march(
         row = keep(t_m, F) if scheduled else None
         if m > 0:  # a stepped state; a kept one's energy is in its row
             energy_u = energy(SpectralVectorField(grid, u)) if row is None else row.energy
-            blowup = bool(np.sqrt(energy_u) > BLOWUP_NORM)
+            blowup = bool(np.sqrt(energy_u) * unit > BLOWUP_NORM)
             if blowup and row is None:
                 keep(t_m, F)
         if blowup or m == n_steps:

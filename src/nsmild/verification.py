@@ -763,8 +763,9 @@ def existence_time_trend(
 @dataclass(frozen=True)
 class VerifySettings:
     """Knobs for the full verification suite; defaults match the shipped gate. Its rules
-    raise SettingError(key, message): at least two distinct `resolutions`, and a suite
-    trajectory of 1 to 2**53 steps that keeps the 10 snapshots its Hoelder fits need."""
+    raise SettingError(key, message): an `ensemble_size` of at least 2, at least two
+    distinct `resolutions`, and a suite trajectory of 1 to 2**53 steps that keeps the 10
+    snapshots its Hoelder fits need."""
 
     dim: int = 3
     n_modes: int = 32
@@ -789,7 +790,7 @@ class VerifySettings:
 
     def __post_init__(self) -> None:
         if self.ensemble_size < 2:  # the suite advects field 0 by field 1
-            raise ValueError(f"ensemble_size must be >= 2, got {self.ensemble_size}")
+            raise SettingError("ensemble_size", f"must be >= 2, got {self.ensemble_size}")
         require_distinct_resolutions(self.resolutions)
         if len(self.resolutions) < 2:  # the advection-bound and Lipschitz checks compare two
             raise SettingError("resolutions",

@@ -24,6 +24,12 @@ def full_lattice(torus) -> SimpleNamespace:
                            nyquist_mask=np.any(abs_int == torus.n_modes // 2, axis=0))
 
 
+def half_columns(coeffs, torus):
+    """The first n/2+1 last-axis columns of a full lattice (wavenumbers 0..n/2): the half
+    spectrum that `SpectralVectorField` takes and that fixes a Hermitian lattice."""
+    return coeffs[..., : torus.n_modes // 2 + 1]
+
+
 def same_bytes(a, b) -> bool:
     """Equal shape, dtype and bytes: -0.0 and 0.0 differ, and NaNs compare by their bits."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)

@@ -32,6 +32,8 @@ from nsmild.cli import main
 from nsmild.io import read_snapshot
 from nsmild.verification import advection_ratio, check_operator_identities
 
+from conftest import half_columns
+
 SEED = 20240811
 
 
@@ -196,7 +198,6 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
         assert (out_a / "diagnostics.csv").read_bytes() == (out_b / "diagnostics.csv").read_bytes()
         snaps = sorted(p.name for p in out_a.glob("*.nsms"))
         assert snaps
-        from nsmild.grid import _half
         from nsmild.io import _HEADER
 
         for name in snaps:
@@ -205,4 +206,4 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
             field, _ = read_snapshot(out_a / name)
             reread, _ = read_snapshot(out_a / name)
             assert np.array_equal(field.coeffs, reread.coeffs)
-            assert _half(field.coeffs, field.grid).tobytes() == bytes_a[_HEADER.size:]
+            assert half_columns(field.coeffs, field.grid).tobytes() == bytes_a[_HEADER.size:]

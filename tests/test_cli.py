@@ -782,18 +782,16 @@ class TestConfigErrorTable:
                                    "resolutions": [8, 16], "trajectory_n_modes": 16}},
              "verify.spectrum_decay"),
             ("verify", {"verify": {"trajectory_decay": 1e6}}, "verify.trajectory_decay"),
-            # max|k . uhat| / max|uhat| of a generated field grows as 1/period: about 9e-10
-            # at 1e-6, above the solvers' DIV_TOL of 1e-10
-            ("run", {"grid": {"dim": 2, "n_modes": 16, "period": 1e-6},
-                     "solver": {"dt": 1e-4}, "run": {"t_end": 3e-4}}, "grid.period"),
-            ("run", {"grid": {"dim": 2, "n_modes": 16, "period": 1e-6},
-                     "solver": {"scheme": "picard_window", "window_T": 3e-4},
-                     "run": {"t_end": 3e-4}}, "grid.period"),
+            # a period that is not a finite number; every period a grid accepts runs
+            # (TestPeriodFreeGates), so no period is a divergence config error
+            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": "6.28"}),
+             "grid.period"),
+            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": True}),
+             "grid.period"),
             ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": 5e-324}),
              "grid"),
-            # the forcing base's defect crosses the forcing's 1e-12 (DIVFREE_TOL) near 1e-4
-            ("run", {"grid": {"dim": 2, "n_modes": 16, "period": 1e-4}, "solver": {"dt": 1e-4},
-                     "forcing": {"kind": "steady"}, "run": {"t_end": 3e-4}}, "grid.period"),
+            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16,
+                                                  "period": float("nan")}), "grid.period"),
             # a repeated or lone resolution compares a grid with itself or with nothing
             ("verify", {"verify": {"ensemble_size": 2, "n_modes": 8, "resolutions": [16, 16],
                                    "trajectory_n_modes": 16}}, "verify.resolutions"),
@@ -817,6 +815,27 @@ class TestConfigErrorTable:
         assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestPeriodFreeGates:
+    """The divergence gates measure k in units of 2 pi / period and the blow-up norm is
+    that of the 2 pi box, so a generated field runs at any period a grid accepts, as it
+    does at 2 pi: no config error, and no blow-up from the box's size alone."""
+
+    @pytest.mark.parametrize("period", [1e-60, 1e-6, 1e-4, 1e3, 1e6, 1e12, 1e100])
+    @pytest.mark.parametrize("forcing", ["zero", "steady"])
+    @pytest.mark.parametrize("scheme", ["exp_euler", "picard_window"])
+    def test_runs_at_every_period(self, tmp_path, capsys, scheme, forcing, period):
+        solver = {"scheme": scheme, "dt": 1e-4, "window_T": 3e-4}
+        config = write_config(tmp_path / "period.json", {
+            "grid": {"dim": 2, "n_modes": 16, "period": period}, "solver": solver,
+            "forcing": {"kind": forcing}, "run": {"t_end": 3e-4}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():  # a numpy warning fails the run
+            warnings.simplefilter("error")
+            assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "manifest.json").read_text())["blowup"] is False
 
 
 class TestOutOfMemory:

@@ -17,6 +17,8 @@ from nsmild import (
     embed,
 )
 from nsmild.grid import (
+    DIVFREE_TOL,
+    TWO_PI,
     ForcingSpec,
     SpectralVectorField,
     _conj_reflect,
@@ -30,6 +32,7 @@ from nsmild.grid import (
 from conftest import (
     LEAN_SIZES,
     full_lattice,
+    half_columns,
     lean_batch,
     reference_leray,
     same_bytes,
@@ -171,7 +174,7 @@ class TestTransforms:
 class TestDealias:
     def test_cutoff_rule(self):
         grid = make_grid(3, 16)  # cutoff floor(16/3) = 5
-        coeffs = np.zeros((3,) + grid.shape, dtype=complex)
+        coeffs = np.zeros((3,) + grid.half_shape, dtype=complex)
         coeffs[0, 6, 0, 0] = 1.0  # k = (6,0,0), dropped
         coeffs[1, 5, 0, 0] = 1.0  # k = (5,0,0), kept
         u = SpectralVectorField(grid, coeffs)
@@ -301,6 +304,32 @@ class TestRandomFields:
                 assert np.array_equal(u.divergence_coeffs(), expected[..., : n // 2 + 1])
 
 
+class TestDivergenceDefect:
+    """max |k . uhat| / max |uhat| with k in units of the wavenumber 2 pi / period."""
+
+    @pytest.mark.parametrize("period", [2 * np.pi, 1e-60, 1e-6, 3.0, 1e12, 1e100])
+    def test_is_the_physical_defect_times_period_over_2pi(self, period):
+        grid = make_grid(2, 16, period)
+        for u in (random_gradient_field(grid, 3), random_divfree_field(grid, 3)):
+            physical = float(np.max(np.abs(u.divergence_coeffs()))) / u.max_abs()
+            expected = physical if period == 2 * np.pi else physical * (period / TWO_PI)
+            assert same_bytes(np.float64(u.divergence_defect()), np.float64(expected))
+
+    def test_a_half_reads_alike_at_every_period(self):
+        u = random_gradient_field(make_grid(2, 16), 3)
+        assert u.divergence_defect() > 0.5  # a gradient field: far from divergence-free
+        for period in (1e-60, 1e-6, 1e12, 1e100):
+            v = SpectralVectorField(make_grid(2, 16, period), u.half)
+            assert v.divergence_defect() == pytest.approx(u.divergence_defect(), rel=1e-14)
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (2, 64), (3, 16)])
+    def test_a_generated_field_passes_at_every_period(self, dim, n):
+        for period in (1e-60, 1e-6, 2 * np.pi, 1e6, 1e100):
+            for decay in (1.0, 4.0):
+                u = random_divfree_field(make_grid(dim, n, period), 1, decay)
+                assert u.divergence_defect() <= DIVFREE_TOL, (period, decay)
+
+
 class TestEmbed:
     def test_same_polynomial(self):
         coarse = make_grid(2, 16)
@@ -336,12 +365,12 @@ class TestHalfStorage:
     """Fields and grid symbols are stored as the half spectrum; the full lattice is built
     when read."""
 
-    def test_full_input_keeps_its_first_half_columns(self, grid2):
+    def test_half_input_fixes_the_full_lattice(self, grid2):
         n = grid2.n_modes
         rng = np.random.default_rng(0)
         shape = (2,) + grid2.shape
         full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        u = SpectralVectorField(grid2, full)
+        u = SpectralVectorField(grid2, half_columns(full, grid2))
         assert np.array_equal(u.half, full[..., : n // 2 + 1])
         assert np.array_equal(u.coeffs[..., : n // 2 + 1], full[..., : n // 2 + 1])
         mirror = _conj_reflect(u.coeffs, grid2.spatial_axes)
@@ -356,11 +385,13 @@ class TestHalfStorage:
         first, second = u.coeffs, u.coeffs
         assert first is not second and np.array_equal(first, second)
         assert not first.flags.writeable
-        assert np.array_equal(SpectralVectorField(grid3, first).half, u.half)
+        assert np.array_equal(SpectralVectorField(grid3, half_columns(first, grid3)).half, u.half)
 
     def test_rejects_other_shapes(self, grid2):
-        with pytest.raises(ValueError, match="or its half"):
-            SpectralVectorField(grid2, np.zeros((2, 32, 16), dtype=np.complex128))
+        # a full lattice too: a field is built from its half only
+        for shape in ((2, 32, 16), (2,) + grid2.shape):
+            with pytest.raises(ValueError, match=r"expected the half spectrum \(2, 32, 17\)"):
+                SpectralVectorField(grid2, np.zeros(shape, dtype=np.complex128))
 
     @pytest.mark.parametrize("dim,n,period", [(2, 16, 2 * np.pi), (3, 8, 3.0), (2, 10, 1.0)])
     def test_half_symbols_are_the_full_ones_first_columns(self, dim, n, period):
@@ -402,7 +433,7 @@ class TestForcingSpec:
 
     def test_rejects_nonzero_mean_base(self, grid2):
         base = random_divfree_field(grid2, seed=2)
-        coeffs = base.coeffs.copy()
+        coeffs = base.half.copy()
         coeffs[0, 0, 0] = 1e-6 * base.max_abs()
         with pytest.raises(ValueError, match="mean-zero"):
             ForcingSpec(kind="steady", base_field=SpectralVectorField(grid2, coeffs))

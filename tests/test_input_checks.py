@@ -73,9 +73,9 @@ CASES = {
                                "ensemble size must be >= 1, got -3"),
     # the suite advects field 0 by field 1
     "verify-ensemble-size-0": (lambda tmp: VerifySettings(ensemble_size=0),
-                               "ensemble_size must be >= 2, got 0"),
+                               "ensemble_size: must be >= 2, got 0"),
     "verify-ensemble-size-1": (lambda tmp: VerifySettings(ensemble_size=1),
-                               "ensemble_size must be >= 2, got 1"),
+                               "ensemble_size: must be >= 2, got 1"),
     # the suite trajectory's rules divide by dt and by snapshot_every
     "verify-trajectory-dt-0": (lambda tmp: VerifySettings(trajectory_dt=0.0),
                                "dt must be positive and finite, got 0.0"),

@@ -29,7 +29,7 @@ from nsmild import (
     spectral_l2_norm,
     zero_field,
 )
-from nsmild.grid import _full_spectrum, _half, _irfft, _rfft, leray_symbol_apply
+from nsmild.grid import _full_spectrum, _irfft, _rfft, leray_symbol_apply
 from nsmild.operators import (
     _half_advect,
     _jacobian_entries,
@@ -45,6 +45,7 @@ from nsmild.verification import check_diagonal_dependence, taylor_green
 from conftest import (
     LEAN_SIZES,
     full_lattice,
+    half_columns,
     lean_batch,
     reference_leray,
     same_bytes,
@@ -259,7 +260,8 @@ class TestMultipliersBitForBit:
         vs = [random_divfree_field(grid, seed) for seed in range(10, 14)]
         batch = lambda fields: np.stack([f.coeffs for f in fields]).reshape(
             (2, 2, dim) + grid.shape)
-        got = _half_advect(grid, _half(batch(us), grid), _half(batch(vs), grid), apply_dealias)
+        got = _half_advect(grid, half_columns(batch(us), grid), half_columns(batch(vs), grid),
+                           apply_dealias)
         got = _full_spectrum(got, grid)
         expected = batch([advect(u, v, apply_dealias) for u, v in zip(us, vs)])
         assert np.array_equal(got, expected)
@@ -275,13 +277,14 @@ class TestHalfAdvect:
         if apply_dealias:
             u = u * full.dealias_mask
             v = v * full.dealias_mask
-        u_phys = _irfft(_half(u, grid), grid)
+        u_phys = _irfft(half_columns(u, grid), grid)
         out = np.zeros_like(u_phys)
         for j, u_j in enumerate(np.moveaxis(u_phys, -d - 1, 0)):
-            out += np.expand_dims(u_j, -d - 1) * _irfft(_half(1j * full.k[j] * v, grid), grid)
+            out += np.expand_dims(u_j, -d - 1) * _irfft(
+                half_columns(1j * full.k[j] * v, grid), grid)
         half = _rfft(out, grid)
         if apply_dealias:
-            half *= _half(full.dealias_mask, grid)
+            half *= half_columns(full.dealias_mask, grid)
         return _full_spectrum(half, grid)
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (3, 16)])
@@ -322,7 +325,8 @@ def advective_F(u, apply_dealias=True):
     """
     image = advect(u, u, apply_dealias=apply_dealias)
     if not apply_dealias:
-        image = SpectralVectorField(u.grid, image.coeffs * ~full_lattice(u.grid).nyquist_mask)
+        image = SpectralVectorField(u.grid, half_columns(
+            image.coeffs * ~full_lattice(u.grid).nyquist_mask, u.grid))
     coeffs = -leray_project(image).coeffs
     coeffs[(slice(None),) + (0,) * u.grid.dim] = 0.0
     return coeffs
@@ -363,9 +367,9 @@ class TestDivergenceFormF:
     def reference_kernel(grid, coeffs):
         """The dealiased kernel written with a fresh array per operation."""
         d = grid.dim
-        mask = _half(full_lattice(grid).dealias_mask, grid)
-        k = _half(full_lattice(grid).k, grid)
-        u_phys = np.moveaxis(_irfft(_half(coeffs, grid) * mask, grid), -d - 1, 0)
+        mask = half_columns(full_lattice(grid).dealias_mask, grid)
+        k = half_columns(full_lattice(grid).k, grid)
+        u_phys = np.moveaxis(_irfft(half_columns(coeffs, grid) * mask, grid), -d - 1, 0)
         rows, cols = np.triu_indices(d)
         products = _rfft(u_phys[rows] * u_phys[cols], grid)
         div = np.zeros((d,) + products.shape[1:], dtype=np.complex128)

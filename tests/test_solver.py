@@ -31,7 +31,6 @@ from nsmild.grid import (
     ForcingSpec,
     SpectralVectorField,
     _full_spectrum,
-    _half,
     _irfft,
     leray_symbol_apply,
     make_grid,
@@ -45,7 +44,7 @@ from nsmild.solver import (
 )
 from nsmild.verification import taylor_green
 
-from conftest import full_lattice
+from conftest import full_lattice, half_columns
 
 
 def normalized_x_half(u, target=0.1, p=2.0):
@@ -60,7 +59,7 @@ def full_lattice_symbols(grid, config):
 
 def full_lattice_F(grid, coeffs, dealias):
     """The projected nonlinearity of full-lattice coefficients, mirrored to the full lattice."""
-    half = operators.projected_nonlinearity(grid, _half(coeffs, grid), dealias)
+    half = operators.projected_nonlinearity(grid, half_columns(coeffs, grid), dealias)
     return _full_spectrum(half, grid)
 
 
@@ -244,6 +243,16 @@ class TestMarch:
         assert traj.blowup
         assert traj.times[-1] < 1.0
 
+    @pytest.mark.parametrize("period", [1e12, 1e100])
+    def test_blowup_norm_is_that_of_the_2pi_box(self, period):
+        # sqrt(energy) grows as period ** (dim / 2); the march compares it on the 2 pi box
+        grid = make_grid(2, 16, period)
+        u0 = random_divfree_field(grid, seed=8)
+        config = SolverConfig(dt=1e-3, snapshot_every=1)
+        assert not march(u0, config, 3e-3).blowup
+        blown = march(1e9 * u0, config, 3e-3)
+        assert blown.blowup and len(blown.times) == 2
+
     def test_unscheduled_blowup_state_is_the_last_row(self, grid2):
         # kept every 3rd step, the runaway state of step 4 is kept too, and ends the march
         u0 = 100.0 * random_divfree_field(grid2, seed=8)
@@ -370,7 +379,7 @@ class TestMarch:
         assert streamed.blowup == kept.blowup == (amplitude > 1)
         assert [(i, t) for i, t, _ in received] == list(enumerate(kept.times))
         for (_, _, half), field in zip(received, kept.fields):
-            assert np.array_equal(half, _half(field.coeffs, grid2))
+            assert np.array_equal(half, half_columns(field.coeffs, grid2))
 
 
 class TestPicard:
@@ -440,7 +449,7 @@ def forcing_with_tiny_mean(grid):
     """A steady forcing whose base has a mean mode of 0.9e-12 max |f^|, which
     ForcingSpec accepts (MEAN_MODE_TOL is 1e-12)."""
     base = random_divfree_field(grid, seed=21)
-    coeffs = base.coeffs.copy()
+    coeffs = base.half.copy()
     coeffs[(0,) + (0,) * grid.dim] = 0.9e-12 * base.max_abs()
     return ForcingSpec(kind="steady", base_field=SpectralVectorField(grid, coeffs))
 
@@ -465,7 +474,7 @@ class TestForcingMeanMode:
 
     def test_projected_base_is_the_mean_free_projection(self, grid2):
         spec = forcing_with_tiny_mean(grid2)
-        expected = _half(operators.leray_project(spec.base_field).coeffs, grid2).copy()
+        expected = half_columns(operators.leray_project(spec.base_field).coeffs, grid2).copy()
         expected[:, 0, 0] = 0.0
         assert spec.projected.shape == expected.shape == (2, 32, 17)
         assert np.array_equal(spec.projected, expected)
@@ -507,7 +516,7 @@ def reference_picard(u0, config):
                 new.append(acc)
             residual = 0.0
             for j in range(n):
-                diff = SpectralVectorField(grid, new[j] - current[j])
+                diff = SpectralVectorField(grid, half_columns(new[j] - current[j], grid))
                 if not diff.is_finite():
                     residual = float("inf")
                     break
@@ -580,12 +589,12 @@ def full_lattice_row(grid, u, F, t, config):
     energy = grid.volume * float(np.sum(np.abs(u) ** 2))
     enstrophy = grid.volume * float(np.sum(full.k_sq * np.abs(u) ** 2))
     div = np.einsum("i...,i...->...", 1j * full.k, u)
-    max_div = float(np.max(np.abs(_irfft(_half(div, grid), grid))))
+    max_div = float(np.max(np.abs(_irfft(half_columns(div, grid), grid))))
     if config.p == 2.0:
         norms = np.sqrt(enstrophy), np.sqrt(grid.volume * float(np.sum(np.abs(F) ** 2)))
     else:
-        norms = (frac_norm(SpectralVectorField(grid, u), FracNormParams(0.5, config.p)),
-                 lp_norm(SpectralVectorField(grid, F), config.p))
+        u, F = (SpectralVectorField(grid, half_columns(x, grid)) for x in (u, F))
+        norms = frac_norm(u, FracNormParams(0.5, config.p)), lp_norm(F, config.p)
     return (t, energy, enstrophy, max_div) + norms
 
 
@@ -641,7 +650,7 @@ def full_lattice_picard(u0, config):
         for j in range(1, n):
             S = E[1] * (S + half_hg[j - 1]) + half_hg[j]
             new[j] += S
-        diff = _half((new - current) * symbol, grid)
+        diff = half_columns((new - current) * symbol, grid)
         residual = float(np.max(_lp(_irfft(diff, grid), grid, config.p)))
         history.append(residual)
         current = new

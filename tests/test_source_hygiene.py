@@ -149,6 +149,15 @@ def test_mirrors_only_where_a_field_leaves_a_solver():
     assert callers == {"SpectralVectorField.coeffs"}, sorted(callers)
 
 
+def test_cli_measures_no_divergence():
+    """Each divergence gate runs once, where a field enters (`prepare_initial`,
+    `ForcingSpec`), and reads the same at every period, so the CLI has no check of its own."""
+    tree = ast.parse((ROOT / "src" / "nsmild" / "cli.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and node.attr == "divergence_defect"]
+    assert calls == [], f"cli.py reads divergence_defect at lines {calls}"
+
+
 # the full lattice of a field, and the grid's full-lattice symbols, which are gone
 FULL_LATTICE_ATTRIBUTES = {"coeffs", "k_int", "k", "k_sq", "inv_k_sq", "dealias_mask",
                            "nyquist_mask"}
