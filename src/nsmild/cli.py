@@ -123,12 +123,12 @@ SCHEMA = {
         "seed": ("int", _at_least(0)), "spectrum_decay": ("float", _DECAY),
         "lambdas": ("floats", _POSITIVE), "times": ("floats", _NONNEGATIVE),
         "resolutions": ("ints", _EVEN_N),
-        "tolerance_identity": ("float", _POSITIVE), "tolerance_gradient": ("float", _POSITIVE),
-        "tolerance_energy_orth": ("float", _POSITIVE), "tolerance_oracle": ("float", _POSITIVE),
+        "tolerance_identity": ("float", None), "tolerance_gradient": ("float", None),
+        "tolerance_energy_orth": ("float", None), "tolerance_oracle": ("float", None),
         "trajectory_n_modes": ("int", _EVEN_N), "trajectory_dt": ("float", _POSITIVE),
         "trajectory_t_end": ("float", _POSITIVE),
         "trajectory_snapshot_every": ("int", _at_least(1)),
-        "trajectory_amplitude": ("float", _POSITIVE), "trajectory_decay": ("float", _DECAY),
+        "trajectory_amplitude": ("float", None), "trajectory_decay": ("float", _DECAY),
     }),
     "estimate": {"ensemble_size": ("int", 100, _at_least(1)), "seed": ("int", 7, _at_least(0)),
                  "dim": ("int", 3, _DIM), "decay": ("float", 4.0, _DECAY),

@@ -18,9 +18,10 @@ full lattice is formed.
 
 `march` evaluates F(u) = -P (u . grad) u once per state: the same array
 feeds the diagnostics of a snapshot and the step that leaves it, which forms
-its right-hand side in F's buffer and the new state in the old state's; the
-blow-up check of a kept state reads the energy of its diagnostics row. The step
-symbols are built once per march; `exp_euler_step` is one `_step` of a field.
+its right-hand side in F's buffer and the new state in the old state's; its
+|u|^2 half sum, taken once, feeds the blow-up check (on the 2 pi box) and a
+kept row's energy. The step symbols are built once per march; `exp_euler_step`
+is one `_step` of a field.
 Energies are weighted half sums; at p = 2 the diagnostics norms are Parseval sums.
 Inside the solvers F is evaluated by `projected_nonlinearity`, without the
 input checks of `nonlinear_F`. The mean-zero divergence-free invariant is
@@ -43,6 +44,7 @@ from .grid import (
     ForcingSpec,
     SpectralVectorField,
     TorusGrid,
+    _half_sum,
     _irfft,
     _require_mean_zero,
     _require_same_grid,
@@ -57,7 +59,7 @@ from .operators import (
     projected_nonlinearity,
 )
 
-BLOWUP_NORM = 1e8  # of sqrt(energy), scaled to the 2 pi box
+BLOWUP_NORM = 1e8  # of the L_2 norm on the 2 pi box
 
 
 class SolverError(Exception):
@@ -173,9 +175,11 @@ def compute_diagnostics(u: SpectralVectorField, t: float, config: SolverConfig) 
 
 
 def _row(grid: TorusGrid, u: np.ndarray, t: float, config: SolverConfig,
-         F: np.ndarray) -> DiagnosticsRow:
-    """`compute_diagnostics` of the halves of u and F = F(u); at p != 2 the norms are
-    those of `frac_norm` and `lp_norm`, bit for bit."""
+         F: np.ndarray, u_sum: float | None = None) -> DiagnosticsRow:
+    """`compute_diagnostics` of the halves of u and F = F(u), u_sum (taken if None) u's
+    |u|^2 half sum; at p != 2 the norms are those of `frac_norm` and `lp_norm`, bit for bit."""
+    if u_sum is None:
+        u_sum = _half_sum(np.abs(u) ** 2, grid)
     field = SpectralVectorField(grid, u)  # a view: the constructor does not copy a half
     enstrophy_u = enstrophy(field)
     if config.p == 2.0:
@@ -183,7 +187,7 @@ def _row(grid: TorusGrid, u: np.ndarray, t: float, config: SolverConfig,
     else:
         x_half = _irfft(u * np.sqrt(grid.k_sq_half), grid, overwrite=True)
         norms = float(_lp(x_half, grid, config.p)), float(_lp(_irfft(F, grid), grid, config.p))
-    return DiagnosticsRow(float(t), energy(field), enstrophy_u,
+    return DiagnosticsRow(float(t), grid.volume * u_sum, enstrophy_u,
                           max_pointwise_divergence(field), *norms)
 
 
@@ -264,9 +268,9 @@ def march(
 
     t_end is rounded to the nearest multiple of dt, which must be 1 to 2**53
     steps (`span_problem`; else ValueError). Snapshots are kept every
-    config.snapshot_every steps plus the final state. A runaway trajectory (non-finite, or
-    sqrt(energy) (2 pi / period)^(dim/2), its 2 pi box's norm, above 1e8) stops the march
-    early and sets the blowup flag; it is recorded, not raised.
+    config.snapshot_every steps plus the final state. A stepped state whose L_2 norm on the
+    2 pi box tops BLOWUP_NORM is kept; it or a non-finite one stops the march early and sets
+    the blowup flag, not raising.
 
     Without a sink the kept states are copied into `Trajectory.fields`. With
     one, each kept state goes to sink(index, t, half) as soon as it is kept, `half`
@@ -282,30 +286,21 @@ def march(
     u = prepare_initial(u0).half  # a fresh copy, stepped in place
 
     symbols = _step_symbols(grid, config)
-    unit = (TWO_PI / grid.period) ** (grid.dim / 2)  # sqrt(energy)'s scale; 1.0 at 2 pi
     times, fields, diags = [], [], []
-
-    def keep(t: float, F: np.ndarray) -> DiagnosticsRow:
-        diags.append(_row(grid, u, t, config, F))
-        if sink is None:
-            fields.append(SpectralVectorField(grid, u.copy()))
-        else:
-            sink(len(times), t, u)
-        times.append(t)
-        return diags[-1]
-
     blowup = False
     for m in range(n_steps + 1):
         # F(u) of every state: the step that leaves it needs it, or the final snapshot
         F = projected_nonlinearity(grid, u, config.dealias)
         t_m = m * config.dt
-        scheduled = m % config.snapshot_every == 0 or m == n_steps  # as march_schedule counts
-        row = keep(t_m, F) if scheduled else None
-        if m > 0:  # a stepped state; a kept one's energy is in its row
-            energy_u = energy(SpectralVectorField(grid, u)) if row is None else row.energy
-            blowup = bool(np.sqrt(energy_u) * unit > BLOWUP_NORM)
-            if blowup and row is None:
-                keep(t_m, F)
+        u_sum = _half_sum(np.abs(u) ** 2, grid)
+        blowup = m > 0 and bool(np.sqrt(TWO_PI**grid.dim * u_sum) > BLOWUP_NORM)
+        if blowup or m % config.snapshot_every == 0 or m == n_steps:  # as march_schedule counts
+            diags.append(_row(grid, u, t_m, config, F, u_sum))
+            if sink is None:
+                fields.append(SpectralVectorField(grid, u.copy()))
+            else:
+                sink(len(times), t_m, u)
+            times.append(t_m)
         if blowup or m == n_steps:
             break
         _step(u, F, t_m, config, *symbols)
@@ -406,18 +401,13 @@ class WindowAttempt:
     reason: str
 
 
-@dataclass(frozen=True)
-class WindowSearchReport:
-    attempts: tuple
-
-
 def adaptive_window(
     u0: SpectralVectorField, config: SolverConfig
-) -> tuple[float, WindowSearchReport]:
+) -> tuple[float, tuple]:
     """Shrink the Picard window by halving until the iteration converges.
 
     Starts from config.window_T; 20 halvings without convergence yield
-    t_star = 0.0. Failure is encoded in the report, never raised.
+    t_star = 0.0. Failure is encoded in the attempts, never raised.
     """
     attempts = []
     T = config.window_T
@@ -426,10 +416,10 @@ def adaptive_window(
         try:
             _, iterations, _ = picard_solve(u0, cfg)
             attempts.append(WindowAttempt(T, True, iterations, "converged"))
-            return T, WindowSearchReport(tuple(attempts))
+            return T, tuple(attempts)
         except (NotContracting, MaxIters) as exc:
             attempts.append(
                 WindowAttempt(T, False, len(exc.residual_history), type(exc).__name__)
             )
             T /= 2.0
-    return 0.0, WindowSearchReport(tuple(attempts))
+    return 0.0, tuple(attempts)

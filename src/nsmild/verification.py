@@ -732,7 +732,7 @@ def closed_form_vortex(
 class TrendReport:
     pairs: tuple
     nonincreasing: bool
-    window_reports: tuple
+    window_reports: tuple  # adaptive_window attempts per amplitude
 
 
 def existence_time_trend(
@@ -746,15 +746,11 @@ def existence_time_trend(
     amplitudes = list(amplitudes)
     if any(b <= a for a, b in zip(amplitudes, amplitudes[1:])):
         raise ValueError("amplitudes must be strictly increasing")
-    pairs = []
-    reports = []
-    for amp in amplitudes:
-        t_star, report = adaptive_window(float(amp) * base_field, config)
-        pairs.append((float(amp), t_star))
-        reports.append(report)
-    t_values = [t for _, t in pairs]
+    searches = [adaptive_window(float(amp) * base_field, config) for amp in amplitudes]
+    t_values = [t for t, _ in searches]
     nonincreasing = all(b <= a + 1e-15 for a, b in zip(t_values, t_values[1:]))
-    return TrendReport(tuple(pairs), nonincreasing, tuple(reports))
+    return TrendReport(tuple(zip(map(float, amplitudes), t_values)), nonincreasing,
+                       tuple(attempts for _, attempts in searches))
 
 
 # -- suite ------------------------------------------------------------------
@@ -763,9 +759,9 @@ def existence_time_trend(
 @dataclass(frozen=True)
 class VerifySettings:
     """Knobs for the full verification suite; defaults match the shipped gate. Its rules
-    raise SettingError(key, message): an `ensemble_size` of at least 2, at least two
-    distinct `resolutions`, and a suite trajectory of 1 to 2**53 steps that keeps the 10
-    snapshots its Hoelder fits need."""
+    raise SettingError(key, message): finite tolerances and trajectory_amplitude > 0,
+    ensemble_size >= 2, two or more distinct resolutions, and a suite trajectory of 1 to
+    2**53 steps that keeps the 10 snapshots its Hoelder fits need."""
 
     dim: int = 3
     n_modes: int = 32
@@ -789,6 +785,10 @@ class VerifySettings:
     trajectory_decay: float = 5.0
 
     def __post_init__(self) -> None:
+        for key in ("tolerance_identity", "tolerance_gradient", "tolerance_energy_orth",
+                    "tolerance_oracle", "trajectory_amplitude"):
+            if not 0 < (value := getattr(self, key)) < np.inf:
+                raise SettingError(key, f"must be finite and > 0, got {value!r}")
         if self.ensemble_size < 2:  # the suite advects field 0 by field 1
             raise SettingError("ensemble_size", f"must be >= 2, got {self.ensemble_size}")
         require_distinct_resolutions(self.resolutions)

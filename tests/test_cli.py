@@ -160,6 +160,23 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["blowup"] is True
 
+    def test_large_3d_period_is_no_blowup(self, tmp_path):
+        # the physical energy overflows to inf at period 1e100; the sentinel reads the
+        # coefficients' norm on the 2 pi box, about 1e4, so all three states are kept
+        config = write_config(
+            tmp_path / "big.json",
+            {
+                "grid": {"dim": 3, "n_modes": 16, "period": 1e100},
+                "initial": {"amplitude": 1e4},
+                "run": {"t_end": 0.002},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["blowup"] is False
+        with open(out / "diagnostics.csv") as f:
+            assert len(list(csv.DictReader(f))) == 3
+
     def test_picard_scheme_runs(self, tmp_path):
         config = write_config(
             tmp_path / "picard.json",

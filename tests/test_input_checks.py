@@ -82,6 +82,20 @@ CASES = {
     "verify-trajectory-snapshot-every-0": (
         lambda tmp: VerifySettings(trajectory_snapshot_every=0),
         "snapshot_every must be >= 1, got 0"),
+    # a gate or a scale the suite would misread as a failing check
+    "verify-tolerance-identity-negative": (lambda tmp: VerifySettings(tolerance_identity=-1.0),
+                                           "tolerance_identity: must be finite and > 0, got -1.0"),
+    "verify-tolerance-identity-nan": (lambda tmp: VerifySettings(tolerance_identity=np.nan),
+                                      "tolerance_identity: must be finite and > 0, got nan"),
+    "verify-tolerance-gradient-0": (lambda tmp: VerifySettings(tolerance_gradient=0.0),
+                                    "tolerance_gradient: must be finite and > 0, got 0.0"),
+    "verify-tolerance-energy-orth-inf": (
+        lambda tmp: VerifySettings(tolerance_energy_orth=np.inf),
+        "tolerance_energy_orth: must be finite and > 0, got inf"),
+    "verify-tolerance-oracle-negative": (lambda tmp: VerifySettings(tolerance_oracle=-1e-10),
+                                         "tolerance_oracle: must be finite and > 0, got -1e-10"),
+    "verify-trajectory-amplitude-0": (lambda tmp: VerifySettings(trajectory_amplitude=0.0),
+                                      "trajectory_amplitude: must be finite and > 0, got 0.0"),
     "frac-norm-alpha-above-1": (lambda tmp: FracNormParams(1.5), "alpha must lie in [0, 1]"),
     "frac-norm-alpha-below-0": (lambda tmp: FracNormParams(-0.1), "alpha must lie in [0, 1]"),
     "heat-nu-0": (lambda tmp: heat_semigroup(0.1, 0.0, U), "viscosity must be positive"),

@@ -319,24 +319,26 @@ class TestMarch:
             assert row == compute_diagnostics(u, t, config)
 
     def test_energy_measured_once_per_state(self, grid2, monkeypatch):
-        # one energy(u) per state, shared by its blow-up check and its row, plus
-        # energy(F) of every row's norm_F: 17 + 17 for 16 steps, every step kept
-        calls = []
-        original = operators.energy
+        # one |u|^2 half sum per state, shared by its blow-up check and its row's energy,
+        # plus energy(F) of every row's norm_F: 17 + 17 for 16 steps, every step kept
+        calls = {"state": [], "F": []}
 
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
+        def counting(key, original):
+            def counted(*args):
+                calls[key].append(1)
+                return original(*args)
+            return counted
 
-        monkeypatch.setattr(operators, "energy", counted)
-        monkeypatch.setattr(solver, "energy", counted)
+        monkeypatch.setattr(solver, "_half_sum", counting("state", solver._half_sum))
+        monkeypatch.setattr(operators, "energy", counting("F", operators.energy))
+        monkeypatch.setattr(solver, "energy", counting("F", solver.energy))
         base = random_divfree_field(grid2, seed=11)
         config = SolverConfig(
             nu=1.0, dt=1e-2, forcing=ForcingSpec(kind="steady", base_field=base),
             snapshot_every=1,
         )
         traj = march(random_divfree_field(grid2, seed=10), config, 16 * config.dt)
-        assert len(calls) == 34
+        assert (len(calls["state"]), len(calls["F"])) == (17, 17)
         monkeypatch.undo()
         for u, t, row in zip(traj.fields, traj.times, traj.diagnostics):
             assert row == compute_diagnostics(u, t, config)
@@ -785,9 +787,9 @@ class TestNoMirrorInSolvers:
 class TestAdaptiveWindow:
     def test_zero_initial_keeps_window(self, grid2):
         config = SolverConfig(window_T=0.4, n_nodes=9)
-        t_star, report = adaptive_window(zero_field(grid2), config)
+        t_star, attempts = adaptive_window(zero_field(grid2), config)
         assert t_star == 0.4
-        assert report.attempts[0].converged
+        assert attempts[0].converged
 
     def test_taylor_green_keeps_window(self, grid2):
         tg = taylor_green(grid2, 1.0, 0.0)
@@ -800,11 +802,11 @@ class TestAdaptiveWindow:
         grid = make_grid(2, 16)
         u0 = random_divfree_field(grid, seed=1, amplitude=1e200)
         with np.errstate(over="ignore", invalid="ignore"):
-            t_star, report = adaptive_window(u0, SolverConfig(window_T=0.5, n_nodes=5))
+            t_star, attempts = adaptive_window(u0, SolverConfig(window_T=0.5, n_nodes=5))
         assert t_star == 0.0
-        assert len(report.attempts) == 21
-        assert [a.window for a in report.attempts] == [0.5 / 2**i for i in range(21)]
-        assert all(not a.converged and a.reason == "NotContracting" for a in report.attempts)
+        assert len(attempts) == 21
+        assert [a.window for a in attempts] == [0.5 / 2**i for i in range(21)]
+        assert all(not a.converged and a.reason == "NotContracting" for a in attempts)
 
     def test_amplitude_trend(self, grid2):
         base = random_divfree_field(grid2, seed=13)

@@ -1,7 +1,7 @@
 """Source conventions of src/nsmild: short lines, no dead private names or class members,
-one forward and one inverse transform, no np.roll, the full lattice formed only for
-readers outside the package, and a README that names the snapshot version the writer
-writes."""
+one forward and one inverse transform, no np.roll, no one-field dataclass, the full
+lattice formed only for readers outside the package, and a README that names the
+snapshot version the writer writes."""
 
 import ast
 from pathlib import Path
@@ -188,6 +188,24 @@ def test_no_roll():
                 continue
             found += [f"{path.name}:{node.lineno}" for name in names if name == "roll"]
     assert found == [], f"np.roll in src/nsmild: {found}"
+
+
+def _is_dataclass(node) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_no_single_field_dataclass():
+    """A dataclass with one field and no method only wraps that value, so the value is
+    passed on its own."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                kinds = [type(member) for member in node.body]
+                if kinds.count(ast.AnnAssign) == 1 and ast.FunctionDef not in kinds:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == [], f"one-field dataclasses in src/nsmild: {found}"
 
 
 def test_readme_names_the_written_snapshot_version():

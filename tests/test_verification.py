@@ -788,8 +788,8 @@ class TestExistenceTimeTrend:
         assert trend.pairs == ((0.1, 0.5), (1.0, 0.5), (10.0, 0.125))
         assert trend.nonincreasing
         attempts = [
-            [(a.window, a.iterations, a.reason) for a in report.attempts]
-            for report in trend.window_reports
+            [(a.window, a.iterations, a.reason) for a in attempts]
+            for attempts in trend.window_reports
         ]
         assert attempts == [
             [(0.5, 5, "converged")],
