@@ -140,6 +140,11 @@ SCHEMA = {
                "tolerance": ("float", 1e-10, _POSITIVE)},
 }
 
+# the keys that a kind reads, where it reads fewer than its block holds (`settings`)
+_KIND_READS = {("initial", "taylor_green"): {"kind"}, ("initial", "zero"): {"kind"},
+               ("forcing", "zero"): {"kind"},
+               ("forcing", "steady"): {"kind", "seed", "amplitude", "decay"}}
+
 
 def settings(cfg: dict, block: str) -> dict:
     """Every key of `block`: its value in `cfg`, checked against SCHEMA, or its default."""
@@ -162,6 +167,10 @@ def settings(cfg: dict, block: str) -> dict:
     for key, value in values.items():
         if value is REQUIRED:
             raise ConfigError(f"{block}.{key}: missing required field")
+    reads = _KIND_READS.get((block, values.get("kind")), given)
+    unread = [key for key in given if key not in reads]
+    if unread:
+        raise ConfigError(f"{block}.{unread[0]}: not read with {block}.kind {values['kind']!r}")
     return values
 
 
@@ -210,25 +219,21 @@ def build_forcing(cfg: dict, grid) -> ForcingSpec:
         raise ConfigError(f"forcing: {exc}") from exc
 
 
-def build_solver_config(cfg: dict, grid) -> SolverConfig:
+def build_solver_config(cfg: dict, grid, snapshot_every: int) -> SolverConfig:
     solver = dict(settings(cfg, "solver"), forcing=build_forcing(cfg, grid),
-                  snapshot_every=settings(cfg, "run")["snapshot_every"])
+                  snapshot_every=snapshot_every)
     try:
         return SolverConfig(**solver)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
 
-def effective_seed(cfg: dict, seed_override=None) -> int:
-    return settings(cfg, "run")["seed"] if seed_override is None else seed_override
-
-
-def build_initial(cfg: dict, grid, seed: int):
+def build_initial(cfg: dict, grid, seed: int, nu: float):
     initial = settings(cfg, "initial")
     kind = initial["kind"]
     if kind == "taylor_green":
         try:
-            return taylor_green(grid, settings(cfg, "solver")["nu"], 0.0)
+            return taylor_green(grid, nu, 0.0)
         except ValueError as exc:  # it is defined on the 2D 2 pi box only
             raise ConfigError(f"initial.kind: taylor_green: {exc}") from exc
     if kind == "zero":
@@ -257,10 +262,11 @@ def cmd_run(config, out, seed=None, quiet=False) -> int:
     """Run a simulation and write diagnostics.csv, snapshots, and manifest.json."""
     cfg = load_config(config)
     grid = build_grid(cfg)
-    run_seed = effective_seed(cfg, seed)
-    solver_cfg = build_solver_config(cfg, grid)
-    u0 = build_initial(cfg, grid, run_seed)
-    t_end = settings(cfg, "run")["t_end"]
+    run = settings(cfg, "run")
+    run_seed = run["seed"] if seed is None else seed
+    solver_cfg = build_solver_config(cfg, grid, run["snapshot_every"])
+    u0 = build_initial(cfg, grid, run_seed, solver_cfg.nu)
+    t_end = run["t_end"]
     if solver_cfg.scheme == "exp_euler":
         _check_t_end("run.t_end", t_end, solver_cfg.dt)
     elif t_end != solver_cfg.window_T:  # the Picard window never uses solver.dt

@@ -319,8 +319,9 @@ def picard_solve(
 
     The window has config.n_nodes uniform nodes; an iterate is one array of
     the nodes' half spectra, and F of nodes 1.. is one kernel call, as is F of the
-    converged window for its diagnostics. Node 0 stays u0, so its F is evaluated
-    once per solve. P f is added node by node, and the kept nodes are copied out.
+    converged window's kept nodes for their diagnostics. Node 0 stays u0, so the
+    iterations evaluate its F once. P f is added node by node, and the kept nodes are
+    copied out.
     The time integral uses the trapezoidal rule in s, applied by the recurrence
     S_j = E (S_{j-1} + (h/2) g_{j-1}) + (h/2) g_j with E = exp(-nu h |k|^2), so
     the heat factor of lag d is E^d.
@@ -351,14 +352,9 @@ def picard_solve(
     residual_history: list = []
     bad_streak = 0
     F0 = projected_nonlinearity(grid, u0.half, config.dealias)
-
-    def nodes_F(nodes: np.ndarray) -> np.ndarray:
-        # node 0 is u0 in every iterate, so its F is F0
-        rest = projected_nonlinearity(grid, nodes[1:], config.dealias)
-        return np.concatenate([F0[np.newaxis], rest])
-
     for iteration in range(1, config.picard_max_iters + 1):
-        g = nodes_F(current)
+        g = np.concatenate([F0[np.newaxis],  # node 0 is u0 in every iterate, so its F is F0
+                            projected_nonlinearity(grid, current[1:], config.dealias)])
         if forcing.projected is not None:  # node by node: no stack of n copies of P f
             for g_j, t in zip(g, times):
                 g_j += forcing.amplitude(t) * forcing.projected
@@ -382,9 +378,10 @@ def picard_solve(
             raise NotContracting(residual_history)
         if residual < config.picard_tol:
             kept = [j for j in range(n) if j % config.snapshot_every == 0 or j == n - 1]
-            fields = tuple(SpectralVectorField(grid, node) for node in current[kept])
-            F = nodes_F(current)
-            diags = tuple(_row(grid, current[j], times[j], config, F[j]) for j in kept)
+            nodes = current[kept]
+            F = projected_nonlinearity(grid, nodes, config.dealias)  # of the kept nodes only
+            diags = tuple(_row(grid, u, t, config, g) for u, t, g in zip(nodes, times[kept], F))
+            fields = tuple(SpectralVectorField(grid, u) for u in nodes)
             return Trajectory(times[kept], fields, diags), iteration, residual_history
         worse = len(residual_history) >= 2 and residual >= residual_history[-2]
         bad_streak = bad_streak + 1 if worse else 0
@@ -412,7 +409,8 @@ def adaptive_window(
     attempts = []
     T = config.window_T
     for _ in range(21):
-        cfg = replace(config, window_T=T)
+        # the search reads no trajectory, so each solve keeps the window's two end nodes only
+        cfg = replace(config, window_T=T, snapshot_every=config.n_nodes - 1)
         try:
             _, iterations, _ = picard_solve(u0, cfg)
             attempts.append(WindowAttempt(T, True, iterations, "converged"))

@@ -761,7 +761,10 @@ class VerifySettings:
     """Knobs for the full verification suite; defaults match the shipped gate. Its rules
     raise SettingError(key, message): finite tolerances and trajectory_amplitude > 0,
     ensemble_size >= 2, two or more distinct resolutions, and a suite trajectory of 1 to
-    2**53 steps that keeps the 10 snapshots its Hoelder fits need."""
+    2**53 steps that keeps the 10 snapshots its Hoelder fits need. It builds what the suite
+    runs, as attributes that are not fields: `ensemble`, its EnsembleSpec, and
+    `trajectory_config`, the SolverConfig of every suite trajectory (ValueError on nu, p,
+    trajectory_dt or trajectory_snapshot_every)."""
 
     dim: int = 3
     n_modes: int = 32
@@ -796,7 +799,10 @@ class VerifySettings:
             raise SettingError("resolutions",
                                f"must hold at least 2 entries, got {list(self.resolutions)}")
         span, dt, every = self.trajectory_t_end, self.trajectory_dt, self.trajectory_snapshot_every
-        SolverConfig(dt=dt, snapshot_every=every)  # ValueError where the march would raise it
+        object.__setattr__(self, "trajectory_config",
+                           SolverConfig(nu=self.nu, p=self.p, dt=dt, snapshot_every=every))
+        object.__setattr__(self, "ensemble", EnsembleSpec(self.ensemble_size, self.seed,
+                                                          self.dim, self.spectrum_decay))
         if (problem := span_problem(span, dt)) is not None:
             raise SettingError("trajectory_t_end", problem)
         steps, kept = march_schedule(span, dt, every)
@@ -805,19 +811,12 @@ class VerifySettings:
                                f"{every}, give {kept} snapshots; the suite needs at least 10")
 
 
-def _suite_trajectory(
-    settings: VerifySettings, seed: int, draw_n_modes: int, n_modes: int
-) -> Trajectory:
-    """March a field drawn on the 2D grid of draw_n_modes, embedded into that of n_modes."""
-    grid = make_grid(2, draw_n_modes)
-    u0 = random_divfree_field(grid, seed, settings.trajectory_decay, settings.trajectory_amplitude)
-    config = SolverConfig(
-        nu=settings.nu,
-        p=settings.p,
-        dt=settings.trajectory_dt,
-        snapshot_every=settings.trajectory_snapshot_every,
-    )
-    return march(embed(u0, make_grid(2, n_modes)), config, settings.trajectory_t_end)
+def _suite_trajectory(s: VerifySettings, seed: int, draw_n_modes: int, n_modes: int) -> Trajectory:
+    """March a field drawn on the 2D grid of draw_n_modes, embedded into that of n_modes,
+    with the suite's trajectory config."""
+    u0 = random_divfree_field(make_grid(2, draw_n_modes), seed, s.trajectory_decay,
+                              s.trajectory_amplitude)
+    return march(embed(u0, make_grid(2, n_modes)), s.trajectory_config, s.trajectory_t_end)
 
 
 def _hoelder_report(traj: Trajectory, p: float) -> CheckReport:
@@ -837,52 +836,47 @@ def _hoelder_report(traj: Trajectory, p: float) -> CheckReport:
     return CheckReport("hoelder_fit_trajectory", fit.r_squared >= 0.9, measurements)
 
 
-def _ensemble_pass(s: VerifySettings, ens: EnsembleSpec) -> tuple:
+def _ensemble_pass(s: VerifySettings) -> tuple:
     """The reports of the per-field checks, of the gradient-orthogonality probe of the
     advective image of fields 0 and 1, and of the diagonal scan, from one pass: field i is
-    drawn from seed + i, handed to the body of every check whose range holds it, and
-    dropped. Field 0 is held past its turn only until the probe, which runs at field 1's
-    turn before its bodies, so that no body runs beside a second field."""
+    drawn from seed + i, handed to the body of each (members, body, fold) entry whose range
+    holds it, and dropped; the entries' rows are folded in report order. Field 0 is held
+    until the probe, which runs at field 1's turn before its bodies, so that no body runs
+    beside a second field. The min(size, 20) projection-leak probes are drawn first."""
     grid = make_grid(s.dim, s.n_modes)
-    size = s.ensemble_size
-    bodies = [  # (members it takes, per-field body) of each per-field check
-        (size, lambda u: _identity_row(u, s.lambdas, (0.1, 0.3), s.nu)),
-        (size, lambda u: _resolvent_row(u, s.lambdas)),
-        (size, lambda u: _semigroup_row(u, s.times, s.nu, (2.0, 4.0))),
-        (20, _composition_defect),
-        (20, _orthogonality_defect),
-        (size, _gradient_identity_row),
-        (50, _diagonal_row),
+    size, tol = s.ensemble_size, s.tolerance_identity
+    leaks = [_projection_leak(random_gradient_field(grid, s.seed + 5000 + i, s.spectrum_decay))
+             for i in range(min(size, 20))]
+    checks = [  # (members it takes, per-field body, fold of its rows), in report order
+        (size, lambda u: _identity_row(u, s.lambdas, (0.1, 0.3), s.nu),
+         lambda r: _identities_report(r, leaks, tol)),
+        (size, lambda u: _resolvent_row(u, s.lambdas),
+         lambda r: _resolvent_report(r, grid, s.lambdas, tol)),
+        (size, lambda u: _semigroup_row(u, s.times, s.nu, (2.0, 4.0)),
+         lambda r: _semigroup_report(r, tol)),
+        (20, _composition_defect, lambda r: _composition_report(r, tol)),
+        (20, _orthogonality_defect, lambda r: _orthogonality_report(r, s.tolerance_energy_orth)),
+        (size, _gradient_identity_row,
+         lambda r: _gradient_identity_report(r, s.tolerance_gradient)),
+        (50, _diagonal_row, _diagonal_report),
     ]
-    rows = [[] for _ in bodies]
-    leaks = []
+    rows = [[] for _ in checks]
     for i in range(size):
-        u = ens.field(grid, i)
+        u = s.ensemble.field(grid, i)
         if i == 0:
             first = u
         elif i == 1:  # the probe, before field 1's bodies, which then run beside no field
             ortho = check_gradient_orthogonality(advect(first, u), n_test=20, seed=s.seed + 9000)
             del first
-        for (count, body), out in zip(bodies, rows):
+        for (count, body, _), out in zip(checks, rows):
             if i < count:
                 out.append(body(u))
-        if i < 20:
-            leaks.append(_projection_leak(
-                random_gradient_field(grid, s.seed + 5000 + i, s.spectrum_decay)))
-    identity, resolvent_rows, semigroup, composition, orthogonality, gradient, diagonal = rows
-    reports = [
-        _identities_report(identity, leaks, s.tolerance_identity),
-        _resolvent_report(resolvent_rows, grid, s.lambdas, s.tolerance_identity),
-        _semigroup_report(semigroup, s.tolerance_identity),
-        _composition_report(composition, s.tolerance_identity),
-        _orthogonality_report(orthogonality, s.tolerance_energy_orth),
-        _gradient_identity_report(gradient, s.tolerance_gradient),
-    ]
+    *reports, diagonal = [fold(out) for (_, _, fold), out in zip(checks, rows)]
     # membership of advection images in the divergence-free subspace (measured)
     probe = CheckReport("gradient_orthogonality_advect", None,
                         {"max_normalized_inner_product": ortho},
                         notes="membership probe for advection images; measured only")
-    return reports, probe, _diagonal_report(diagonal)
+    return reports, probe, diagonal
 
 
 class SuiteChildDied(RuntimeError):
@@ -962,12 +956,12 @@ def _forked(work, *args):
             os.waitpid(pid, 0)
 
 
-def _child_half(s: VerifySettings, ens: EnsembleSpec) -> list:
+def _child_half(s: VerifySettings) -> list:
     """The reports that `run_verification_suite` takes from its child process, in report
     order: the four ensemble estimates, the Hoelder fit of a suite trajectory, the Lipschitz
     stability of the nonlinearity and the existence-window trend."""
     bilinear, half_half, upper, lower = ensemble_estimates(
-        ens, [(0.0, 0.75, 0.75), (0.0, 0.5, 0.5)], 0.75, s.p, s.resolutions
+        s.ensemble, [(0.0, 0.75, 0.75), (0.0, 0.5, 0.5)], 0.75, s.p, s.resolutions
     )
     reports = [
         CheckReport("advection_bound_estimate", bilinear.verdict == "bounded", asdict(bilinear)),
@@ -1037,9 +1031,8 @@ def run_verification_suite(settings: VerifySettings | None = None) -> list:
     resident-memory peak read in this process (VmHWM, ru_maxrss) counts this half only.
     """
     s = settings or VerifySettings()
-    ens = EnsembleSpec(s.ensemble_size, s.seed, s.dim, s.spectrum_decay)
-    with _forked(_child_half, s, ens) as collect:
-        reports, probe, diagonal = _ensemble_pass(s, ens)
+    with _forked(_child_half, s) as collect:
+        reports, probe, diagonal = _ensemble_pass(s)
         residual, tg_err, _, _ = closed_form_vortex(32, s.nu, 1e-3, 0.25, 50, s.p)
         child = collect()
     oracle = CheckReport(

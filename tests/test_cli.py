@@ -19,7 +19,6 @@ from nsmild.cli import (
     build_grid,
     build_initial,
     build_solver_config,
-    effective_seed,
     load_config,
     main,
 )
@@ -332,8 +331,9 @@ def write_in_memory_outputs(config, out):
     """diagnostics.csv and snapshots of the trajectory a library caller gets."""
     cfg = load_config(config)
     grid = build_grid(cfg)
-    solver_cfg = build_solver_config(cfg, grid)
-    u0 = build_initial(cfg, grid, effective_seed(cfg))
+    run = cli.settings(cfg, "run")
+    solver_cfg = build_solver_config(cfg, grid, run["snapshot_every"])
+    u0 = build_initial(cfg, grid, run["seed"], solver_cfg.nu)
     if solver_cfg.scheme == "picard_window":
         traj, _, _ = picard_solve(u0, solver_cfg)
     else:
@@ -407,7 +407,8 @@ def test_picard_window_run_writes_halves_as_stored(tmp_path, full_spectrum_calls
     assert full_spectrum_calls == []
     cfg = load_config(config)
     grid = build_grid(cfg)
-    traj, _, _ = picard_solve(build_initial(cfg, grid, 0), build_solver_config(cfg, grid))
+    traj, _, _ = picard_solve(build_initial(cfg, grid, 0, 1.0),
+                              build_solver_config(cfg, grid, doc["run"]["snapshot_every"]))
     snapshots = sorted((tmp_path / "out").glob("snapshot_*.nsms"))
     assert len(snapshots) == len(traj.fields) == 5
     for path, u in zip(snapshots, traj.fields):
@@ -778,8 +779,8 @@ class TestConfigErrorTable:
             ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": -1.0}),
              "grid"),
             ("run", dict(with_block("run"), forcing={"kind": "bogus"}), "forcing"),
-            ("run", dict(with_block("run"), forcing={"kind": "steady", "exponent": 1.5}),
-             "forcing"),
+            ("run", dict(with_block("run"), forcing={"kind": "hoelder_modulated",
+                                                     "exponent": 1.5}), "forcing"),
             ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": 1e300}),
              "grid"),
             ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": 1e-300}),
@@ -819,6 +820,14 @@ class TestConfigErrorTable:
              "estimate.resolutions"),
             ("estimate", {"estimate": {"ensemble_size": 2, "resolutions": [8, 16, 8]}},
              "estimate.resolutions"),
+            # a key that its block's kind does not read
+            ("run", dict(with_block("run"), initial={"kind": "taylor_green", "amplitude": 3.0}),
+             "initial.amplitude"),
+            ("run", dict(with_block("run"), initial={"kind": "zero", "seed": 1}), "initial.seed"),
+            ("run", dict(with_block("run"), forcing={"kind": "zero", "seed": 1}), "forcing.seed"),
+            ("run", dict(with_block("run"), forcing={"seed": 1}), "forcing.seed"),
+            ("run", dict(with_block("run"), forcing={"kind": "steady", "exponent": 0.5}),
+             "forcing.exponent"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):

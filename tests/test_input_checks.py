@@ -76,6 +76,9 @@ CASES = {
                                "ensemble_size: must be >= 2, got 0"),
     "verify-ensemble-size-1": (lambda tmp: VerifySettings(ensemble_size=1),
                                "ensemble_size: must be >= 2, got 1"),
+    # the suite's trajectory config, which the settings build, marches with nu and p
+    "verify-nu-0": (lambda tmp: VerifySettings(nu=0.0), "nu must be positive, got 0.0"),
+    "verify-p-1": (lambda tmp: VerifySettings(p=1.0), "p must be >= 2, got 1.0"),
     # the suite trajectory's rules divide by dt and by snapshot_every
     "verify-trajectory-dt-0": (lambda tmp: VerifySettings(trajectory_dt=0.0),
                                "dt must be positive and finite, got 0.0"),

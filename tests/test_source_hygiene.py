@@ -1,7 +1,7 @@
 """Source conventions of src/nsmild: short lines, no dead private names or class members,
 one forward and one inverse transform, no np.roll, no one-field dataclass, the full
-lattice formed only for readers outside the package, and a README that names the
-snapshot version the writer writes."""
+lattice formed only for readers outside the package, each config block parsed at one
+site of cli.py, and a README that names the snapshot version the writer writes."""
 
 import ast
 from pathlib import Path
@@ -206,6 +206,19 @@ def test_no_single_field_dataclass():
                 if kinds.count(ast.AnnAssign) == 1 and ast.FunctionDef not in kinds:
                     found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == [], f"one-field dataclasses in src/nsmild: {found}"
+
+
+def test_each_config_block_parsed_at_one_site():
+    """cli.py reads each config block through exactly one settings(cfg, "<block>") call, so
+    a block is parsed, checked and turned into its object at one site."""
+    from nsmild.cli import SCHEMA
+
+    sites = {block: [] for block in SCHEMA}
+    for node in ast.walk(ast.parse((ROOT / "src" / "nsmild" / "cli.py").read_text())):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "settings"
+                and len(node.args) == 2 and isinstance(node.args[1], ast.Constant)):
+            sites.setdefault(node.args[1].value, []).append(node.lineno)
+    assert {block: lines for block, lines in sites.items() if len(lines) != 1} == {}
 
 
 def test_readme_names_the_written_snapshot_version():

@@ -37,7 +37,7 @@ from nsmild import (
 from nsmild.grid import PhysicalVectorField, make_grid
 from nsmild.operators import FracNormParams, frac_norm, gradient_norm, lp_norm, nonlinear_F
 from nsmild.solver import Trajectory, compute_diagnostics
-from nsmild import verification
+from nsmild import solver, verification
 from nsmild.verification import (
     CheckReport,
     EstimateReport,
@@ -344,8 +344,8 @@ class TestSuiteOnePass:
         reports = {r.name: r for r in run_verification_suite(s)}
         assert counts[3, 10] == s.ensemble_size
         # the estimates draw in the suite's child process: count them on its half in-process
-        ens = EnsembleSpec(s.ensemble_size, s.seed, s.dim, s.spectrum_decay)
-        verification._child_half(s, ens)
+        ens = s.ensemble
+        verification._child_half(s)
         assert counts[3, 8] == 2 * s.ensemble_size
         monkeypatch.undo()
         grid = make_grid(3, 10)
@@ -397,8 +397,7 @@ class TestSuiteOnePass:
 
         def ensemble_pass(**kwargs):
             s = VerifySettings(**kwargs)
-            return verification._ensemble_pass(
-                s, EnsembleSpec(s.ensemble_size, s.seed, s.dim, s.spectrum_decay))
+            return verification._ensemble_pass(s)
 
         ensemble_pass(dim=2, n_modes=8, ensemble_size=2)  # first-call imports and caches
         grid = make_grid(3, 32)
@@ -474,16 +473,27 @@ class TestSuiteOnTwoProcesses:
     """The suite's child half runs in a forked process and is reaped on every path."""
 
     def test_forked_half_equals_in_process_half(self):
-        ens = EnsembleSpec(TINY_SUITE.ensemble_size, TINY_SUITE.seed, TINY_SUITE.dim,
-                           TINY_SUITE.spectrum_decay)
-        with verification._forked(verification._child_half, TINY_SUITE, ens) as collect:
+        with verification._forked(verification._child_half, TINY_SUITE) as collect:
             forked = collect()
         assert_no_child_left()
-        assert forked == verification._child_half(TINY_SUITE, ens)
+        assert forked == verification._child_half(TINY_SUITE)
         assert [r.name for r in forked] == [
             "advection_bound_estimate", "advection_bound_half_half", "norm_equivalence_upper",
             "norm_equivalence_lower", "hoelder_fit_trajectory",
             "nonlinearity_lipschitz_stability", "existence_window_trend"]
+
+    def test_child_half_marches_with_the_trajectory_config(self, monkeypatch):
+        """Every suite trajectory marches with the one SolverConfig the settings built."""
+        configs = []
+
+        def recording_march(u0, config, t_end, *args, **kwargs):
+            configs.append(config)
+            return march(u0, config, t_end, *args, **kwargs)
+
+        monkeypatch.setattr(verification, "march", recording_march)
+        verification._child_half(TINY_SUITE)
+        assert len(configs) == 1 + 2 * len(TINY_SUITE.resolutions)
+        assert all(config is TINY_SUITE.trajectory_config for config in configs)
 
     def test_report_order_and_values_without_fork(self, monkeypatch):
         forked = run_verification_suite(TINY_SUITE)
@@ -796,6 +806,23 @@ class TestExistenceTimeTrend:
             [(0.5, 10, "converged")],
             [(0.5, 20, "NotContracting"), (0.25, 50, "MaxIters"), (0.125, 40, "converged")],
         ]
+
+    def test_suite_window_search_forms_two_rows_per_amplitude(self, monkeypatch):
+        """The search reads no trajectory: each converged solve forms the diagnostics of
+        its window's two end nodes only, 6 rows for the suite's three amplitudes."""
+        rows = []
+
+        def counting_row(*args, **kwargs):
+            rows.append(args[2])
+            return row(*args, **kwargs)
+
+        row = solver._row
+        monkeypatch.setattr(solver, "_row", counting_row)
+        base = random_divfree_field(make_grid(2, 32), 7 + 14000, 4.0, 1.0)
+        config = SolverConfig(nu=1.0, p=2.0, window_T=0.5, n_nodes=17)
+        trend = existence_time_trend((0.1, 1.0, 10.0), base, config)
+        assert trend.pairs == ((0.1, 0.5), (1.0, 0.5), (10.0, 0.125))
+        assert rows == [0.0, 0.5, 0.0, 0.5, 0.0, 0.125]
 
     def test_rejects_nonincreasing_amplitudes(self, grid2):
         base = random_divfree_field(grid2, 8)
