@@ -99,7 +99,10 @@ def _rows(cls, kinds: dict) -> dict:
 
 # SCHEMA[block][key] = (kind, default, range check or None). A range that the
 # library checks when the command builds its objects (make_grid, SolverConfig,
-# ForcingSpec, VerifySettings, the generators' decay) is left to the library.
+# ForcingSpec, VerifySettings, the generators' decay) is left to the library, whose
+# SettingError names the key (`_made`). Rows keep theirs where that check would name
+# another block's key (run.snapshot_every, checked by SolverConfig) or run only after
+# --out is made: the seeds, estimate, oracle and verify's other rows.
 SCHEMA = {
     "grid": {"dim": ("int", REQUIRED, None), "n_modes": ("int", REQUIRED, None),
              "period": ("float", 2.0 * np.pi, None)},
@@ -117,17 +120,15 @@ SCHEMA = {
     "run": {"t_end": ("float", REQUIRED, None), "snapshot_every": ("int", 1, _at_least(1)),
             "seed": ("int", 0, _at_least(0))},
     "verify": _rows(VerifySettings, {
-        "dim": ("int", _DIM), "n_modes": ("int", _EVEN_N), "nu": ("float", _POSITIVE),
-        "p": ("float", _at_least(2)),
-        "ensemble_size": ("int", None),
+        "dim": ("int", _DIM), "n_modes": ("int", _EVEN_N), "nu": ("float", None),
+        "p": ("float", None), "ensemble_size": ("int", None),
         "seed": ("int", _at_least(0)), "spectrum_decay": ("float", _DECAY),
         "lambdas": ("floats", _POSITIVE), "times": ("floats", _NONNEGATIVE),
         "resolutions": ("ints", _EVEN_N),
         "tolerance_identity": ("float", None), "tolerance_gradient": ("float", None),
         "tolerance_energy_orth": ("float", None), "tolerance_oracle": ("float", None),
-        "trajectory_n_modes": ("int", _EVEN_N), "trajectory_dt": ("float", _POSITIVE),
-        "trajectory_t_end": ("float", _POSITIVE),
-        "trajectory_snapshot_every": ("int", _at_least(1)),
+        "trajectory_n_modes": ("int", _EVEN_N), "trajectory_dt": ("float", None),
+        "trajectory_t_end": ("float", _POSITIVE), "trajectory_snapshot_every": ("int", None),
         "trajectory_amplitude": ("float", None), "trajectory_decay": ("float", _DECAY),
     }),
     "estimate": {"ensemble_size": ("int", 100, _at_least(1)), "seed": ("int", 7, _at_least(0)),
@@ -140,10 +141,14 @@ SCHEMA = {
                "tolerance": ("float", 1e-10, _POSITIVE)},
 }
 
-# the keys that a kind reads, where it reads fewer than its block holds (`settings`)
-_KIND_READS = {("initial", "taylor_green"): {"kind"}, ("initial", "zero"): {"kind"},
-               ("forcing", "zero"): {"kind"},
-               ("forcing", "steady"): {"kind", "seed", "amplitude", "decay"}}
+# block -> (its selector key, {a value of it: the keys that value reads}), where a value
+# reads fewer keys than its block holds (`settings`)
+_KIND_READS = {
+    "initial": ("kind", {"taylor_green": {"kind"}, "zero": {"kind"}}),
+    "forcing": ("kind", {"zero": {"kind"}, "steady": {"kind", "seed", "amplitude", "decay"}}),
+    "solver": ("scheme", {"exp_euler": {"nu", "p", "scheme", "dt", "dealias"},
+                          "picard_window": set(SCHEMA["solver"]) - {"dt"}}),
+}
 
 
 def settings(cfg: dict, block: str) -> dict:
@@ -167,24 +172,27 @@ def settings(cfg: dict, block: str) -> dict:
     for key, value in values.items():
         if value is REQUIRED:
             raise ConfigError(f"{block}.{key}: missing required field")
-    reads = _KIND_READS.get((block, values.get("kind")), given)
-    unread = [key for key in given if key not in reads]
+    selector, reads = _KIND_READS.get(block, (None, {}))
+    unread = [key for key in given if key not in reads.get(values.get(selector), given)]
     if unread:
-        raise ConfigError(f"{block}.{unread[0]}: not read with {block}.kind {values['kind']!r}")
+        raise ConfigError(f"{block}.{unread[0]}: not read with {block}.{selector} "
+                          f"{values[selector]!r}")
     return values
+
+
+def _made(block: str, make, *args, **kwargs):
+    """make(*args, **kwargs), where the library's SettingError on a key of `block` becomes
+    the config error `<block>.<key>: <message>`."""
+    try:
+        return make(*args, **kwargs)
+    except SettingError as exc:
+        raise ConfigError(f"{block}.{exc}") from exc
 
 
 def _check_t_end(path: str, t_end: float, dt: float) -> None:
     problem = span_problem(t_end, dt)
     if problem is not None:
         raise ConfigError(f"{path}: {problem}")
-
-
-def _random_field(grid, block: str, seed: int, decay: float, amplitude: float):
-    try:
-        return random_divfree_field(grid, seed, decay, amplitude)
-    except ValueError as exc:  # the generator checks only the spectral decay
-        raise ConfigError(f"{block}.decay: {exc}") from exc
 
 
 def load_config(path) -> dict:
@@ -202,46 +210,40 @@ def load_config(path) -> dict:
 
 
 def build_grid(cfg: dict):
-    try:
-        return make_grid(**settings(cfg, "grid"))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    return _made("grid", make_grid, **settings(cfg, "grid"))
 
 
 def build_forcing(cfg: dict, grid) -> ForcingSpec:
     forcing = settings(cfg, "forcing")
     if forcing["kind"] == "zero":
         return ForcingSpec()
-    base = _random_field(grid, "forcing", forcing["seed"], forcing["decay"], forcing["amplitude"])
-    try:
-        return ForcingSpec(kind=forcing["kind"], base_field=base, exponent=forcing["exponent"])
-    except ValueError as exc:
-        raise ConfigError(f"forcing: {exc}") from exc
+    base = _made("forcing", random_divfree_field, grid, forcing["seed"], forcing["decay"],
+                 forcing["amplitude"])
+    return _made("forcing", ForcingSpec, forcing["kind"], base, forcing["exponent"])
 
 
 def build_solver_config(cfg: dict, grid, snapshot_every: int) -> SolverConfig:
-    solver = dict(settings(cfg, "solver"), forcing=build_forcing(cfg, grid),
-                  snapshot_every=snapshot_every)
-    try:
-        return SolverConfig(**solver)
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+    return _made("solver", SolverConfig, **settings(cfg, "solver"),
+                 forcing=build_forcing(cfg, grid), snapshot_every=snapshot_every)
 
 
-def build_initial(cfg: dict, grid, seed: int, nu: float):
+def build_initial(cfg: dict, grid, seed: int, nu: float) -> tuple:
+    """The initial field and the seed it was drawn from: initial.seed if given, else seed
+    (also for a kind that draws nothing)."""
     initial = settings(cfg, "initial")
     kind = initial["kind"]
     if kind == "taylor_green":
         try:
-            return taylor_green(grid, nu, 0.0)
+            return taylor_green(grid, nu, 0.0), seed
         except ValueError as exc:  # it is defined on the 2D 2 pi box only
             raise ConfigError(f"initial.kind: taylor_green: {exc}") from exc
     if kind == "zero":
-        return zero_field(grid)
+        return zero_field(grid), seed
     if kind != "random":
         raise ConfigError(f"initial.kind: unknown kind {kind!r}")
-    init_seed = seed if initial["seed"] is None else initial["seed"]
-    return _random_field(grid, "initial", init_seed, initial["decay"], initial["amplitude"])
+    seed = seed if initial["seed"] is None else initial["seed"]
+    return _made("initial", random_divfree_field, grid, seed, initial["decay"],
+                 initial["amplitude"]), seed
 
 
 def _utc_now() -> str:
@@ -263,9 +265,8 @@ def cmd_run(config, out, seed=None, quiet=False) -> int:
     cfg = load_config(config)
     grid = build_grid(cfg)
     run = settings(cfg, "run")
-    run_seed = run["seed"] if seed is None else seed
     solver_cfg = build_solver_config(cfg, grid, run["snapshot_every"])
-    u0 = build_initial(cfg, grid, run_seed, solver_cfg.nu)
+    u0, seed = build_initial(cfg, grid, run["seed"] if seed is None else seed, solver_cfg.nu)
     t_end = run["t_end"]
     if solver_cfg.scheme == "exp_euler":
         _check_t_end("run.t_end", t_end, solver_cfg.dt)
@@ -302,7 +303,7 @@ def cmd_run(config, out, seed=None, quiet=False) -> int:
     manifest = RunManifest(
         artifact_version=__version__,
         config=cfg,
-        seed=run_seed,
+        seed=seed,
         blowup=solver_error is None and traj.blowup,
         started_utc=started,
         finished_utc=_utc_now(),
@@ -326,9 +327,9 @@ def cmd_verify(config, out, seed=None, quiet=False) -> int:
     values = settings(load_config(config) if config else {}, "verify")
     if seed is not None:
         values["seed"] = seed
-    suite = VerifySettings(**values)  # its cross-field rules raise SettingError before --out
+    suite = _made("verify", VerifySettings, **values)  # its rules run before --out is made
     out = _out_dir(out)
-    reports = run_verification_suite(suite)
+    reports = _made("verify", run_verification_suite, suite)
     write_report_json(out / "report.json", reports)
     if not quiet:
         for r in reports:
@@ -345,13 +346,14 @@ def cmd_verify(config, out, seed=None, quiet=False) -> int:
 def cmd_estimate(config, out, seed=None, quiet=False) -> int:
     """Estimate the advection-bound and norm-equivalence constants."""
     est = settings(load_config(config) if config else {}, "estimate")
-    require_distinct_resolutions(est["resolutions"])  # ensemble_estimates' rule, before --out
+    _made("estimate", require_distinct_resolutions, est["resolutions"])  # before --out is made
     ens_seed = est["seed"] if seed is None else seed
     ens = EnsembleSpec(est["ensemble_size"], ens_seed, est["dim"], est["decay"])
     p, resolutions = est["p"], est["resolutions"]
     triple = (0.0, est["theta"], est["omega"])
     out = _out_dir(out)
-    bilinear, upper, lower = ensemble_estimates(ens, [triple], 0.75, p, resolutions)
+    bilinear, upper, lower = _made("estimate", ensemble_estimates, ens, [triple], 0.75, p,
+                                   resolutions)
     write_report_json(out / "report.json", [bilinear, upper, lower])
     if not quiet:
         for rep in (bilinear, upper, lower):
@@ -365,9 +367,9 @@ def cmd_oracle(config, out, quiet=False) -> int:
     o = settings(load_config(config) if config else {}, "oracle")
     _check_t_end("oracle.t_end", o["t_end"], o["dt"])
     out = _out_dir(out)
-    residual, max_err, errors, times = closed_form_vortex(
-        o["n_modes"], o["nu"], o["dt"], o["t_end"], o["snapshot_every"]
-    )
+    residual, max_err, errors, times = _made(
+        "oracle", closed_form_vortex, o["n_modes"], o["nu"], o["dt"], o["t_end"],
+        o["snapshot_every"])
     tolerance = o["tolerance"]
     report = CheckReport(
         "closed_form_vortex",
@@ -423,9 +425,6 @@ def main(argv=None) -> int:
         return handlers[command](**args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SettingError as exc:  # a key of the command's block (verify{}, ...) the library rejects
-        print(f"config error: {command}.{exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:  # a grid or Picard window too large for this machine
         print(f"config error: out of memory: {exc}", file=sys.stderr)

@@ -36,6 +36,14 @@ MEAN_MODE_TOL = 1e-12
 DIV_TOL = 1e-10  # largest divergence defect of a solver input or a stored state
 
 
+class SettingError(ValueError):
+    """A setting the library rejects, or one that leaves a measurement unreadable; args are
+    (key, message), the key named as its caller sets it."""
+
+    def __str__(self) -> str:
+        return f"{self.args[0]}: {self.args[1]}"
+
+
 def _integer_modes(n: int) -> np.ndarray:
     """fft-layout integer wavenumbers with the Nyquist slot labeled +n/2."""
     k = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
@@ -59,13 +67,11 @@ class TorusGrid:
 
     def __post_init__(self) -> None:
         if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if self.n_modes % 2 != 0:
-            raise ValueError(f"n_modes must be even, got {self.n_modes}")
-        if self.n_modes < 8:
-            raise ValueError(f"n_modes must be >= 8, got {self.n_modes}")
+            raise SettingError("dim", f"must be 2 or 3, got {self.dim}")
+        if self.n_modes % 2 != 0 or self.n_modes < 8:
+            raise SettingError("n_modes", f"must be even and >= 8, got {self.n_modes}")
         if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+            raise SettingError("period", f"must be positive, got {self.period}")
 
         n = self.n_modes
         object.__setattr__(self, "modes", _integer_modes(n))
@@ -81,8 +87,8 @@ class TorusGrid:
             extents = np.float64(self.period) ** self.dim, np.float64(self.period / n) ** self.dim
             largest = np.max(k_sq)  # at wavenumber n/2 on every axis
         if not all(0 < x < np.inf for x in extents + (largest,)):
-            raise ValueError(f"period {self.period} makes the box volume, cell volume or "
-                             "largest |k|^2 zero or infinite")
+            raise SettingError("period", f"{self.period} makes the box volume, cell volume or "
+                                         "largest |k|^2 zero or infinite")
         abs_int = np.abs(k_int)
         symbols = {"k_half": k, "k_sq_half": k_sq, "inv_k_sq_half": inv_k_sq,
                    "dealias_mask_half": np.all(abs_int <= self.dealias_cutoff, axis=0),
@@ -383,12 +389,12 @@ def _unit_phase_coeffs(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
 
 
 def _spectral_envelope(grid: TorusGrid, spectrum_decay: float, amplitude: float) -> np.ndarray:
-    if not spectrum_decay > 0:
-        raise ValueError(f"spectrum_decay must be positive, got {spectrum_decay}")
+    if not spectrum_decay > 0:  # keyed `decay`, the name in the forcing and initial blocks
+        raise SettingError("decay", f"must be positive, got {spectrum_decay}")
     shape = (1.0 + grid.k_sq_half) ** (-spectrum_decay / 2.0)
     if shape[(1,) + (0,) * (grid.dim - 1)] == 0.0:  # the largest value off the zero mode
-        raise ValueError(f"spectrum_decay {spectrum_decay} on the box of period {grid.period} "
-                         "makes (1+|k|^2)^(-decay/2) zero on every mode")
+        raise SettingError("decay", f"{spectrum_decay} on the box of period {grid.period} "
+                                    "makes (1+|k|^2)^(-decay/2) zero on every mode")
     env = amplitude * shape * ~grid.nyquist_mask_half  # keep derivative symbols Hermitian-safe
     env[(0,) * grid.dim] = 0.0
     return env
@@ -466,9 +472,9 @@ class ForcingSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "steady", "hoelder_modulated"):
-            raise ValueError(f"unknown forcing kind {self.kind!r}")
+            raise SettingError("kind", f"unknown kind {self.kind!r}")
         if not 0.0 < self.exponent <= 1.0:
-            raise ValueError(f"exponent must lie in (0, 1], got {self.exponent}")
+            raise SettingError("exponent", f"must lie in (0, 1], got {self.exponent}")
         projected = None
         if self.kind != "zero":
             if self.base_field is None:

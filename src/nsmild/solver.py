@@ -42,6 +42,7 @@ from .grid import (
     DIV_TOL,
     TWO_PI,
     ForcingSpec,
+    SettingError,
     SpectralVectorField,
     TorusGrid,
     _half_sum,
@@ -103,24 +104,19 @@ class SolverConfig:
     snapshot_every: int = 1
 
     def __post_init__(self) -> None:
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if not self.p >= 2.0:
-            raise ValueError(f"p must be >= 2, got {self.p}")
-        if self.scheme not in ("exp_euler", "picard_window"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not self.window_T > 0:
-            raise ValueError(f"window_T must be positive, got {self.window_T}")
-        if self.n_nodes < 3:
-            raise ValueError(f"n_nodes must be >= 3, got {self.n_nodes}")
-        if not self.picard_tol > 0:
-            raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
-        if self.picard_max_iters < 1:
-            raise ValueError(f"picard_max_iters must be >= 1, got {self.picard_max_iters}")
-        if self.snapshot_every < 1:
-            raise ValueError(f"snapshot_every must be >= 1, got {self.snapshot_every}")
+        for key, holds, rule in (
+            ("nu", self.nu > 0, "must be positive"), ("p", self.p >= 2.0, "must be >= 2"),
+            ("scheme", self.scheme in ("exp_euler", "picard_window"),
+             "must be exp_euler or picard_window"),
+            ("dt", 0 < self.dt < np.inf, "must be positive and finite"),
+            ("window_T", self.window_T > 0, "must be positive"),
+            ("n_nodes", self.n_nodes >= 3, "must be >= 3"),
+            ("picard_tol", self.picard_tol > 0, "must be positive"),
+            ("picard_max_iters", self.picard_max_iters >= 1, "must be >= 1"),
+            ("snapshot_every", self.snapshot_every >= 1, "must be >= 1"),
+        ):
+            if not holds:
+                raise SettingError(key, f"{rule}, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ import numpy as np
 
 from .grid import (
     TWO_PI,
+    SettingError,
     SpectralVectorField,
     TorusGrid,
     _irfft,
@@ -406,13 +407,6 @@ def _estimate_report(name: str, size: int, triple, rows) -> EstimateReport:
     )
 
 
-class SettingError(ValueError):
-    """A setting whose value leaves a measurement unreadable; args are (key, message)."""
-
-    def __str__(self) -> str:
-        return f"{self.args[0]}: {self.args[1]}"
-
-
 def require_distinct_resolutions(resolutions) -> None:
     """A repeated resolution compares a grid with itself: SettingError on `resolutions`."""
     if len(set(resolutions)) < len(resolutions):
@@ -763,8 +757,9 @@ class VerifySettings:
     ensemble_size >= 2, two or more distinct resolutions, and a suite trajectory of 1 to
     2**53 steps that keeps the 10 snapshots its Hoelder fits need. It builds what the suite
     runs, as attributes that are not fields: `ensemble`, its EnsembleSpec, and
-    `trajectory_config`, the SolverConfig of every suite trajectory (ValueError on nu, p,
-    trajectory_dt or trajectory_snapshot_every)."""
+    `trajectory_config`, the SolverConfig of every suite trajectory, whose SettingError on
+    nu, p, dt or snapshot_every is raised on nu, p, trajectory_dt or
+    trajectory_snapshot_every."""
 
     dim: int = 3
     n_modes: int = 32
@@ -799,8 +794,13 @@ class VerifySettings:
             raise SettingError("resolutions",
                                f"must hold at least 2 entries, got {list(self.resolutions)}")
         span, dt, every = self.trajectory_t_end, self.trajectory_dt, self.trajectory_snapshot_every
-        object.__setattr__(self, "trajectory_config",
-                           SolverConfig(nu=self.nu, p=self.p, dt=dt, snapshot_every=every))
+        try:
+            config = SolverConfig(nu=self.nu, p=self.p, dt=dt, snapshot_every=every)
+        except SettingError as exc:
+            key, message = exc.args
+            names = {"dt": "trajectory_dt", "snapshot_every": "trajectory_snapshot_every"}
+            raise SettingError(names.get(key, key), message) from None
+        object.__setattr__(self, "trajectory_config", config)
         object.__setattr__(self, "ensemble", EnsembleSpec(self.ensemble_size, self.seed,
                                                           self.dim, self.spectrum_decay))
         if (problem := span_problem(span, dt)) is not None:
@@ -842,11 +842,11 @@ def _ensemble_pass(s: VerifySettings) -> tuple:
     drawn from seed + i, handed to the body of each (members, body, fold) entry whose range
     holds it, and dropped; the entries' rows are folded in report order. Field 0 is held
     until the probe, which runs at field 1's turn before its bodies, so that no body runs
-    beside a second field. The min(size, 20) projection-leak probes are drawn first."""
+    beside a second field. The 20 projection-leak probes are drawn first, at every size."""
     grid = make_grid(s.dim, s.n_modes)
     size, tol = s.ensemble_size, s.tolerance_identity
     leaks = [_projection_leak(random_gradient_field(grid, s.seed + 5000 + i, s.spectrum_decay))
-             for i in range(min(size, 20))]
+             for i in range(20)]
     checks = [  # (members it takes, per-field body, fold of its rows), in report order
         (size, lambda u: _identity_row(u, s.lambdas, (0.1, 0.3), s.nu),
          lambda r: _identities_report(r, leaks, tol)),

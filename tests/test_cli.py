@@ -333,7 +333,7 @@ def write_in_memory_outputs(config, out):
     grid = build_grid(cfg)
     run = cli.settings(cfg, "run")
     solver_cfg = build_solver_config(cfg, grid, run["snapshot_every"])
-    u0 = build_initial(cfg, grid, run["seed"], solver_cfg.nu)
+    u0, _ = build_initial(cfg, grid, run["seed"], solver_cfg.nu)
     if solver_cfg.scheme == "picard_window":
         traj, _, _ = picard_solve(u0, solver_cfg)
     else:
@@ -407,7 +407,7 @@ def test_picard_window_run_writes_halves_as_stored(tmp_path, full_spectrum_calls
     assert full_spectrum_calls == []
     cfg = load_config(config)
     grid = build_grid(cfg)
-    traj, _, _ = picard_solve(build_initial(cfg, grid, 0, 1.0),
+    traj, _, _ = picard_solve(build_initial(cfg, grid, 0, 1.0)[0],
                               build_solver_config(cfg, grid, doc["run"]["snapshot_every"]))
     snapshots = sorted((tmp_path / "out").glob("snapshot_*.nsms"))
     assert len(snapshots) == len(traj.fields) == 5
@@ -501,6 +501,23 @@ class TestDeterminismAndSnapshots:
         main(["run", "--config", config, "--out", str(out_a), "--quiet"])
         main(["run", "--config", config, "--out", str(out_b), "--seed", "2", "--quiet"])
         assert (out_a / "diagnostics.csv").read_bytes() != (out_b / "diagnostics.csv").read_bytes()
+
+    def test_manifest_records_the_seed_of_the_initial_field(self, tmp_path):
+        """initial.seed, where given, seeds the field in place of --seed and run.seed, and
+        the manifest records it; otherwise it records the run's seed."""
+        doc = {"grid": {"dim": 2, "n_modes": 16}, "initial": {"seed": 5},
+               "run": {"t_end": 0.002, "seed": 3}}
+        runs = {}
+        for name, cfg, argv in (("given-1", doc, ["--seed", "1"]),
+                                ("given-2", doc, ["--seed", "2"]), ("given", doc, []),
+                                ("run", dict(doc, initial={}), [])):
+            out = tmp_path / name
+            config = write_config(tmp_path / f"{name}.json", cfg)
+            assert main(["run", "--config", config, "--out", str(out), "--quiet"] + argv) == 0
+            runs[name] = (json.loads((out / "manifest.json").read_text())["seed"],
+                          (out / "diagnostics.csv").read_bytes())
+        assert runs["given-1"] == runs["given-2"] == runs["given"]
+        assert runs["given"][0] == 5 and runs["run"][0] == 3
 
     def test_snapshot_round_trip_bit_exact(self, tmp_path):
         grid = make_grid(3, 16)
@@ -775,20 +792,37 @@ class TestConfigErrorTable:
             ("run", dict(with_block("run"), grid={"dim": 3, "n_modes": 16},
                          initial={"kind": "taylor_green"}), "initial.kind"),
             ("run", dict(with_block("run"), initial={"kind": "vortex"}), "initial.kind"),
-            ("run", dict(with_block("run"), grid={"dim": 4, "n_modes": 16}), "grid"),
-            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": -1.0}),
-             "grid"),
-            ("run", dict(with_block("run"), forcing={"kind": "bogus"}), "forcing"),
-            ("run", dict(with_block("run"), forcing={"kind": "hoelder_modulated",
-                                                     "exponent": 1.5}), "forcing"),
-            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": 1e300}),
-             "grid"),
-            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": 1e-300}),
-             "grid"),
-            ("run", dict(with_block("run"), solver={"picard_max_iters": 0}), "solver"),
-            ("run", dict(with_block("run"), solver={"picard_max_iters": -3}), "solver"),
-            ("run", dict(with_block("run"), solver={"picard_tol": 0}), "solver"),
-            ("run", dict(with_block("run"), solver={"picard_tol": -1.0}), "solver"),
+            # the library's checks name the key; the ids written out keep each row's test
+            # name as it was when its path was the bare block
+            pytest.param("run", dict(with_block("run"), grid={"dim": 4, "n_modes": 16}),
+                         "grid.dim", id="run-doc66-grid"),
+            pytest.param("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16,
+                                                              "period": -1.0}),
+                         "grid.period", id="run-doc67-grid"),
+            pytest.param("run", dict(with_block("run"), forcing={"kind": "bogus"}),
+                         "forcing.kind", id="run-doc68-forcing"),
+            pytest.param("run", dict(with_block("run"), forcing={"kind": "hoelder_modulated",
+                                                                 "exponent": 1.5}),
+                         "forcing.exponent", id="run-doc69-forcing"),
+            pytest.param("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16,
+                                                              "period": 1e300}),
+                         "grid.period", id="run-doc70-grid"),
+            pytest.param("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16,
+                                                              "period": 1e-300}),
+                         "grid.period", id="run-doc71-grid"),
+            # picard_window reads the Picard keys, so SolverConfig's ranges reject them
+            pytest.param("run", dict(with_block("run"), solver={"scheme": "picard_window",
+                                                                "picard_max_iters": 0}),
+                         "solver.picard_max_iters", id="run-doc72-solver"),
+            pytest.param("run", dict(with_block("run"), solver={"scheme": "picard_window",
+                                                                "picard_max_iters": -3}),
+                         "solver.picard_max_iters", id="run-doc73-solver"),
+            pytest.param("run", dict(with_block("run"), solver={"scheme": "picard_window",
+                                                                "picard_tol": 0}),
+                         "solver.picard_tol", id="run-doc74-solver"),
+            pytest.param("run", dict(with_block("run"), solver={"scheme": "picard_window",
+                                                                "picard_tol": -1.0}),
+                         "solver.picard_tol", id="run-doc75-solver"),
             ("run", {"grid": {"dim": 2, "n_modes": 16, "period": 1e-100},
                      "run": {"t_end": 0.003}}, "initial.decay"),
             ("run", {"grid": {"dim": 2, "n_modes": 16}, "initial": {"decay": 1e6},
@@ -806,8 +840,9 @@ class TestConfigErrorTable:
              "grid.period"),
             ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": True}),
              "grid.period"),
-            ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16, "period": 5e-324}),
-             "grid"),
+            pytest.param("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16,
+                                                              "period": 5e-324}),
+                         "grid.period", id="run-doc84-grid"),
             ("run", dict(with_block("run"), grid={"dim": 2, "n_modes": 16,
                                                   "period": float("nan")}), "grid.period"),
             # a repeated or lone resolution compares a grid with itself or with nothing
@@ -828,6 +863,10 @@ class TestConfigErrorTable:
             ("run", dict(with_block("run"), forcing={"seed": 1}), "forcing.seed"),
             ("run", dict(with_block("run"), forcing={"kind": "steady", "exponent": 0.5}),
              "forcing.exponent"),
+            # a solver key that its scheme does not read
+            ("run", dict(with_block("run"), solver={"n_nodes": 5}), "solver.n_nodes"),
+            ("run", dict(with_block("run", t_end=0.1), solver={"scheme": "picard_window",
+                                                               "dt": 1e-3}), "solver.dt"),
         ],
     )
     def test_exits_1_with_field_path(self, tmp_path, capsys, command, doc, path):
@@ -852,7 +891,9 @@ class TestPeriodFreeGates:
     @pytest.mark.parametrize("forcing", ["zero", "steady"])
     @pytest.mark.parametrize("scheme", ["exp_euler", "picard_window"])
     def test_runs_at_every_period(self, tmp_path, capsys, scheme, forcing, period):
-        solver = {"scheme": scheme, "dt": 1e-4, "window_T": 3e-4}
+        # each scheme is given only the keys it reads
+        solver = {"scheme": scheme, **({"dt": 1e-4} if scheme == "exp_euler" else
+                                       {"window_T": 3e-4})}
         config = write_config(tmp_path / "period.json", {
             "grid": {"dim": 2, "n_modes": 16, "period": period}, "solver": solver,
             "forcing": {"kind": forcing}, "run": {"t_end": 3e-4}})

@@ -1,4 +1,7 @@
-"""Input checks of the library: each bad input raises ValueError with a message that names it."""
+"""Input checks of the library: each bad input raises ValueError with a message that names it.
+A rejected setting of TorusGrid, SolverConfig, ForcingSpec, the generators' envelope or
+VerifySettings raises its subclass SettingError, whose first argument is the key as its
+caller sets it and whose text reads `key: message`."""
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from nsmild import (
     random_divfree_field,
     random_gradient_field,
 )
-from nsmild.grid import ForcingSpec
+from nsmild.grid import ForcingSpec, SettingError, TorusGrid
 from nsmild.io import _HEADER, SNAPSHOT_MAGIC, read_snapshot, write_snapshot
 from nsmild.solver import Trajectory, compute_diagnostics
 from nsmild.verification import EnsembleSpec, VerifySettings, _hoelder_fit, advection_ratio
@@ -63,10 +66,10 @@ CASES = {
         "u.nsms: expected 1099513724928 coefficients, got 80"),
     "snapshot-dim-7": (
         lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: with_header(raw, dim=7))),
-        "u.nsms: dim must be 2 or 3, got 7"),
+        "u.nsms: dim: must be 2 or 3, got 7"),
     "snapshot-period-nan": (
         lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: with_header(raw, period=np.nan))),
-        "u.nsms: period must be positive, got nan"),
+        "u.nsms: period: must be positive, got nan"),
     "ensemble-size-0": (lambda tmp: EnsembleSpec(size=0, seed=1),
                         "ensemble size must be >= 1, got 0"),
     "ensemble-size-negative": (lambda tmp: EnsembleSpec(size=-3),
@@ -77,14 +80,14 @@ CASES = {
     "verify-ensemble-size-1": (lambda tmp: VerifySettings(ensemble_size=1),
                                "ensemble_size: must be >= 2, got 1"),
     # the suite's trajectory config, which the settings build, marches with nu and p
-    "verify-nu-0": (lambda tmp: VerifySettings(nu=0.0), "nu must be positive, got 0.0"),
-    "verify-p-1": (lambda tmp: VerifySettings(p=1.0), "p must be >= 2, got 1.0"),
+    "verify-nu-0": (lambda tmp: VerifySettings(nu=0.0), "nu: must be positive, got 0.0"),
+    "verify-p-1": (lambda tmp: VerifySettings(p=1.0), "p: must be >= 2, got 1.0"),
     # the suite trajectory's rules divide by dt and by snapshot_every
     "verify-trajectory-dt-0": (lambda tmp: VerifySettings(trajectory_dt=0.0),
-                               "dt must be positive and finite, got 0.0"),
+                               "trajectory_dt: must be positive and finite, got 0.0"),
     "verify-trajectory-snapshot-every-0": (
         lambda tmp: VerifySettings(trajectory_snapshot_every=0),
-        "snapshot_every must be >= 1, got 0"),
+        "trajectory_snapshot_every: must be >= 1, got 0"),
     # a gate or a scale the suite would misread as a failing check
     "verify-tolerance-identity-negative": (lambda tmp: VerifySettings(tolerance_identity=-1.0),
                                            "tolerance_identity: must be finite and > 0, got -1.0"),
@@ -138,7 +141,7 @@ CASES = {
     "march-t_end-1e300": (lambda tmp: march(U, SolverConfig(dt=1e-3), 1e300),
                           "t_end must cover at most 2**53 steps of dt = 0.001, got 1e+300"),
     "envelope-underflow-decay": (lambda tmp: random_divfree_field(GRID, 1, 1e6),
-                                 "spectrum_decay 1000000.0 on the box of period"),
+                                 "decay: 1000000.0 on the box of period"),
     "envelope-underflow-period": (
         lambda tmp: random_gradient_field(make_grid(2, 8, 1e-100), 1, 4.0),
         "on the box of period 1e-100 makes (1+|k|^2)^(-decay/2) zero on every mode"),
@@ -156,3 +159,33 @@ def test_envelope_check_ignores_amplitude():
     """A zero amplitude gives the zero field; only the decay and the period can underflow."""
     assert random_divfree_field(GRID, 1, 4.0, amplitude=0.0).max_abs() == 0.0
     assert random_divfree_field(GRID, 1, 4.0, amplitude=1e-300).max_abs() > 0.0
+
+
+# key -> a call that sets it out of range
+SETTING_CASES = {
+    "dim": lambda: TorusGrid(4, 16),
+    "n_modes": lambda: TorusGrid(2, 6),
+    "period": lambda: TorusGrid(2, 16, 0.0),
+    "nu": lambda: SolverConfig(nu=-1.0),
+    "p": lambda: SolverConfig(p=1.5),
+    "scheme": lambda: SolverConfig(scheme="rk4"),
+    "dt": lambda: SolverConfig(dt=np.inf),
+    "window_T": lambda: SolverConfig(window_T=0.0),
+    "n_nodes": lambda: SolverConfig(n_nodes=2),
+    "picard_tol": lambda: SolverConfig(picard_tol=np.nan),
+    "picard_max_iters": lambda: SolverConfig(picard_max_iters=0),
+    "snapshot_every": lambda: SolverConfig(snapshot_every=-1),
+    "kind": lambda: ForcingSpec("gusty", U),
+    "exponent": lambda: ForcingSpec("hoelder_modulated", U, exponent=0.0),
+    "decay": lambda: random_divfree_field(GRID, 1, -4.0),
+    "trajectory_dt": lambda: VerifySettings(trajectory_dt=-1e-3),
+    "trajectory_snapshot_every": lambda: VerifySettings(trajectory_snapshot_every=-5),
+}
+
+
+@pytest.mark.parametrize("key,call", SETTING_CASES.items(), ids=SETTING_CASES.keys())
+def test_raises_setting_error_on_its_key(key, call):
+    with pytest.raises(SettingError) as info:
+        call()
+    assert info.value.args[0] == key
+    assert str(info.value).startswith(f"{key}: ")

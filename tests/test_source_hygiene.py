@@ -1,7 +1,8 @@
 """Source conventions of src/nsmild: short lines, no dead private names or class members,
 one forward and one inverse transform, no np.roll, no one-field dataclass, the full
-lattice formed only for readers outside the package, each config block parsed at one
-site of cli.py, and a README that names the snapshot version the writer writes."""
+lattice formed only for readers outside the package, each config block parsed and the
+library's setting errors translated at one site of cli.py, and a README that names the
+snapshot version the writer writes."""
 
 import ast
 from pathlib import Path
@@ -219,6 +220,18 @@ def test_each_config_block_parsed_at_one_site():
                 and len(node.args) == 2 and isinstance(node.args[1], ast.Constant)):
             sites.setdefault(node.args[1].value, []).append(node.lineno)
     assert {block: lines for block, lines in sites.items() if len(lines) != 1} == {}
+
+
+def test_cli_translates_library_errors_at_one_site():
+    """The library's SettingError names its key and cli.py turns it into a config line at
+    one site (`_made`); the only ValueError it catches is taylor_green's grid rule."""
+    tree = ast.parse((ROOT / "src" / "nsmild" / "cli.py").read_text())
+    caught = {}
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name):
+            caught.setdefault(node.type.id, []).append(".".join(scope))
+    assert caught["SettingError"] == ["_made"]
+    assert caught["ValueError"] == ["build_initial"]
 
 
 def test_readme_names_the_written_snapshot_version():
