@@ -122,14 +122,14 @@ SCHEMA = {
     "verify": _rows(VerifySettings, {
         "dim": ("int", _DIM), "n_modes": ("int", _EVEN_N), "nu": ("float", None),
         "p": ("float", None), "ensemble_size": ("int", None),
-        "seed": ("int", _at_least(0)), "spectrum_decay": ("float", _DECAY),
+        "seed": ("int", _at_least(0)), "spectrum_decay": ("float", None),
         "lambdas": ("floats", _POSITIVE), "times": ("floats", _NONNEGATIVE),
         "resolutions": ("ints", _EVEN_N),
         "tolerance_identity": ("float", None), "tolerance_gradient": ("float", None),
         "tolerance_energy_orth": ("float", None), "tolerance_oracle": ("float", None),
         "trajectory_n_modes": ("int", _EVEN_N), "trajectory_dt": ("float", None),
-        "trajectory_t_end": ("float", _POSITIVE), "trajectory_snapshot_every": ("int", None),
-        "trajectory_amplitude": ("float", None), "trajectory_decay": ("float", _DECAY),
+        "trajectory_t_end": ("float", None), "trajectory_snapshot_every": ("int", None),
+        "trajectory_amplitude": ("float", None), "trajectory_decay": ("float", None),
     }),
     "estimate": {"ensemble_size": ("int", 100, _at_least(1)), "seed": ("int", 7, _at_least(0)),
                  "dim": ("int", 3, _DIM), "decay": ("float", 4.0, _DECAY),

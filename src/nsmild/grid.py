@@ -153,10 +153,8 @@ def _rfft(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return half
 
 
-def _irfft(coeffs: np.ndarray, grid: TorusGrid, overwrite: bool = False,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum -> real samples of the real field it determines, in `out`
-    if given (as numpy's `out=`).
+def _irfft(coeffs: np.ndarray, grid: TorusGrid, overwrite: bool = False) -> np.ndarray:
+    """Half spectrum -> real samples of the real field it determines.
 
     `irfftn`'s passes, bit for bit, in one complex array: a copy of coeffs, or with
     `overwrite` coeffs itself (a complex128 temporary the caller drops, as scipy's
@@ -164,7 +162,7 @@ def _irfft(coeffs: np.ndarray, grid: TorusGrid, overwrite: bool = False,
     work = coeffs if overwrite else coeffs.astype(np.complex128)
     for axis in grid.spatial_axes[:-1]:
         np.fft.ifft(work, axis=axis, norm="forward", out=work)
-    return np.fft.irfft(work, grid.n_modes, axis=-1, norm="forward", out=out)
+    return np.fft.irfft(work, grid.n_modes, axis=-1, norm="forward")
 
 
 def _conj_reflect(coeffs: np.ndarray, axes: tuple) -> np.ndarray:
@@ -388,13 +386,22 @@ def _unit_phase_coeffs(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
     return what
 
 
+def envelope_problem(spectrum_decay: float, period: float = TWO_PI) -> str | None:
+    """Why (1+|k|^2)^(-decay/2) cannot shape a draw on the box of period, or None: a decay
+    not > 0, or one that makes it 0 at |k| = 2 pi / period, where it is largest off k = 0."""
+    if not spectrum_decay > 0:
+        return f"must be positive, got {spectrum_decay}"
+    k = TWO_PI / period
+    if (1.0 + k * k) ** (-spectrum_decay / 2.0) == 0.0:
+        return (f"{spectrum_decay} on the box of period {period} makes (1+|k|^2)^(-decay/2) "
+                "zero on every mode")
+    return None
+
+
 def _spectral_envelope(grid: TorusGrid, spectrum_decay: float, amplitude: float) -> np.ndarray:
-    if not spectrum_decay > 0:  # keyed `decay`, the name in the forcing and initial blocks
-        raise SettingError("decay", f"must be positive, got {spectrum_decay}")
+    if (problem := envelope_problem(spectrum_decay, grid.period)) is not None:
+        raise SettingError("decay", problem)  # the key in the forcing and initial blocks
     shape = (1.0 + grid.k_sq_half) ** (-spectrum_decay / 2.0)
-    if shape[(1,) + (0,) * (grid.dim - 1)] == 0.0:  # the largest value off the zero mode
-        raise SettingError("decay", f"{spectrum_decay} on the box of period {grid.period} "
-                                    "makes (1+|k|^2)^(-decay/2) zero on every mode")
     env = amplitude * shape * ~grid.nyquist_mask_half  # keep derivative symbols Hermitian-safe
     env[(0,) * grid.dim] = 0.0
     return env
@@ -433,7 +440,10 @@ def random_gradient_field(
     """
     rng = np.random.default_rng(seed)
     h_hat = _spectral_envelope(grid, spectrum_decay, amplitude) * _unit_phase_coeffs(grid, rng)
-    return SpectralVectorField(grid, 1j * grid.k_half * h_hat)
+    half = np.empty((grid.dim,) + grid.half_shape, dtype=np.complex128)
+    for k_i, row in zip(grid.k_half, half):  # one component at a time, no (dim,) temporary
+        np.multiply(1j * k_i, h_hat, out=row)
+    return SpectralVectorField(grid, half)
 
 
 def embed(u: SpectralVectorField, fine: TorusGrid) -> SpectralVectorField:

@@ -244,6 +244,42 @@ def _lp(values: np.ndarray, grid, p: float) -> np.ndarray:
     return _libm_pow(grid.cell_volume * total, 1.0 / p)
 
 
+def _pairwise_sum(start: int, n: int, row_size: int, block) -> np.ndarray:
+    """numpy's pairwise summation of the n elements from `start` of a stack of rows of
+    row_size elements, given block(start, stop), numpy's sum of a range it adds whole: one
+    inside a row, or of at most 128 elements (its unrolled loop). numpy splits a longer
+    range at n/2 rounded down to a multiple of 8."""
+    if n <= 128 or start // row_size == (start + n - 1) // row_size:
+        return block(start, start + n)
+    left = n // 2 - n // 2 % 8
+    return (_pairwise_sum(start, left, row_size, block)
+            + _pairwise_sum(start + left, n - left, row_size, block))
+
+
+def _lp_stream(rows, count: int, grid, p_values) -> list:
+    """`_lp` at each p in p_values of the stack of the count sample rows (each grid.shape)
+    that rows yields, bit for bit, from one pass in order: `_pairwise_sum` replays numpy's
+    sum of the stack while only the powers of the rows that one of its blocks spans are
+    held, two from 2D N = 12 up."""
+    if min(p_values) < 2.0:
+        raise ValueError(f"p must be >= 2, got {min(p_values)}")
+    size = grid.n_points
+    held = []  # (first element, its powers at each p) of each row a later block may read
+
+    def block(start: int, stop: int) -> np.ndarray:
+        while held and held[0][0] + size <= start:
+            del held[0]
+        while not held or held[-1][0] + size < stop:  # a row that starts where the last ends
+            values = np.abs(next(rows)).reshape(-1)
+            held.append((held[-1][0] + size if held else start, [values ** p for p in p_values]))
+        pieces = zip(*([w[max(start - first, 0):stop - first] for w in powers]
+                       for first, powers in held))  # the block's pieces at each p
+        return np.array([np.sum(w[0] if len(w) == 1 else np.concatenate(w)) for w in pieces])
+
+    total = _pairwise_sum(0, count * size, size, block)
+    return [float(_libm_pow(grid.cell_volume * t, 1.0 / p)) for t, p in zip(total, p_values)]
+
+
 def frac_norm(u: SpectralVectorField, params: FracNormParams) -> float:
     """|(-Lap)^alpha u|_{L_p}; requires mean-zero u when alpha > 0."""
     if params.alpha == 0.0:
@@ -276,15 +312,14 @@ def gradient_norm(u: SpectralVectorField, p: float, variant: str = "full") -> fl
     _require_mean_zero(u, "gradient norm")
     dim = u.grid.dim
     pairs = [(i, j) for i in range(dim) for j in range(dim) if variant == "full" or i == j]
-    return float(_lp(_jacobian_entries(u, pairs), u.grid, p))
+    return _lp_stream(_jacobian_entries(u, pairs), len(pairs), u.grid, (p,))[0]
 
 
-def _jacobian_entries(u: SpectralVectorField, pairs) -> np.ndarray:
-    """Samples of du_i/dx_j for each (i, j) in pairs, each entry transformed into its row."""
-    out = np.empty((len(pairs),) + u.grid.shape)
-    for row, (i, j) in zip(out, pairs):
-        _irfft(1j * u.grid.k_half[j] * u.half[i], u.grid, overwrite=True, out=row)
-    return out
+def _jacobian_entries(u: SpectralVectorField, pairs):
+    """Samples of du_i/dx_j for each (i, j) in pairs, one entry at a time: each is
+    transformed once, in its own temporary, and yielded."""
+    for i, j in pairs:
+        yield _irfft(1j * u.grid.k_half[j] * u.half[i], u.grid, overwrite=True)
 
 
 def energy(u: SpectralVectorField) -> float:

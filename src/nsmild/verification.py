@@ -9,10 +9,11 @@ a comparison vacuous, such as a repeated resolution, raises SettingError(key, me
 the library takes it (`VerifySettings`, `ensemble_estimates`), for every caller alike.
 
 The suite holds O(1) fields whatever its ensemble size: each member is drawn
-when it is needed, handed to every check that takes it, and dropped. The calling
-process of `nsmild verify` peaks at about 45.5 MiB RSS (VmHWM), and the child below at
-about 38 MiB (getrusage(RUSAGE_CHILDREN)), at ensemble sizes 4, 100 and 200 alike (one
-thread, 2-core x86-64 VM).
+when it is needed, handed to every check that takes it, and dropped, and each member's
+Jacobian is a stream of entries that no check holds together. The calling process of
+`nsmild verify` peaks at about 43 MiB RSS (VmHWM), and the child below at about 37.5 MiB
+(getrusage(RUSAGE_CHILDREN)), at ensemble sizes 4, 100 and 200 alike (one thread, 2-core
+x86-64 VM).
 
 The suite runs as two halves that share no state, on two processes: the calling
 process makes the per-field pass over the ensemble and the closed-form vortex oracle,
@@ -42,6 +43,7 @@ from .grid import (
     _require_same_grid,
     dealias,
     embed,
+    envelope_problem,
     field_from_function,
     make_grid,
     random_divfree_field,
@@ -52,6 +54,7 @@ from .operators import (
     _jacobian_entries,
     _libm_pow,
     _lp,
+    _lp_stream,
     advect,
     apply_shifted_laplacian,
     frac_norm,
@@ -130,7 +133,7 @@ class EnsembleSpec:
 
     def __post_init__(self) -> None:
         if self.size < 1:  # an empty ensemble would pass every estimate vacuously
-            raise ValueError(f"ensemble size must be >= 1, got {self.size}")
+            raise SettingError("size", f"must be >= 1, got {self.size}")
 
     def field(self, grid: TorusGrid, i: int) -> SpectralVectorField:
         """Member i, drawn from seed + i."""
@@ -176,14 +179,14 @@ def _defect(a: SpectralVectorField, b: SpectralVectorField, scale: float) -> flo
 
 
 def _identity_row(u: SpectralVectorField, lambdas, times, nu: float) -> tuple:
-    pu = leray_project(u)
-    scale = max(pu.max_abs(), u.max_abs())
+    pu, u_max = leray_project(u), u.max_abs()
+    scale = max(pu.max_abs(), u_max)
     idem, div = _defect(leray_project(pu), pu, scale), pu.divergence_defect()
     del pu
-    res = _running_max(_defect(apply_shifted_laplacian(lam, resolvent(lam, u)), u, u.max_abs())
+    res = _running_max(_defect(apply_shifted_laplacian(lam, resolvent(lam, u)), u, u_max)
                        for lam in lambdas)
     law = _running_max(_defect(heat_semigroup(s, nu, heat_semigroup(t, nu, u)),
-                               heat_semigroup(s + t, nu, u), u.max_abs())
+                               heat_semigroup(s + t, nu, u), u_max)
                        for s in times for t in times)
     return idem, div, res, law
 
@@ -289,8 +292,9 @@ def check_semigroup(
 
 def _composition_defect(u: SpectralVectorField) -> float:
     exponent_pairs = [(0.5, 0.5), (0.25, 0.5), (0.5, -0.5), (-0.25, 0.75), (1.0, -1.0)]
-    return _running_max(_defect(frac_power(a, frac_power(b, u)), frac_power(a + b, u),
-                                u.max_abs()) for a, b in exponent_pairs)
+    u_max = u.max_abs()
+    return _running_max(_defect(frac_power(a, frac_power(b, u)), frac_power(a + b, u), u_max)
+                        for a, b in exponent_pairs)
 
 
 def _composition_report(defects: list, tol: float) -> CheckReport:
@@ -327,14 +331,24 @@ def check_energy_orthogonality(fields: list, tol: float = 1e-8) -> CheckReport:
 _REPORT_P = 4.0  # the exponent at which `check_gradient_identity` reports its ratio
 
 
-def _gradient_identity_row(u: SpectralVectorField) -> tuple:
-    """(p = 2 defect, ratio at _REPORT_P or None where the fractional norm is 0)."""
-    jacobian = _jacobian_entries(u, list(np.ndindex(u.grid.dim, u.grid.dim)))
-    g2, gp = (float(_lp(jacobian, u.grid, p)) for p in (2.0, _REPORT_P))
-    del jacobian
+def _gradient_identity_row(u: SpectralVectorField, diagonal: bool = False) -> tuple:
+    """(p = 2 defect, ratio at _REPORT_P or None where the fractional norm is 0) and, when
+    diagonal, the `_diagonal_row` of u, from one stream of its Jacobian entries: each is
+    transformed once, and the off-diagonal ones' maxima are kept as they pass."""
+    pairs = list(np.ndindex(u.grid.dim, u.grid.dim))
+    offdiag = []
+
+    def entries():
+        for (i, j), entry in zip(pairs, _jacobian_entries(u, pairs)):
+            if i != j:
+                offdiag.append(np.max(np.abs(entry)))
+            yield entry
+
+    g2, gp = _lp_stream(entries(), len(pairs), u.grid, (2.0, _REPORT_P))
     half = _irfft(frac_power(0.5, u).half, u.grid, overwrite=True)
     f2, fp = (float(_lp(half, u.grid, p)) for p in (2.0, _REPORT_P))
-    return _relative_max(g2 - f2, f2), gp / fp if fp > 0 else None
+    diagonal_row = _diagonal_row(u, offdiag) if diagonal else None
+    return (_relative_max(g2 - f2, f2), gp / fp if fp > 0 else None), diagonal_row
 
 
 def _gradient_identity_report(rows: list, tol: float) -> CheckReport:
@@ -357,7 +371,7 @@ def check_gradient_identity(fields: list, tol: float = 1e-10) -> CheckReport:
     is measured and reported without assertion. Both exponents are taken
     from one transform of each Jacobian entry and of (-Lap)^(1/2) u.
     """
-    return _gradient_identity_report([_gradient_identity_row(u) for u in fields], tol)
+    return _gradient_identity_report([_gradient_identity_row(u)[0] for u in fields], tol)
 
 
 def _advection_exponents(exponents) -> tuple:
@@ -537,17 +551,21 @@ def check_diagonal_dependence(u: SpectralVectorField) -> tuple:
     return _diagonal_test(u)[:2]
 
 
-def _diagonal_test(u: SpectralVectorField) -> tuple:
-    """(is_diagonal, max_offdiag, |u|_{L_2}) of `check_diagonal_dependence`."""
-    pairs = [(i, j) for i, j in np.ndindex(u.grid.dim, u.grid.dim) if i != j]
-    worst = float(np.max(np.abs(_jacobian_entries(u, pairs))))
+def _diagonal_test(u: SpectralVectorField, offdiag=None) -> tuple:
+    """(is_diagonal, max_offdiag, |u|_{L_2}) of `check_diagonal_dependence`, from the
+    maxima of |du_i/dx_j| over each off-diagonal entry (taken here when not given): a
+    maximum in any order is exact."""
+    if offdiag is None:
+        pairs = [(i, j) for i, j in np.ndindex(u.grid.dim, u.grid.dim) if i != j]
+        offdiag = [np.max(np.abs(entry)) for entry in _jacobian_entries(u, pairs)]
+    worst = float(np.max(offdiag))
     norm = lp_norm(u, 2.0)
     return worst <= 1e-10 * norm, worst, norm
 
 
-def _diagonal_row(u: SpectralVectorField):
+def _diagonal_row(u: SpectralVectorField, offdiag=None):
     """`_diagonal_test` of u, or None for the zero field, which the scan skips."""
-    return None if u.max_abs() == 0.0 else _diagonal_test(u)
+    return None if u.max_abs() == 0.0 else _diagonal_test(u, offdiag)
 
 
 def _diagonal_report(rows: list) -> CheckReport:
@@ -753,7 +771,8 @@ def existence_time_trend(
 @dataclass(frozen=True)
 class VerifySettings:
     """Knobs for the full verification suite; defaults match the shipped gate. Its rules
-    raise SettingError(key, message): finite tolerances and trajectory_amplitude > 0,
+    raise SettingError(key, message): finite tolerances and trajectory_amplitude > 0, the
+    draws' envelopes (`envelope_problem`) of spectrum_decay and trajectory_decay,
     ensemble_size >= 2, two or more distinct resolutions, and a suite trajectory of 1 to
     2**53 steps that keeps the 10 snapshots its Hoelder fits need. It builds what the suite
     runs, as attributes that are not fields: `ensemble`, its EnsembleSpec, and
@@ -787,6 +806,9 @@ class VerifySettings:
                     "tolerance_oracle", "trajectory_amplitude"):
             if not 0 < (value := getattr(self, key)) < np.inf:
                 raise SettingError(key, f"must be finite and > 0, got {value!r}")
+        for key in ("spectrum_decay", "trajectory_decay"):  # every draw is on the 2 pi box
+            if (problem := envelope_problem(getattr(self, key))) is not None:
+                raise SettingError(key, problem)
         if self.ensemble_size < 2:  # the suite advects field 0 by field 1
             raise SettingError("ensemble_size", f"must be >= 2, got {self.ensemble_size}")
         require_distinct_resolutions(self.resolutions)
@@ -840,9 +862,11 @@ def _ensemble_pass(s: VerifySettings) -> tuple:
     """The reports of the per-field checks, of the gradient-orthogonality probe of the
     advective image of fields 0 and 1, and of the diagonal scan, from one pass: field i is
     drawn from seed + i, handed to the body of each (members, body, fold) entry whose range
-    holds it, and dropped; the entries' rows are folded in report order. Field 0 is held
-    until the probe, which runs at field 1's turn before its bodies, so that no body runs
-    beside a second field. The 20 projection-leak probes are drawn first, at every size."""
+    holds it, and dropped; the entries' rows are folded in report order. The gradient
+    identity's body also makes the first 50 fields' diagonal-scan rows from the same stream
+    of Jacobian entries. Field 0 is held until the probe, which runs at field 1's turn
+    before its bodies, so that no body runs beside a second field. The 20 projection-leak
+    probes are drawn first, at every size."""
     grid = make_grid(s.dim, s.n_modes)
     size, tol = s.ensemble_size, s.tolerance_identity
     leaks = [_projection_leak(random_gradient_field(grid, s.seed + 5000 + i, s.spectrum_decay))
@@ -856,9 +880,9 @@ def _ensemble_pass(s: VerifySettings) -> tuple:
          lambda r: _semigroup_report(r, tol)),
         (20, _composition_defect, lambda r: _composition_report(r, tol)),
         (20, _orthogonality_defect, lambda r: _orthogonality_report(r, s.tolerance_energy_orth)),
-        (size, _gradient_identity_row,
-         lambda r: _gradient_identity_report(r, s.tolerance_gradient)),
-        (50, _diagonal_row, _diagonal_report),
+        (size, lambda u: _gradient_identity_row(u, diagonal=i < 50),  # i: the loop's member
+         lambda r: (_gradient_identity_report([g for g, _ in r], s.tolerance_gradient),
+                    _diagonal_report([d for _, d in r]))),
     ]
     rows = [[] for _ in checks]
     for i in range(size):
@@ -871,12 +895,12 @@ def _ensemble_pass(s: VerifySettings) -> tuple:
         for (count, body, _), out in zip(checks, rows):
             if i < count:
                 out.append(body(u))
-    *reports, diagonal = [fold(out) for (_, _, fold), out in zip(checks, rows)]
+    *reports, (gradient, diagonal) = [fold(out) for (_, _, fold), out in zip(checks, rows)]
     # membership of advection images in the divergence-free subspace (measured)
     probe = CheckReport("gradient_orthogonality_advect", None,
                         {"max_normalized_inner_product": ortho},
                         notes="membership probe for advection images; measured only")
-    return reports, probe, diagonal
+    return reports + [gradient], probe, diagonal
 
 
 class SuiteChildDied(RuntimeError):

@@ -881,6 +881,18 @@ class TestConfigErrorTable:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("trajectory_t_end", -1), ("spectrum_decay", -1), ("spectrum_decay", 1e6),
+        ("trajectory_decay", 0), ("trajectory_decay", 1e6),
+    ])
+    def test_verify_prints_the_library_message(self, tmp_path, capsys, key, value):
+        """A verify range that VerifySettings checks has one message, the library's."""
+        with pytest.raises(verification.SettingError) as info:
+            VerifySettings(**{key: float(value)})
+        config = write_config(tmp_path / "bad.json", {"verify": {key: value}})
+        assert main(["verify", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: verify.{info.value}\n"
+
 
 class TestPeriodFreeGates:
     """The divergence gates measure k in units of 2 pi / period and the blow-up norm is

@@ -1,7 +1,7 @@
 """Input checks of the library: each bad input raises ValueError with a message that names it.
-A rejected setting of TorusGrid, SolverConfig, ForcingSpec, the generators' envelope or
-VerifySettings raises its subclass SettingError, whose first argument is the key as its
-caller sets it and whose text reads `key: message`."""
+A rejected setting of TorusGrid, SolverConfig, ForcingSpec, the generators' envelope,
+EnsembleSpec or VerifySettings raises its subclass SettingError, whose first argument is
+the key as its caller sets it and whose text reads `key: message`."""
 
 import numpy as np
 import pytest
@@ -70,10 +70,6 @@ CASES = {
     "snapshot-period-nan": (
         lambda tmp: read_snapshot(snapshot_file(tmp, lambda raw: with_header(raw, period=np.nan))),
         "u.nsms: period: must be positive, got nan"),
-    "ensemble-size-0": (lambda tmp: EnsembleSpec(size=0, seed=1),
-                        "ensemble size must be >= 1, got 0"),
-    "ensemble-size-negative": (lambda tmp: EnsembleSpec(size=-3),
-                               "ensemble size must be >= 1, got -3"),
     # the suite advects field 0 by field 1
     "verify-ensemble-size-0": (lambda tmp: VerifySettings(ensemble_size=0),
                                "ensemble_size: must be >= 2, got 0"),
@@ -161,7 +157,7 @@ def test_envelope_check_ignores_amplitude():
     assert random_divfree_field(GRID, 1, 4.0, amplitude=1e-300).max_abs() > 0.0
 
 
-# key -> a call that sets it out of range
+# key -> a call that sets it out of range; a second case of a key is named key-case
 SETTING_CASES = {
     "dim": lambda: TorusGrid(4, 16),
     "n_modes": lambda: TorusGrid(2, 6),
@@ -180,11 +176,14 @@ SETTING_CASES = {
     "decay": lambda: random_divfree_field(GRID, 1, -4.0),
     "trajectory_dt": lambda: VerifySettings(trajectory_dt=-1e-3),
     "trajectory_snapshot_every": lambda: VerifySettings(trajectory_snapshot_every=-5),
+    "size": lambda: EnsembleSpec(size=0, seed=1),  # an empty ensemble passes vacuously
+    "size-negative": lambda: EnsembleSpec(size=-3),
 }
 
 
-@pytest.mark.parametrize("key,call", SETTING_CASES.items(), ids=SETTING_CASES.keys())
-def test_raises_setting_error_on_its_key(key, call):
+@pytest.mark.parametrize("case,call", SETTING_CASES.items(), ids=SETTING_CASES.keys())
+def test_raises_setting_error_on_its_key(case, call):
+    key = case.split("-")[0]
     with pytest.raises(SettingError) as info:
         call()
     assert info.value.args[0] == key

@@ -2,6 +2,8 @@
 advection, and norms. Algebraic identities are asserted at 1e-12; quadrature
 closed forms are frozen from hand integration."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from nsmild.operators import (
     _jacobian_entries,
     _libm_pow,
     _lp,
+    _lp_stream,
     _phi1_of,
     apply_shifted_laplacian,
     max_pointwise_divergence,
@@ -609,20 +612,46 @@ class TestLeanOperatorBits:
                 u = SpectralVectorField(grid, half)
                 before = u.half.copy()
                 for entries in (pairs, pairs[::-1][:dim]):
-                    assert same_bytes(_jacobian_entries(u, entries),
+                    assert same_bytes(np.stack(list(_jacobian_entries(u, entries))),
                                       reference_jacobian_entries(u, entries))
                 assert same_bytes(u.half, before)
+
+    @pytest.mark.parametrize("dim,n,count", [(3, 10, 9), (2, 20, 9), (2, 8, 7), (3, 32, 9)])
+    def test_lp_stream(self, dim, n, count):
+        """`_lp_stream` of rows yielded one at a time is `_lp` of their stack at each p. With
+        these counts blocks of numpy's sum cross row boundaries at 3D N=10 and 2D N=20, and
+        one spans three rows of 2D N=8."""
+        grid = make_grid(dim, n)
+        rows = np.random.default_rng(n).standard_normal((count,) + grid.shape)
+        rows *= np.logspace(-3, 3, count).reshape((count,) + (1,) * dim)
+        p_values = (2.0, 2.5, 4.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for stack in (rows, rows[:1], with_specials(rows)):
+                got = _lp_stream(iter(stack), len(stack), grid, p_values)
+                assert same_bytes(np.array(got), np.array([_lp(stack, grid, p) for p in p_values]))
+
+    @pytest.mark.parametrize("dim,n", LEAN_SIZES)
+    def test_gradient_norm(self, dim, n):
+        """The streamed Jacobian gives `_lp` of its stack, bit for bit."""
+        grid = make_grid(dim, n)
+        u = random_divfree_field(grid, 1)
+        for pairs in (list(np.ndindex(dim, dim)), [(i, i) for i in range(dim)]):
+            variant = "full" if len(pairs) > dim else "diagonal"
+            for p in (2.0, 4.0):
+                expected = float(_lp(reference_jacobian_entries(u, pairs), grid, p))
+                assert gradient_norm(u, p, variant) == expected
 
 
 class TestLeanOperatorMemory:
     """The transient of each rewritten operator at 3D N=32, in half fields of (3,) +
     half_shape complex128 (835,584 bytes). Measured: `advect` 4.04, the kernel without
     dealiasing 3.04, the dealiased kernel 2.77 (3.12 at 2D N=256, in half fields of that
-    grid), `_lp` of one field's samples 0.94, the 9 `_jacobian_entries` 3.32; the
-    expressions they replaced peaked at 6.89, 4.89, 3.08 (3.61), 1.88 and 3.47 (each
-    entry's samples copied into its row), and `advect` and the kernels peaked at 4.22,
-    3.22, 3.08 (3.61) before their inverse transforms ran in their own temporaries. Each
-    bound is the measured value plus about 0.1-0.2."""
+    grid), `_lp` of one field's samples 0.94, the 9 `_jacobian_entries` drained one at a
+    time 0.65 and `gradient_norm` 0.97; the expressions they replaced peaked at 6.89, 4.89,
+    3.08 (3.61), 1.88, 3.47 (each entry's samples copied into its row of a stack) and 5.65
+    (`_lp` of that stack), and `advect` and the kernels peaked at 4.22, 3.22, 3.08 (3.61)
+    before their inverse transforms ran in their own temporaries; the stack of the 9
+    entries was 3.32. Each bound is the measured value plus about 0.1-0.2."""
 
     @staticmethod
     def half_fields(grid, peak):
@@ -653,5 +682,12 @@ class TestLeanOperatorMemory:
 
     def test_jacobian_entries(self, grid3_32, traced_peak):
         u = random_divfree_field(grid3_32, 1)
-        _, peak = traced_peak(_jacobian_entries, u, list(np.ndindex(3, 3)))
-        assert self.half_fields(grid3_32, peak) <= 3.4
+        entries = _jacobian_entries(u, list(np.ndindex(3, 3)))
+        _, peak = traced_peak(deque, entries, maxlen=0)  # each entry dropped as it comes
+        assert self.half_fields(grid3_32, peak) <= 0.8
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_gradient_norm(self, grid3_32, traced_peak, p):
+        u = random_divfree_field(grid3_32, 1)
+        _, peak = traced_peak(gradient_norm, u, p)
+        assert self.half_fields(grid3_32, peak) <= 1.1

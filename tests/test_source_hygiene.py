@@ -118,9 +118,8 @@ def test_no_complex_fft():
 
 
 def test_no_transform_copied_into_a_slice():
-    """A transform into preallocated storage is made there (`_irfft(..., out=row)`), so no
-    statement assigns a fresh `_irfft` or `_rfft` result into a slice, which allocates the
-    result and then copies it."""
+    """No statement assigns a fresh `_irfft` or `_rfft` result into a slice, which
+    allocates the result and then copies it: a transform is used where it is made."""
     found = []
     for path in SOURCES:
         for scope, node in _scoped(ast.parse(path.read_text())):

@@ -375,6 +375,31 @@ class TestSuiteOnePass:
         measured = reports["gradient_orthogonality_advect"].measurements
         assert measured == {"max_normalized_inner_product": ortho}
 
+    def test_pass_transforms_each_jacobian_entry_once(self, monkeypatch):
+        """The pass makes the inverse transforms of the public checks it folds, less the
+        dim**2 - dim off-diagonal Jacobian entries of each of the first 50 members, which
+        the diagonal scan takes from the gradient identity's stream: each entry of a member
+        is transformed once."""
+        s = VerifySettings(dim=3, n_modes=10, ensemble_size=52, resolutions=(8, 16),
+                           trajectory_n_modes=16)
+        grid = make_grid(3, 10)
+        fields = s.ensemble.fields(grid)
+        grads = [random_gradient_field(grid, s.seed + 5000 + i, s.spectrum_decay)
+                 for i in range(20)]
+        calls = count_inverse_transforms(monkeypatch)
+        verification._ensemble_pass(s)
+        in_pass = len(calls)
+        calls.clear()
+        check_operator_identities(fields, grads, s.lambdas, (0.1, 0.3), s.nu)
+        check_resolvent_divfree(s.lambdas, fields)
+        check_semigroup(fields, s.times, s.nu, (2.0, 4.0))
+        check_frac_power_composition(fields[:20])
+        check_energy_orthogonality(fields[:20])
+        check_gradient_orthogonality(advect(fields[0], fields[1]), 20, s.seed + 9000)
+        check_gradient_identity(fields)
+        diagonal_dependence_scan(fields[:50])
+        assert in_pass == len(calls) - (3 * 3 - 3) * 50
+
     def test_memory_does_not_grow_with_ensemble_size(self, traced_peak, monkeypatch):
         """The suite's traced peak at 16 fields is within one field of its peak at 4.
 
@@ -390,10 +415,11 @@ class TestSuiteOnePass:
 
     def test_pass_holds_one_member_beside_a_body(self, traced_peak):
         """The traced peak of the per-field pass at 3D N=32 and 4 members, in half fields
-        of (3,) + half_shape complex128: 7.53, of which `_gradient_identity_row` is 5.65.
+        of (3,) + half_shape complex128: 6.93, of which `_orthogonality_defect` is 5.04.
         It was 8.53 while field 0 was held through field 1's bodies and the advective image
-        of the two through every later field's; the bound is the measured value plus about
-        0.15. At 3D N=16 the peak sits elsewhere (8.28 against 8.30)."""
+        of the two through every later field's, and 7.53 while `_gradient_identity_row` held
+        the stack of the 9 Jacobian entries and its power (5.65); the bound is the measured
+        value plus about 0.15. At 3D N=16 it reads 7.19 (8.32 with the stack)."""
 
         def ensemble_pass(**kwargs):
             s = VerifySettings(**kwargs)
@@ -402,7 +428,7 @@ class TestSuiteOnePass:
         ensemble_pass(dim=2, n_modes=8, ensemble_size=2)  # first-call imports and caches
         grid = make_grid(3, 32)
         _, peak = traced_peak(ensemble_pass, dim=3, n_modes=32, ensemble_size=4)
-        assert peak / (3 * int(np.prod(grid.half_shape)) * 16) <= 7.7
+        assert peak / (3 * int(np.prod(grid.half_shape)) * 16) <= 7.1
 
     def test_twenty_projection_leak_probes_at_every_size(self):
         """`projection_kills_gradients` is the worst leak of the same 20 gradient probes at
@@ -455,6 +481,20 @@ class TestSuiteSettingRules:
         with pytest.raises(SettingError) as info:
             VerifySettings(**settings)
         assert info.value.args == ("trajectory_t_end", message)
+
+    @pytest.mark.parametrize("key", ["spectrum_decay", "trajectory_decay"])
+    @pytest.mark.parametrize("value,message", [
+        (-1.0, "must be positive, got -1.0"),
+        (1e6, "1000000.0 on the box of period 6.283185307179586 makes (1+|k|^2)^(-decay/2) "
+              "zero on every mode"),
+    ])
+    def test_envelopes(self, key, value, message, monkeypatch):
+        # raised on the key the caller set, before the suite forks or draws
+        draws = count_draws(monkeypatch)
+        with pytest.raises(SettingError) as info:
+            run_verification_suite(dataclasses.replace(TINY_SUITE, **{key: value}))
+        assert info.value.args == (key, message)
+        assert draws == {}
 
     def test_ten_snapshots_are_enough(self):
         VerifySettings(trajectory_t_end=0.045)  # 45 steps kept every 5
